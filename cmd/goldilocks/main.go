@@ -81,7 +81,6 @@ type runConfig struct {
 	budget   int    // event-list cell budget; 0: unbounded
 	remote   string // goldilocksd address; offload detection there
 	session  string // session id for -remote
-	wireJSON bool   // with -remote: force the line-JSON wire format
 
 	// Observability (docs/OBSERVABILITY.md). Any of these being set
 	// enables telemetry; all unset keeps the detector hot path free of
@@ -108,7 +107,6 @@ func main() {
 		budget   = flag.Int("memory-budget", 0, "event-list cell budget; over it the engine degrades gracefully (0: unbounded)")
 		remote   = flag.String("remote", "", "offload detection to the goldilocksd at this address (or comma-separated cluster list, with failover) instead of running an in-process detector (forces -policy log; see docs/SERVICE.md)")
 		session  = flag.String("session", "", "session id for -remote (default: goldilocks-<pid>)")
-		wire     = flag.String("wire", "auto", "with -remote: wire format, auto (negotiate binary, fall back to JSON) or json (force line-JSON)")
 		exploreN = flag.Int("explore", 0, "systematically explore up to N schedules and report how many race (implies -sched det)")
 		exploreP = flag.Int("explore-bound", 0, "preemption bound for -explore (0: unbounded)")
 		exploreT = flag.Duration("explore-timeout", 0, "wall-clock budget for -explore (0: unbounded)")
@@ -122,10 +120,6 @@ func main() {
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: goldilocks [flags] program.mj")
 		flag.Usage()
-		os.Exit(resilience.ExitUsage)
-	}
-	if *wire != "auto" && *wire != "json" {
-		fmt.Fprintf(os.Stderr, "goldilocks: unknown -wire %q (auto or json)\n", *wire)
 		os.Exit(resilience.ExitUsage)
 	}
 	if *exploreN > 0 {
@@ -156,7 +150,6 @@ func main() {
 		budget:   *budget,
 		remote:   *remote,
 		session:  *session,
-		wireJSON: *wire == "json",
 
 		statsJSON:     *statsJSON,
 		metricsAddr:   *metrics,
@@ -295,7 +288,7 @@ func run(ctx context.Context, path string, c runConfig) (int, error) {
 		if sessionID == "" {
 			sessionID = fmt.Sprintf("goldilocks-%d", os.Getpid())
 		}
-		remote, err = dialRemote(c.remote, sessionID, c.wireJSON)
+		remote, err = dialRemote(c.remote, sessionID)
 		if err != nil {
 			return 0, err
 		}

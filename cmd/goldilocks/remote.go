@@ -25,11 +25,10 @@ type remoteSession struct {
 	err error // first send failure; finish reports it
 }
 
-func dialRemote(addr, session string, forceJSON bool) (*remoteSession, error) {
+func dialRemote(addr, session string) (*remoteSession, error) {
 	// addr may be a single daemon or a comma-separated fleet list; a
 	// fleet client follows NOT_OWNER redirects and fails over.
-	c, err := server.DialAutoConfig(context.Background(), addr, session,
-		server.DialConfig{ForceJSON: forceJSON})
+	c, err := server.DialAuto(context.Background(), addr, session)
 	if err != nil {
 		return nil, err
 	}

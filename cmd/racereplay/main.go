@@ -63,7 +63,6 @@ func main() {
 		remote    = flag.String("remote", "", "replay through the goldilocksd at this address (or comma-separated cluster list, with failover) instead of an in-process detector (see docs/SERVICE.md)")
 		session   = flag.String("session", "", "session id for -remote (default: derived from the trace file name); a resumed session replays only the remaining suffix")
 		stopAfter = flag.Int("stop-after", 0, "with -remote: stream only this many actions, flush, and detach without closing (the session stays resumable; for restart drills)")
-		wire      = flag.String("wire", "auto", "with -remote: wire format, auto (negotiate binary, fall back to JSON) or json (force line-JSON)")
 		fastPath  = flag.Bool("fastpath", true, "enable the epoch fast path in the local goldilocks engine (detection verdicts are identical either way)")
 	)
 	flag.Parse()
@@ -73,12 +72,8 @@ func main() {
 		os.Exit(resilience.ExitUsage)
 	}
 	localFastPath = *fastPath
-	if *wire != "auto" && *wire != "json" {
-		fmt.Fprintf(os.Stderr, "racereplay: unknown -wire %q (auto or json)\n", *wire)
-		os.Exit(resilience.ExitUsage)
-	}
 	if *remote != "" {
-		n, err := replayRemote(flag.Arg(0), *remote, *session, *stopAfter, *wire == "json", os.Stdout)
+		n, err := replayRemote(flag.Arg(0), *remote, *session, *stopAfter, os.Stdout)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "racereplay:", err)
 		}

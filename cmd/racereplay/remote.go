@@ -21,7 +21,7 @@ import (
 // applied, and detaches without the close handshake — the session stays
 // resumable, which is how the CI service job interrupts a session
 // mid-trace before killing the daemon.
-func replayRemote(path, addr, sessionID string, stopAfter int, forceJSON bool, out *os.File) (int, error) {
+func replayRemote(path, addr, sessionID string, stopAfter int, out *os.File) (int, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, err
@@ -43,16 +43,10 @@ func replayRemote(path, addr, sessionID string, stopAfter int, forceJSON bool, o
 
 	// addr may be a single daemon or a comma-separated fleet list; a
 	// fleet client follows NOT_OWNER redirects and fails over.
-	c, err := server.DialAutoConfig(context.Background(), addr, sessionID,
-		server.DialConfig{ForceJSON: forceJSON})
+	c, err := server.DialAuto(context.Background(), addr, sessionID)
 	if err != nil {
 		return 0, err
 	}
-	wire := "binary"
-	if !c.Binary() {
-		wire = "json"
-	}
-	fmt.Fprintf(out, "wire format: %s\n", wire)
 	start := int(c.Next())
 	if c.Resumed() {
 		fmt.Fprintf(out, "session %s resumed at action %d\n", sessionID, start)

@@ -15,16 +15,14 @@ import (
 
 // The ingest benchmark answers the question the stage histograms were
 // built for: where does an event's end-to-end latency go between a
-// client and a verdict? It runs the same synthetic workload four ways —
-// "local" applies actions directly to an engine (epoch fast path on),
+// client and a verdict? It runs the same synthetic workload three ways
+// — "local" applies actions directly to an engine (epoch fast path on),
 // "local_lockset" does the same with the fast path off (the pure
-// Goldilocks apply point), "remote" streams through an in-process
-// goldilocksd over loopback TCP on the binary wire format, and
-// "remote_json" forces the line-JSON protocol — with a tracer on every
-// side, and reports events/sec plus per-stage p50/p99 from the tracer's
+// Goldilocks apply point), and "remote" streams through an in-process
+// goldilocksd over loopback TCP — with a tracer on every side, and
+// reports events/sec plus per-stage p50/p99 from the tracer's
 // histograms. local vs local_lockset is the epoch fast path's win at
-// the apply point; remote vs remote_json is the binary framing's win on
-// the wire.
+// the apply point; local vs remote is the cost of the service pipeline.
 
 // IngestConfig sizes the ingest benchmark.
 type IngestConfig struct {
@@ -78,7 +76,6 @@ type IngestReport struct {
 	Local            IngestSide `json:"local"`
 	LocalLockset     IngestSide `json:"local_lockset"`
 	Remote           IngestSide `json:"remote"`
-	RemoteJSON       IngestSide `json:"remote_json"`
 }
 
 // ingestAction returns the i-th action of session worker w's workload:
@@ -150,10 +147,9 @@ func ingestLocal(cfg IngestConfig, fastPath bool) IngestSide {
 	}
 }
 
-// ingestRemote runs the loopback-daemon side on the chosen wire format:
-// an in-process goldilocksd, one traced fleet of clients streaming the
-// same workload.
-func ingestRemote(cfg IngestConfig, forceJSON bool) (IngestSide, error) {
+// ingestRemote runs the loopback-daemon side: an in-process
+// goldilocksd, one traced fleet of clients streaming the same workload.
+func ingestRemote(cfg IngestConfig) (IngestSide, error) {
 	total := cfg.Sessions * cfg.Events
 	serverTracer := obs.NewTracer(cfg.SampleEvery)
 	clientTracer := obs.NewTracer(cfg.SampleEvery)
@@ -172,14 +168,9 @@ func ingestRemote(cfg IngestConfig, forceJSON bool) (IngestSide, error) {
 	for w := 0; w < cfg.Sessions; w++ {
 		go func(w int) {
 			c, err := server.DialContext(ctx, srv.Addr(), fmt.Sprintf("ingest-%d", w),
-				server.DialConfig{Tracer: clientTracer, ForceJSON: forceJSON})
+				server.DialConfig{Tracer: clientTracer})
 			if err != nil {
 				errs <- err
-				return
-			}
-			if c.Binary() == forceJSON {
-				c.Abandon()
-				errs <- fmt.Errorf("session %d: negotiated binary=%v with forceJSON=%v", w, c.Binary(), forceJSON)
 				return
 			}
 			for i := 0; i < cfg.Events; i++ {
@@ -214,7 +205,7 @@ func ingestRemote(cfg IngestConfig, forceJSON bool) (IngestSide, error) {
 	}, nil
 }
 
-// Ingest runs the four-way ingest comparison and returns the report.
+// Ingest runs the three-way ingest comparison and returns the report.
 // progress receives one line per phase.
 func Ingest(cfg IngestConfig, progress func(string)) (IngestReport, error) {
 	cfg = cfg.withDefaults()
@@ -233,14 +224,10 @@ func Ingest(cfg IngestConfig, progress func(string)) (IngestReport, error) {
 	report("local-lockset", rep.LocalLockset)
 
 	var err error
-	if rep.Remote, err = ingestRemote(cfg, false); err != nil {
+	if rep.Remote, err = ingestRemote(cfg); err != nil {
 		return rep, err
 	}
-	report("remote-bin", rep.Remote)
-	if rep.RemoteJSON, err = ingestRemote(cfg, true); err != nil {
-		return rep, err
-	}
-	report("remote-json", rep.RemoteJSON)
+	report("remote", rep.Remote)
 	return rep, nil
 }
 
@@ -258,10 +245,9 @@ func FormatIngest(rep IngestReport) string {
 		return out
 	}
 	s += side("local (epoch)", rep.Local) + side("local-lockset", rep.LocalLockset)
-	s += side("remote (bin)", rep.Remote) + side("remote-json", rep.RemoteJSON)
-	if rep.RemoteJSON.EventsPerSec > 0 {
-		s += fmt.Sprintf("wire speedup (bin/json): %.2fx; apply speedup (epoch/lockset): %.2fx\n",
-			rep.Remote.EventsPerSec/rep.RemoteJSON.EventsPerSec,
+	s += side("remote", rep.Remote)
+	if rep.LocalLockset.EventsPerSec > 0 {
+		s += fmt.Sprintf("apply speedup (epoch/lockset): %.2fx\n",
 			rep.Local.EventsPerSec/rep.LocalLockset.EventsPerSec)
 	}
 	return s

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// A scaled-down end-to-end run: both sides complete, throughput and
+// A scaled-down end-to-end run: every side completes, throughput and
 // stage summaries are populated, and the report survives the JSON
 // round trip the artifact depends on.
 func TestIngestSmall(t *testing.T) {
@@ -18,7 +18,7 @@ func TestIngestSmall(t *testing.T) {
 	}
 	for name, side := range map[string]IngestSide{
 		"local": rep.Local, "local_lockset": rep.LocalLockset,
-		"remote": rep.Remote, "remote_json": rep.RemoteJSON,
+		"remote": rep.Remote,
 	} {
 		if side.Events != 800 {
 			t.Fatalf("%s events = %d, want 800", name, side.Events)

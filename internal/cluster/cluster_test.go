@@ -173,18 +173,9 @@ func TestClusterFailoverConvergence(t *testing.T) {
 	var runs []run
 	for i, sc := range scenarios.All() {
 		session := fmt.Sprintf("failover-%d", i)
-		// Alternate wire formats so the kill lands on binary-stream and
-		// line-JSON sessions alike: failover re-negotiates per connection,
-		// and both codecs must migrate a SIGKILLed stream mid-flight.
-		runCfg := cfg
-		runCfg.ForceJSON = i%2 == 1
-		c, err := server.DialFleet(ctx, f.addrs, session, runCfg)
+		c, err := server.DialFleet(ctx, f.addrs, session, cfg)
 		if err != nil {
 			t.Fatalf("%s: dialing fleet: %v", sc.Name, err)
-		}
-		if c.Binary() == runCfg.ForceJSON {
-			t.Fatalf("%s: negotiated binary=%v with ForceJSON=%v; drill is not mixing formats",
-				sc.Name, c.Binary(), runCfg.ForceJSON)
 		}
 		runs = append(runs, run{name: sc.Name, tr: sc.Trace, c: c, session: session})
 		for j := 0; j < sc.Trace.Len()/2; j++ {

@@ -43,15 +43,10 @@ type streamHeader struct {
 	Version int    `json:"version"`
 }
 
+// streamRecord is one record line; decoding ignores unknown keys.
 type streamRecord struct {
 	Action json.RawMessage `json:"a"`
 	CRC    string          `json:"crc"`
-	// Span is an optional trace span id stamped by a sampling client
-	// (obs.Tracer). Zero means unsampled and is omitted, so spanless
-	// records are byte-identical to the pre-span format and old readers
-	// ignore the field entirely. The CRC covers only the action body, so
-	// span stamping never invalidates a record.
-	Span uint64 `json:"sp,omitempty"`
 }
 
 func actionCRC(serialized []byte) string {
@@ -170,16 +165,8 @@ func CheckStreamHeader(line []byte) error {
 }
 
 // EncodeRecord serializes one action as a checksummed record line
-// (newline-terminated), the unit of the streaming format and of the
-// goldilocksd wire protocol.
+// (newline-terminated), the unit of the streaming format.
 func EncodeRecord(a Action) ([]byte, error) {
-	return EncodeRecordSpan(a, 0)
-}
-
-// EncodeRecordSpan is EncodeRecord with a trace span id riding the
-// record. span 0 (unsampled) produces a line byte-identical to
-// EncodeRecord's.
-func EncodeRecordSpan(a Action, span uint64) ([]byte, error) {
 	ja := jsonAction{
 		Kind:   a.Kind.String(),
 		Thread: a.Thread,
@@ -193,7 +180,7 @@ func EncodeRecordSpan(a Action, span uint64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec, err := json.Marshal(streamRecord{Action: body, CRC: actionCRC(body), Span: span})
+	rec, err := json.Marshal(streamRecord{Action: body, CRC: actionCRC(body)})
 	if err != nil {
 		return nil, err
 	}
@@ -203,15 +190,8 @@ func EncodeRecordSpan(a Action, span uint64) ([]byte, error) {
 // DecodeRecord parses and checksum-verifies one record line; ok is
 // false for a torn, corrupt, or unknown-kind record.
 func DecodeRecord(line []byte) (a Action, ok bool) {
-	a, _, st, _ := decodeStreamLine(line)
+	a, st, _ := decodeStreamLine(line)
 	return a, st == recOK
-}
-
-// DecodeRecordSpan is DecodeRecord plus the record's span id (0 when
-// the record carries none).
-func DecodeRecordSpan(line []byte) (a Action, span uint64, ok bool) {
-	a, span, st, _ := decodeStreamLine(line)
-	return a, span, st == recOK
 }
 
 // WriteTraceStream writes a whole trace in the streaming format.
@@ -269,7 +249,7 @@ func ReadTraceStream(r io.Reader) (tr *Trace, dropped int, err error) {
 			dropped++
 			continue
 		}
-		a, _, st, kindName := decodeStreamLine(line)
+		a, st, kindName := decodeStreamLine(line)
 		if st != recOK {
 			if st == recUnknownKind {
 				unknownRep = &report.Report{
@@ -416,23 +396,23 @@ const (
 
 // decodeStreamLine parses and checksum-verifies one record line,
 // distinguishing corruption from version skew (an intact record with an
-// unknown kind). span is the record's trace span id (0 when absent);
-// kindName is the offending name in the unknown-kind case.
-func decodeStreamLine(line []byte) (Action, uint64, recDecodeStatus, string) {
+// unknown kind). kindName is the offending name in the unknown-kind
+// case.
+func decodeStreamLine(line []byte) (Action, recDecodeStatus, string) {
 	var rec streamRecord
 	if err := json.Unmarshal(line, &rec); err != nil || len(rec.Action) == 0 {
-		return Action{}, 0, recCorrupt, ""
+		return Action{}, recCorrupt, ""
 	}
 	if actionCRC(rec.Action) != rec.CRC {
-		return Action{}, 0, recCorrupt, ""
+		return Action{}, recCorrupt, ""
 	}
 	var ja jsonAction
 	if err := json.Unmarshal(rec.Action, &ja); err != nil {
-		return Action{}, 0, recCorrupt, ""
+		return Action{}, recCorrupt, ""
 	}
 	k, ok := kindByName[ja.Kind]
 	if !ok || k == KindInvalid {
-		return Action{}, 0, recUnknownKind, ja.Kind
+		return Action{}, recUnknownKind, ja.Kind
 	}
 	return Action{
 		Kind:   k,
@@ -442,7 +422,7 @@ func decodeStreamLine(line []byte) (Action, uint64, recDecodeStatus, string) {
 		Peer:   ja.Peer,
 		Reads:  ja.Reads,
 		Writes: ja.Writes,
-	}, rec.Span, recOK, ""
+	}, recOK, ""
 }
 
 // ReadTraceAuto sniffs the format: a binary header frame selects

@@ -52,47 +52,16 @@ type ackTail struct {
 	Serial    *regiontrack.Summary `json:"serializability,omitempty"`
 }
 
-// wireEncoder abstracts the server-to-client side of one connection so
-// the session worker is format-blind. Implementations buffer; flush
-// pushes to the socket. Write errors are deliberately swallowed until
-// flush, matching the JSON path's best-effort sends.
-type wireEncoder interface {
-	race(wr *wireRace)
-	ack(a *wireAck, solicited bool)
-	// progress volunteers an unsolicited progress report at a batch
-	// boundary. Only the binary protocol has a frame for it; the JSON
-	// encoder must not emit one (an old client's control round trip
-	// would consume it as its reply).
-	progress(applied, races uint64)
-	errMsg(msg string)
-	flush() error
-}
-
-// jsonWire is the original line-JSON downlink.
-type jsonWire struct{ bw *bufio.Writer }
-
-func (w *jsonWire) send(m serverMsg) {
-	b, err := json.Marshal(m)
-	if err != nil {
-		return
-	}
-	w.bw.Write(append(b, '\n'))
-}
-
-func (w *jsonWire) race(wr *wireRace) { w.send(serverMsg{Race: wr}) }
-func (w *jsonWire) ack(a *wireAck, solicited bool) {
-	w.send(serverMsg{Ack: a})
-}
-func (w *jsonWire) progress(applied, races uint64) {} // no unsolicited acks in JSON
-func (w *jsonWire) errMsg(msg string)              { w.send(serverMsg{Err: msg}) }
-func (w *jsonWire) flush() error                   { return w.bw.Flush() }
-
 // binWire is the binary downlink. Frame and body buffers are reused, so
 // the steady-state progress-ack path allocates nothing.
 type binWire struct {
 	bw      *bufio.Writer
 	buf     []byte // frame scratch
 	scratch []byte // body scratch
+	// last is the connection's terminal frame, the final ack or an
+	// error. The session worker builds it; handleConn sends it only
+	// after detaching the session, so a client holding it can reattach.
+	last []byte
 }
 
 func (w *binWire) frame(typ byte, body []byte) {
@@ -108,9 +77,18 @@ func (w *binWire) race(wr *wireRace) {
 	w.frame(frameRace, b)
 }
 
-func (w *binWire) ack(a *wireAck, solicited bool) {
+// ack writes an ack frame.
+func (w *binWire) ack(a Ack, final, solicited bool) {
+	w.frame(frameAck, w.ackBody(a, final, solicited))
+}
+
+// ackBody encodes an ack frame body into the body scratch. final marks
+// the reply to a close control, solicited any reply to a control (see
+// the ack flag bits); the counters and rule fires ride a JSON tail when
+// present.
+func (w *binWire) ackBody(a Ack, final, solicited bool) []byte {
 	var flags byte
-	if a.Final {
+	if final {
 		flags |= ackFlagFinal
 	}
 	if solicited {
@@ -128,53 +106,37 @@ func (w *binWire) ack(a *wireAck, solicited bool) {
 	body = binary.AppendUvarint(body, a.Races)
 	body = append(body, tail...)
 	w.scratch = body
-	w.frame(frameAck, body)
-}
-
-func (w *binWire) progress(applied, races uint64) {
-	w.ack(&wireAck{Applied: applied, Races: races}, false)
+	return body
 }
 
 func (w *binWire) errMsg(msg string) { w.frame(frameErr, []byte(msg)) }
 func (w *binWire) flush() error      { return w.bw.Flush() }
 
 // decodeAckFrame parses an ack frame body into the client's Ack plus
-// its routing flags.
-func decodeAckFrame(body []byte) (ack Ack, solicited, final bool, err error) {
+// its solicited flag.
+func decodeAckFrame(body []byte) (ack Ack, solicited bool, err error) {
 	if len(body) < 1 {
-		return Ack{}, false, false, event.ErrCorruptFrame
+		return Ack{}, false, event.ErrCorruptFrame
 	}
 	flags := body[0]
 	rest := body[1:]
 	applied, n := binary.Uvarint(rest)
 	if n <= 0 {
-		return Ack{}, false, false, event.ErrCorruptFrame
+		return Ack{}, false, event.ErrCorruptFrame
 	}
 	rest = rest[n:]
 	races, n := binary.Uvarint(rest)
 	if n <= 0 {
-		return Ack{}, false, false, event.ErrCorruptFrame
+		return Ack{}, false, event.ErrCorruptFrame
 	}
 	rest = rest[n:]
 	ack = Ack{Applied: applied, Races: races}
 	if flags&ackFlagTail != 0 {
 		var tail ackTail
 		if err := json.Unmarshal(rest, &tail); err != nil {
-			return Ack{}, false, false, fmt.Errorf("server: bad ack tail: %w", err)
+			return Ack{}, false, fmt.Errorf("server: bad ack tail: %w", err)
 		}
 		ack.Stats, ack.RuleFires, ack.Serial = tail.Stats, tail.RuleFires, tail.Serial
 	}
-	return ack, flags&ackFlagSolicited != 0, flags&ackFlagFinal != 0, nil
-}
-
-// pickWireFormat selects the wire format for a connection from the
-// client's offer: binary when offered, line-JSON otherwise (including
-// the empty offer of every pre-negotiation client).
-func pickWireFormat(offered []string) string {
-	for _, f := range offered {
-		if f == WireFormatBinary {
-			return WireFormatBinary
-		}
-	}
-	return WireFormatJSON
+	return ack, flags&ackFlagSolicited != 0, nil
 }

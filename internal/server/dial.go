@@ -42,11 +42,6 @@ type DialConfig struct {
 	// client-side stages: record encode and control round-trip time.
 	// Nil disables client tracing at zero cost.
 	Tracer *obs.Tracer
-	// ForceJSON disables the binary wire-format offer, pinning every
-	// connection to line-JSON. By default the client offers
-	// WireFormatBinary and falls back to line-JSON when the server does
-	// not select it (old servers ignore the offer entirely).
-	ForceJSON bool
 }
 
 func (cfg DialConfig) withDefaults() DialConfig {
@@ -110,13 +105,11 @@ func retryableWelcome(msg string) bool {
 	return strings.Contains(msg, "live connection") || strings.Contains(msg, "shutting down")
 }
 
-// handshakeResult is one attach attempt's outcome. bin records whether
-// the server selected the binary wire format for this connection.
+// handshakeResult is one attach attempt's outcome.
 type handshakeResult struct {
 	conn net.Conn
 	br   *bufio.Reader
 	w    welcome
-	bin  bool
 }
 
 // errNotOwner is returned by connectOnce when the node redirected.
@@ -129,12 +122,10 @@ type terminalDialError struct{ msg string }
 
 func (e *terminalDialError) Error() string { return e.msg }
 
-// connectOnce dials addr and performs the session handshake — offering
-// the binary wire format unless offerBin is false — including sending
-// the stream header in whichever format the server selected. On
-// NOT_OWNER it returns *redirectError with the owner's address
-// (possibly empty).
-func connectOnce(ctx context.Context, addr, session string, offerBin bool) (*handshakeResult, error) {
+// connectOnce dials addr and performs the session handshake, including
+// sending the binary stream header frame. On NOT_OWNER it returns
+// *redirectError with the owner's address (possibly empty).
+func connectOnce(ctx context.Context, addr, session string) (*handshakeResult, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
@@ -147,11 +138,7 @@ func connectOnce(ctx context.Context, addr, session string, offerBin bool) (*han
 		conn.Close()
 		return nil, err
 	}
-	var formats []string
-	if offerBin {
-		formats = []string{WireFormatBinary, WireFormatJSON}
-	}
-	h, err := json.Marshal(hello{Proto: ProtoName, Version: ProtoVersion, Session: session, Formats: formats})
+	h, err := json.Marshal(hello{Proto: ProtoName, Version: ProtoVersion, Session: session})
 	if err != nil {
 		return fail(err)
 	}
@@ -178,16 +165,11 @@ func connectOnce(ctx context.Context, addr, session string, offerBin bool) (*han
 		}
 		return fail(&terminalDialError{msg: msg})
 	}
-	bin := w.Format == WireFormatBinary
-	header := event.StreamHeaderLine()
-	if bin {
-		header = event.BinHeaderFrame()
-	}
-	if _, err := conn.Write(header); err != nil {
+	if _, err := conn.Write(event.BinHeaderFrame()); err != nil {
 		return fail(err)
 	}
 	conn.SetDeadline(time.Time{}) // handshake done; streaming has no deadline
-	return &handshakeResult{conn: conn, br: br, w: w, bin: bin}, nil
+	return &handshakeResult{conn: conn, br: br, w: w}, nil
 }
 
 // Dial connects to a detection server and opens (or resumes) the named
@@ -213,7 +195,7 @@ func DialContext(ctx context.Context, addr, session string, cfg DialConfig) (*Cl
 				return nil, fmt.Errorf("dialing %s: %w (last error: %v)", addr, err, lastErr)
 			}
 		}
-		res, err := connectOnce(ctx, addr, session, !cfg.ForceJSON)
+		res, err := connectOnce(ctx, addr, session)
 		if err != nil {
 			var term *terminalDialError
 			if errors.As(err, &term) {
@@ -227,7 +209,7 @@ func DialContext(ctx context.Context, addr, session string, cfg DialConfig) (*Cl
 			continue
 		}
 		c := &Client{session: session, next: res.w.Next, resumed: res.w.Resumed, cfg: cfg, tracer: cfg.Tracer}
-		c.startConn(res.conn, res.br, res.bin)
+		c.startConn(res.conn, res.br)
 		return c, nil
 	}
 	return nil, fmt.Errorf("dialing %s: %d attempts failed: %w", addr, cfg.Attempts, lastErr)
@@ -251,24 +233,17 @@ func DialFleet(ctx context.Context, addrs []string, session string, cfg DialConf
 	}
 	c.next, c.resumed = res.w.Next, res.w.Resumed
 	c.base = res.w.Next
-	c.startConn(res.conn, res.br, res.bin)
+	c.startConn(res.conn, res.br)
 	return c, nil
 }
 
 // DialAuto is the CLI-friendly entry: a single address dials directly,
 // a comma-separated list dials the fleet with failover enabled.
 func DialAuto(ctx context.Context, addr, session string) (*Client, error) {
-	return DialAutoConfig(ctx, addr, session, DialConfig{})
-}
-
-// DialAutoConfig is DialAuto with an explicit configuration, for
-// callers that need to pin the wire format (e.g. -wire json) or tune
-// failover without giving up the address-list convenience.
-func DialAutoConfig(ctx context.Context, addr, session string, cfg DialConfig) (*Client, error) {
 	if strings.Contains(addr, ",") {
-		return DialFleet(ctx, splitAddrs(addr), session, cfg)
+		return DialFleet(ctx, splitAddrs(addr), session, DialConfig{})
 	}
-	return DialContext(ctx, addr, session, cfg)
+	return DialContext(ctx, addr, session, DialConfig{})
 }
 
 // splitAddrs parses a comma-separated address list.
@@ -319,7 +294,7 @@ func (c *Client) connectFleet(ctx context.Context) (*handshakeResult, error) {
 // configured bound.
 func (c *Client) followRedirects(ctx context.Context, addr string) (*handshakeResult, error) {
 	for hop := 0; hop < c.cfg.MaxRedirects; hop++ {
-		res, err := connectOnce(ctx, addr, c.session, !c.cfg.ForceJSON)
+		res, err := connectOnce(ctx, addr, c.session)
 		if err == nil {
 			return res, nil
 		}
@@ -353,22 +328,10 @@ func (c *Client) failover(ctx context.Context) error {
 			c.session, next, c.base, c.base+uint64(len(c.journal)))
 	}
 	c.failovers++
-	c.startConn(res.conn, res.br, res.bin)
-	// The journal replays in whatever format the *new* connection
-	// negotiated: in a mixed-version fleet a session can migrate from a
-	// binary-speaking node to a line-JSON one (or back) mid-stream.
+	c.startConn(res.conn, res.br)
 	for _, a := range c.journal[next-c.base:] {
-		var rec []byte
-		if c.bin {
-			c.encBuf = event.AppendEventFrame(c.encBuf[:0], a, 0)
-			rec = c.encBuf
-		} else {
-			var err error
-			if rec, err = event.EncodeRecord(a); err != nil {
-				return err
-			}
-		}
-		if _, err := c.bw.Write(rec); err != nil {
+		c.encBuf = event.AppendEventFrame(c.encBuf[:0], a, 0)
+		if _, err := c.bw.Write(c.encBuf); err != nil {
 			// The replacement died too; recurse into another episode.
 			return c.failover(ctx)
 		}

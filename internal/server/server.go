@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"os"
@@ -190,17 +189,23 @@ type session struct {
 type item struct {
 	a      event.Action
 	ctl    string          // "" for records
-	errMsg string          // with ctl == "err"
+	errMsg string          // with ctl == ctlErr
 	ckpt   chan ckptResult // with ctl == ctlCkpt: reply channel
 
 	span uint64    // nonzero: this record is a sampled trace span
 	enq  time.Time // enqueue time, set only for sampled records
 }
 
-// ctlCkpt is an internal control item: the session worker checkpoints
-// the engine between batches and replies on the item's channel. It is
-// how a live session is checkpointed with zero verdicts lost.
-const ctlCkpt = "ckpt"
+// Control items.
+const (
+	ctlFlush = "flush" // client flush: apply everything sent so far, then ack
+	ctlClose = "close" // client close: apply everything, send the final ack
+	ctlErr   = "err"   // protocol error: report errMsg to the client
+	// ctlCkpt makes the session worker checkpoint the engine between
+	// batches and reply on the item's channel. It is how a live session
+	// is checkpointed with zero verdicts lost.
+	ctlCkpt = "ckpt"
+)
 
 // ckptResult is the session worker's reply to a ctlCkpt item.
 type ckptResult struct {
@@ -481,17 +486,17 @@ func (s *Server) dropConn(conn net.Conn) {
 }
 
 // handleConn speaks the protocol on one connection: handshake, stream
-// header, then records and controls. Decoded work goes to a bounded
-// queue drained by the session worker; when the queue is full this
-// reader blocks, which is the backpressure path (the producer's writes
-// stall on TCP flow control rather than the daemon buffering without
-// bound).
+// header frame, then event and control frames. Decoded work goes to a
+// bounded queue drained by the session worker; when the queue is full
+// this reader blocks, which is the backpressure path (the producer's
+// writes stall on TCP flow control rather than the daemon buffering
+// without bound).
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
 	defer s.dropConn(conn)
 
-	br := bufio.NewReaderSize(conn, 64*1024)
+	br := bufio.NewReaderSize(conn, maxHelloLen)
 	bw := bufio.NewWriterSize(conn, 64*1024)
 
 	writeWelcome := func(w welcome) {
@@ -500,7 +505,11 @@ func (s *Server) handleConn(conn net.Conn) {
 		bw.Flush()
 	}
 
-	line, err := readLine(br)
+	line, err := readHello(br)
+	if err == errHelloTooLong {
+		writeWelcome(welcome{Error: "handshake line too long"})
+		return
+	}
 	if err != nil {
 		return
 	}
@@ -526,7 +535,6 @@ func (s *Server) handleConn(conn net.Conn) {
 		writeWelcome(welcome{Error: "invalid session id (want [A-Za-z0-9._-]{1,64})"})
 		return
 	}
-	format := pickWireFormat(h.Formats)
 	sess, existed, err := s.attach(h.Session, conn)
 	if err != nil {
 		var noe *notOwnerError
@@ -541,169 +549,79 @@ func (s *Server) handleConn(conn net.Conn) {
 		writeWelcome(welcome{Error: err.Error()})
 		return
 	}
-	defer s.detach(sess)
-	w := welcome{OK: true, Resumed: existed, Next: sess.applied.Load()}
-	if format == WireFormatBinary {
-		// Named only when it deviates from the default, so the welcome a
-		// pre-negotiation client sees is byte-identical to before.
-		w.Format = format
-	}
-	writeWelcome(w)
+	next := sess.applied.Load()
 	s.cfg.Logger.Info("session attached", "component", "server", "session", sess.id,
-		"resumed", existed, "next", sess.applied.Load(), "format", format)
-	s.flight("attach", sess.id, fmt.Sprintf("resumed=%v next=%d format=%s", existed, sess.applied.Load(), format))
+		"resumed", existed, "next", next)
+	s.flight("attach", sess.id, fmt.Sprintf("resumed=%v next=%d", existed, next))
+	writeWelcome(welcome{OK: true, Resumed: existed, Next: next})
 
-	var enc wireEncoder
-	var frames *event.FrameReader
-	if format == WireFormatBinary {
-		enc = &binWire{bw: bw}
-		frames = event.NewFrameReader(br)
-		// The client opens its stream with the binary header frame.
-		typ, body, err := frames.Next()
-		if err != nil || typ != event.FrameHeader {
-			enc.errMsg(fmt.Sprintf("expected binary stream header frame, got %v", err))
-			enc.flush()
-			return
-		}
-		if err := event.CheckBinHeader(body); err != nil {
-			enc.errMsg(err.Error())
-			enc.flush()
-			return
-		}
+	enc := &binWire{bw: bw}
+	frames := event.NewFrameReader(br)
+	// The client opens its stream with the binary header frame.
+	typ, body, err := frames.Next()
+	if err == nil && typ != event.FrameHeader {
+		err = fmt.Errorf("frame type 0x%02x", typ)
+	}
+	if err == nil {
+		err = event.CheckBinHeader(body)
+	}
+	if err != nil {
+		enc.last = event.AppendFrame(nil, frameErr,
+			[]byte(fmt.Sprintf("expected binary stream header frame: %v", err)))
 	} else {
-		enc = &jsonWire{bw: bw}
-		// The client opens its stream with the standard trace header.
-		line, err = readLine(br)
-		if err != nil {
-			return
-		}
-		if err := event.CheckStreamHeader(line); err != nil {
-			enc.errMsg(err.Error())
-			enc.flush()
-			return
-		}
+		queue := make(chan item, s.cfg.Queue)
+		sess.setQueue(queue)
+		// Seed the governor watermarks before the worker starts so a
+		// restored or promoted session's pre-existing rung/quarantine
+		// state is not re-reported as a fresh transition.
+		sess.lastRung = sess.eng.Rung()
+		sess.lastQuar = sess.eng.VarsQuarantined()
+		workerDone := make(chan struct{})
+		go s.sessionWorker(sess, queue, enc, workerDone)
+		s.readFrames(sess, frames, queue, func() {
+			// Mark the queue closed (so admin tryEnqueue stops
+			// delivering) before closing the channel the worker drains.
+			sess.markQueueClosed()
+			close(queue)
+			<-workerDone
+		})
 	}
+	// The worker has exited. Detach before sending the terminal frame:
+	// a client that holds its final ack or error finds the session free
+	// to reattach, drop, or migrate.
+	s.detach(sess)
+	if enc.last != nil {
+		bw.Write(enc.last)
+		bw.Flush()
+	}
+}
 
-	queue := make(chan item, s.cfg.Queue)
-	sess.setQueue(queue)
-	// Seed the governor watermarks before the worker starts so a
-	// restored or promoted session's pre-existing rung/quarantine state
-	// is not re-reported as a fresh transition.
-	sess.lastRung = sess.eng.Rung()
-	sess.lastQuar = sess.eng.VarsQuarantined()
-	workerDone := make(chan struct{})
-	go s.sessionWorker(sess, queue, enc, workerDone)
-
-	// closeQueue marks the queue closed (so admin tryEnqueue stops
-	// delivering) before closing the channel the worker drains.
-	closeQueue := func() {
-		sess.markQueueClosed()
-		close(queue)
-		<-workerDone
-	}
-	if format == WireFormatBinary {
-		s.readFrames(sess, frames, queue, closeQueue)
-		return
-	}
+// readFrames is the ingest loop: it decodes event and control frames
+// into the session queue until the client closes the session, a frame
+// is bad, or the connection drops. A close or protocol error ends the
+// loop after its item is queued; the session worker answers both.
+func (s *Server) readFrames(sess *session, frames *event.FrameReader, queue chan item, closeQueue func()) {
 	for {
-		line, err := readLine(br)
-		if err != nil {
-			// Connection dropped without a close control: the session
-			// stays resumable.
+		typ, body, err := frames.Next()
+		var it item
+		switch {
+		case errors.Is(err, event.ErrCorruptFrame) || errors.Is(err, event.ErrTornFrame):
+			it = item{ctl: ctlErr, errMsg: fmt.Sprintf("corrupt event frame: %v", err)}
+		case err != nil:
+			// Connection dropped or severed without a close control: the
+			// session stays resumable.
 			closeQueue()
 			s.cfg.Logger.Info("session connection lost", "component", "server",
 				"session", sess.id, "applied", sess.applied.Load())
 			s.flight("detach", sess.id, fmt.Sprintf("connection lost at %d applied", sess.applied.Load()))
 			return
-		}
-		var ctl ctlMsg
-		if err := json.Unmarshal(line, &ctl); err == nil && ctl.Ctl != "" {
-			switch ctl.Ctl {
-			case ctlFlush:
-				queue <- item{ctl: ctlFlush}
-				continue
-			case ctlClose:
-				queue <- item{ctl: ctlClose}
-				closeQueue()
-				s.cfg.Logger.Info("session closed", "component", "server", "session", sess.id,
-					"applied", sess.applied.Load(), "races", sess.races.Load())
-				s.flight("close", sess.id, fmt.Sprintf("%d applied, %d races", sess.applied.Load(), sess.races.Load()))
-				return
-			default:
-				queue <- item{ctl: "err", errMsg: fmt.Sprintf("unknown control %q", ctl.Ctl)}
-				closeQueue()
-				return
-			}
-		}
-		a, span, ok := event.DecodeRecordSpan(line)
-		if !ok {
-			queue <- item{ctl: "err", errMsg: fmt.Sprintf("corrupt event record (checksum or syntax): %.120q", line)}
-			closeQueue()
-			return
-		}
-		it := item{a: a, span: span}
-		if span == 0 && s.cfg.Tracer.Sample() {
-			// Untraced client: sample server-side so the queue/apply/
-			// flush histograms still fill in.
-			it.span = s.cfg.Tracer.NextSpan()
-		}
-		if it.span != 0 {
-			it.enq = time.Now()
-		}
-		queue <- it
-	}
-}
-
-// readFrames is the binary-protocol ingest loop: the frame-stream
-// counterpart of handleConn's line loop, with identical queue,
-// control, and teardown semantics.
-func (s *Server) readFrames(sess *session, frames *event.FrameReader, queue chan item, closeQueue func()) {
-	for {
-		typ, body, err := frames.Next()
-		if err != nil {
-			if err == io.EOF {
-				// Connection dropped without a close control: the session
-				// stays resumable.
-				closeQueue()
-				s.cfg.Logger.Info("session connection lost", "component", "server",
-					"session", sess.id, "applied", sess.applied.Load())
-				s.flight("detach", sess.id, fmt.Sprintf("connection lost at %d applied", sess.applied.Load()))
-				return
-			}
-			queue <- item{ctl: "err", errMsg: fmt.Sprintf("corrupt event frame: %v", err)}
-			closeQueue()
-			return
-		}
-		switch typ {
-		case event.FrameCtl:
-			verb := byte(0)
-			if len(body) == 1 {
-				verb = body[0]
-			}
-			switch verb {
-			case binCtlFlush:
-				queue <- item{ctl: ctlFlush}
-				continue
-			case binCtlClose:
-				queue <- item{ctl: ctlClose}
-				closeQueue()
-				s.cfg.Logger.Info("session closed", "component", "server", "session", sess.id,
-					"applied", sess.applied.Load(), "races", sess.races.Load())
-				s.flight("close", sess.id, fmt.Sprintf("%d applied, %d races", sess.applied.Load(), sess.races.Load()))
-				return
-			default:
-				queue <- item{ctl: "err", errMsg: fmt.Sprintf("unknown binary control %d", verb)}
-				closeQueue()
-				return
-			}
-		case event.FrameEvent:
+		case typ == event.FrameEvent:
 			a, span, derr := event.DecodeEventFrame(body)
 			if derr != nil {
-				queue <- item{ctl: "err", errMsg: fmt.Sprintf("corrupt event frame: %v", derr)}
-				closeQueue()
-				return
+				it = item{ctl: ctlErr, errMsg: fmt.Sprintf("corrupt event frame: %v", derr)}
+				break
 			}
-			it := item{a: a, span: span}
+			it = item{a: a, span: span}
 			if span == 0 && s.cfg.Tracer.Sample() {
 				// Untraced client: sample server-side so the queue/apply/
 				// flush histograms still fill in.
@@ -712,9 +630,17 @@ func (s *Server) readFrames(sess *session, frames *event.FrameReader, queue chan
 			if it.span != 0 {
 				it.enq = time.Now()
 			}
-			queue <- it
+		case typ == event.FrameCtl && len(body) == 1 && body[0] == binCtlFlush:
+			it = item{ctl: ctlFlush}
+		case typ == event.FrameCtl && len(body) == 1 && body[0] == binCtlClose:
+			it = item{ctl: ctlClose}
+		case typ == event.FrameCtl:
+			it = item{ctl: ctlErr, errMsg: fmt.Sprintf("unknown binary control %v", body)}
 		default:
-			queue <- item{ctl: "err", errMsg: fmt.Sprintf("unexpected frame type 0x%02x", typ)}
+			it = item{ctl: ctlErr, errMsg: fmt.Sprintf("unexpected frame type 0x%02x", typ)}
+		}
+		queue <- it
+		if it.ctl == ctlClose || it.ctl == ctlErr {
 			closeQueue()
 			return
 		}
@@ -723,9 +649,13 @@ func (s *Server) readFrames(sess *session, frames *event.FrameReader, queue chan
 
 // sessionWorker drains the ingest queue, applies actions to the
 // session engine in batches, and pushes verdicts and acks back to the
-// client through the connection's negotiated wire encoder. It is the
-// only goroutine touching the engine or the encoder while attached.
-func (s *Server) sessionWorker(sess *session, queue chan item, enc wireEncoder, done chan struct{}) {
+// client. It is the only goroutine touching the engine or the encoder
+// while attached. Every lifecycle record (log line, flight event) that
+// an ack or error frame makes observable is written before that frame
+// is built, so a client that has seen the reply also sees the record.
+// The terminal frame of a close or protocol error goes to enc.last for
+// handleConn to send once the session is detached.
+func (s *Server) sessionWorker(sess *session, queue chan item, enc *binWire, done chan struct{}) {
 	defer close(done)
 	sinceFlush := 0
 	tracedInBatch := false
@@ -789,10 +719,10 @@ func (s *Server) sessionWorker(sess *session, queue chan item, enc wireEncoder, 
 			n := sess.applied.Add(1)
 			sinceFlush++
 			if sinceFlush >= s.cfg.Batch || len(queue) == 0 {
-				// Batched progress ack: the binary protocol volunteers the
-				// applied watermark with each batch flush, so clients track
-				// progress without control round trips (no-op under JSON).
-				enc.progress(n, sess.races.Load())
+				// Batched progress ack: the applied watermark rides each
+				// batch flush, so clients track progress without control
+				// round trips.
+				enc.ack(Ack{Applied: n, Races: sess.races.Load()}, false, false)
 				flush()
 				s.observeGovernor(sess)
 			}
@@ -809,29 +739,59 @@ func (s *Server) sessionWorker(sess *session, queue chan item, enc wireEncoder, 
 			data, err := sessionSnapshotBytes(sess)
 			it.ckpt <- ckptResult{data: data, applied: sess.applied.Load(), err: err}
 		case ctlFlush:
-			enc.ack(&wireAck{Applied: sess.applied.Load(), Races: sess.races.Load()}, true)
+			enc.ack(Ack{Applied: sess.applied.Load(), Races: sess.races.Load()}, false, true)
 			flush()
 		case ctlClose:
+			applied, races := sess.applied.Load(), sess.races.Load()
+			s.cfg.Logger.Info("session closed", "component", "server", "session", sess.id,
+				"applied", applied, "races", races)
+			s.flight("close", sess.id, fmt.Sprintf("%d applied, %d races", applied, races))
 			stats := sess.eng.Stats()
 			fires := sess.tel.RuleFires()
-			ack := &wireAck{
-				Applied: sess.applied.Load(), Races: sess.races.Load(),
-				Final: true, Stats: &stats, RuleFires: fires[:],
-			}
+			ack := Ack{Applied: applied, Races: races, Stats: &stats, RuleFires: fires[:]}
 			if sess.rt != nil {
 				sum := sess.rt.Summarize()
 				ack.Serial = &sum
 			}
-			enc.ack(ack, true)
 			flush()
-		case "err":
-			enc.errMsg(it.errMsg)
+			enc.last = event.AppendFrame(nil, frameAck, enc.ackBody(ack, true, true))
+		case ctlErr:
+			s.cfg.Logger.Warn("session protocol error", "component", "server",
+				"session", sess.id, "err", it.errMsg)
+			s.flight("protocol-error", sess.id, it.errMsg)
 			flush()
+			enc.last = event.AppendFrame(nil, frameErr, []byte(it.errMsg))
 		}
 	}
 }
 
+// maxHelloLen bounds a connection's first line — a hello or an admin
+// request — so a peer cannot grow daemon memory before it names a
+// session. It is the size of handleConn's reader buffer, which
+// readHello never grows. What follows the first line is bounded too:
+// event frames by event.MaxFrameLen, admin bodies by maxAdminBody.
+const maxHelloLen = 64 * 1024
+
+// errHelloTooLong is readHello's refusal of a first line that does not
+// fit the reader's buffer.
+var errHelloTooLong = fmt.Errorf("server: first line exceeds %d bytes", maxHelloLen)
+
+// readHello reads a connection's first line without the terminator.
+// A line longer than br's buffer is refused, not accumulated.
+func readHello(br *bufio.Reader) ([]byte, error) {
+	line, err := br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		return nil, errHelloTooLong
+	}
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), line[:len(line)-1]...), nil
+}
+
 // readLine reads one newline-terminated line without the terminator.
+// It serves lines from trusted or already-bounded sources: a welcome or
+// admin response read by a client, and a checkpoint header.
 func readLine(br *bufio.Reader) ([]byte, error) {
 	line, err := br.ReadBytes('\n')
 	if err != nil {

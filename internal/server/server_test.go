@@ -2,6 +2,8 @@ package server_test
 
 import (
 	"bufio"
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -11,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"goldilocks/internal/conformance"
 	"goldilocks/internal/core"
@@ -269,7 +272,9 @@ func TestSessionExclusive(t *testing.T) {
 
 // TestRejectsBadHandshake covers the protocol guards: wrong protocol
 // name, wrong version, and invalid session ids are all refused with an
-// explanatory welcome.
+// explanatory welcome. A version-1 client, which would stream line-JSON,
+// gets the version error at once — with or without the binary offer
+// its hello could carry — instead of a connection that never answers.
 func TestRejectsBadHandshake(t *testing.T) {
 	srv, err := server.New("127.0.0.1:0", server.Config{})
 	if err != nil {
@@ -277,16 +282,19 @@ func TestRejectsBadHandshake(t *testing.T) {
 	}
 	defer srv.Close()
 
-	for name, helloLine := range map[string]string{
-		"wrong-proto":   `{"proto":"nope","version":1,"session":"a"}`,
-		"wrong-version": `{"proto":"goldilocks-service","version":99,"session":"a"}`,
-		"bad-session":   `{"proto":"goldilocks-service","version":1,"session":"../escape"}`,
+	for name, tc := range map[string]struct{ hello, want string }{
+		"wrong-proto":     {`{"proto":"nope","version":2,"session":"a"}`, "handshake"},
+		"wrong-version":   {`{"proto":"goldilocks-service","version":99,"session":"a"}`, "unsupported protocol version 99"},
+		"v1-json-client":  {`{"proto":"goldilocks-service","version":1,"session":"a"}`, "unsupported protocol version 1"},
+		"v1-binary-offer": {`{"proto":"goldilocks-service","version":1,"session":"a","formats":["goldilocks-bin","goldilocks-json"]}`, "unsupported protocol version 1"},
+		"bad-session":     {`{"proto":"goldilocks-service","version":2,"session":"../escape"}`, "invalid session id"},
 	} {
 		conn, err := net.Dial("tcp", srv.Addr())
 		if err != nil {
 			t.Fatalf("%s: dial: %v", name, err)
 		}
-		fmt.Fprintf(conn, "%s\n", helloLine)
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		fmt.Fprintf(conn, "%s\n", tc.hello)
 		line, err := bufio.NewReader(conn).ReadString('\n')
 		conn.Close()
 		if err != nil {
@@ -299,15 +307,16 @@ func TestRejectsBadHandshake(t *testing.T) {
 		if err := json.Unmarshal([]byte(line), &w); err != nil {
 			t.Fatalf("%s: bad welcome %q: %v", name, line, err)
 		}
-		if w.OK || w.Error == "" {
-			t.Errorf("%s: accepted: %q", name, line)
+		if w.OK || !strings.Contains(w.Error, tc.want) {
+			t.Errorf("%s: welcome %q, want a refusal naming %q", name, line, tc.want)
 		}
 	}
 }
 
-// TestCorruptRecordReported requires a checksum-corrupt event record
-// to be reported as a protocol error, not silently applied or dropped.
-func TestCorruptRecordReported(t *testing.T) {
+// TestOversizedHelloRefused: a first line longer than the 64 KiB line
+// bound is refused without waiting for its newline, and the daemon
+// keeps serving the next client.
+func TestOversizedHelloRefused(t *testing.T) {
 	srv, err := server.New("127.0.0.1:0", server.Config{})
 	if err != nil {
 		t.Fatalf("starting server: %v", err)
@@ -318,20 +327,73 @@ func TestCorruptRecordReported(t *testing.T) {
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-	fmt.Fprintf(conn, `{"proto":"goldilocks-service","version":1,"session":"corrupt"}`+"\n")
-	if _, err := br.ReadString('\n'); err != nil {
-		t.Fatalf("welcome: %v", err)
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	go conn.Write(bytes.Repeat([]byte{'x'}, 64*1024+1)) // no newline
+	line, err := bufio.NewReader(conn).ReadString('\n')
+	conn.Close()
+	if nerr, ok := err.(net.Error); ok && nerr.Timeout() {
+		t.Fatal("server waited on an oversized hello instead of refusing it")
 	}
-	conn.Write(event.StreamHeaderLine())
-	fmt.Fprintf(conn, `{"a":{"kind":"read","t":1,"o":1},"crc":"deadbeef"}`+"\n")
-	line, err := br.ReadString('\n')
+	// Either an error welcome or a closed connection is a refusal; an
+	// accepting welcome is not.
+	if err == nil && !strings.Contains(line, "too long") {
+		t.Fatalf("oversized hello answered with %q", line)
+	}
+
+	races, ack, err := server.StreamTrace(srv.Addr(), "after-oversize", scenarios.All()[0].Trace)
 	if err != nil {
-		t.Fatalf("reading error reply: %v", err)
+		t.Fatalf("daemon stopped serving after an oversized hello: %v", err)
 	}
-	if !strings.Contains(line, "corrupt") {
-		t.Fatalf("expected corrupt-record error, got %q", line)
+	if ack.Applied != uint64(scenarios.All()[0].Trace.Len()) {
+		t.Fatalf("applied %d of %d after an oversized hello (%d races)",
+			ack.Applied, scenarios.All()[0].Trace.Len(), len(races))
+	}
+}
+
+// TestLargeSessionListings: the 64 KiB bound is on the first line a
+// peer sends, not on what an admin caller reads back. A node whose
+// info and drain replies list more sessions than fit in 64 KiB still
+// answers Sessions and DrainNode in full.
+func TestLargeSessionListings(t *testing.T) {
+	srv, err := server.New("127.0.0.1:0", server.Config{})
+	if err != nil {
+		t.Fatalf("starting server: %v", err)
+	}
+	defer srv.Close()
+
+	// Each listed session takes ~95 bytes of JSON with a 64-byte id, so
+	// 800 of them make a reply of ~75 KiB. A hello alone registers a
+	// session, which the dropped connection leaves detached.
+	const n = 800
+	for i := 0; i < n; i++ {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		fmt.Fprintf(conn, `{"proto":"goldilocks-service","version":2,"session":"%064d"}`+"\n", i)
+		line, err := bufio.NewReader(conn).ReadString('\n')
+		conn.Close()
+		if err != nil || !strings.Contains(line, `"ok":true`) {
+			t.Fatalf("session %d: welcome %q, %v", i, line, err)
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	listed, err := server.Sessions(ctx, srv.Addr())
+	if err != nil {
+		t.Fatalf("Sessions: %v", err)
+	}
+	if b, _ := json.Marshal(listed); len(listed) != n || len(b) <= 64*1024 {
+		t.Fatalf("Sessions listed %d sessions in %d bytes, want %d in more than 64 KiB", len(listed), len(b), n)
+	}
+	drained, err := server.DrainNode(ctx, srv.Addr())
+	if err != nil {
+		t.Fatalf("DrainNode: %v", err)
+	}
+	if len(drained) != n {
+		t.Fatalf("DrainNode listed %d sessions, want %d", len(drained), n)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"goldilocks/internal/conformance"
-	"goldilocks/internal/core"
 	"goldilocks/internal/event"
 	"goldilocks/internal/scenarios"
 )
@@ -30,16 +29,13 @@ func racyScenario(t *testing.T) scenarios.Scenario {
 }
 
 // streamWith streams sc through a fresh session with the given dial
-// config and checks verdict parity plus the negotiated format.
-func streamWith(t *testing.T, addr, session string, cfg DialConfig, wantBin bool) {
+// config and checks verdict parity.
+func streamWith(t *testing.T, addr, session string, cfg DialConfig) {
 	t.Helper()
 	sc := racyScenario(t)
 	c, err := DialContext(context.Background(), addr, session, cfg)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
-	}
-	if c.Binary() != wantBin {
-		t.Fatalf("negotiated binary=%v, want %v", c.Binary(), wantBin)
 	}
 	for i := 0; i < sc.Trace.Len(); i++ {
 		if err := c.Send(sc.Trace.At(i)); err != nil {
@@ -71,12 +67,10 @@ func streamWith(t *testing.T, addr, session string, cfg DialConfig, wantBin bool
 	}
 }
 
-// TestHandshakeFormatMatrix is the cross-version interop matrix: every
-// pairing of (binary-offering client, JSON-pinned client, pre-
-// negotiation client) against (current server, pre-negotiation server)
-// must land both peers on the same wire format and deliver identical
-// verdicts. The two "old" peers are hand-rolled stand-ins speaking the
-// protocol exactly as it was before Formats/Format existed.
+// TestHandshakeFormatMatrix: a current client and server complete the
+// version-2 handshake and deliver identical verdicts over the binary
+// stream. Older clients are refused at the handshake (see
+// TestRejectsBadHandshake).
 func TestHandshakeFormatMatrix(t *testing.T) {
 	srv, err := New("127.0.0.1:0", Config{})
 	if err != nil {
@@ -85,180 +79,40 @@ func TestHandshakeFormatMatrix(t *testing.T) {
 	defer srv.Close()
 
 	t.Run("new-client-new-server-binary", func(t *testing.T) {
-		streamWith(t, srv.Addr(), "matrix-bin", DialConfig{}, true)
-	})
-	t.Run("forcejson-client-new-server", func(t *testing.T) {
-		streamWith(t, srv.Addr(), "matrix-json", DialConfig{ForceJSON: true}, false)
-	})
-	t.Run("old-client-new-server", func(t *testing.T) {
-		oldClientRoundTrip(t, srv.Addr(), "matrix-old-client")
-	})
-	t.Run("new-client-old-server", func(t *testing.T) {
-		addr := startOldServer(t)
-		streamWith(t, addr, "matrix-old-server", DialConfig{}, false)
+		streamWith(t, srv.Addr(), "matrix-bin", DialConfig{})
 	})
 }
 
-// oldClientRoundTrip speaks the pre-negotiation protocol raw on the
-// socket: a hello without Formats, the JSON stream header, line
-// records, and a close control. The welcome must not name a format
-// (old clients would ignore it, but the byte-identical welcome is the
-// compatibility contract) and the verdicts must arrive as line JSON.
-func oldClientRoundTrip(t *testing.T, addr, session string) {
-	t.Helper()
-	sc := racyScenario(t)
-	conn, err := net.Dial("tcp", addr)
+// TestCorruptRecordReported requires a checksum-corrupt event frame to
+// be reported as a protocol error, not silently applied or dropped.
+func TestCorruptRecordReported(t *testing.T) {
+	srv, err := New("127.0.0.1:0", Config{})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("starting server: %v", err)
+	}
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	h, _ := json.Marshal(struct {
-		Proto   string `json:"proto"`
-		Version int    `json:"version"`
-		Session string `json:"session"`
-	}{ProtoName, ProtoVersion, session})
-	if _, err := conn.Write(append(h, '\n')); err != nil {
-		t.Fatal(err)
-	}
+	h, _ := json.Marshal(hello{Proto: ProtoName, Version: ProtoVersion, Session: "corrupt"})
+	conn.Write(append(h, '\n'))
 	br := bufio.NewReader(conn)
-	line, err := readLine(br)
+	if _, err := readLine(br); err != nil {
+		t.Fatalf("welcome: %v", err)
+	}
+	frame := event.AppendEventFrame(nil, event.Read(1, 1, 0), 0)
+	frame[len(frame)-1] ^= 0xff // flip a CRC byte
+	conn.Write(append(event.BinHeaderFrame(), frame...))
+	typ, body, err := event.NewFrameReader(br).Next()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("reading error reply: %v", err)
 	}
-	if bytes.Contains(line, []byte(`"format"`)) {
-		t.Fatalf("welcome to a pre-negotiation client names a format: %s", line)
-	}
-	var w welcome
-	if err := json.Unmarshal(line, &w); err != nil || !w.OK {
-		t.Fatalf("welcome: %s (err %v)", line, err)
-	}
-	if _, err := conn.Write(event.StreamHeaderLine()); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < sc.Trace.Len(); i++ {
-		rec, err := event.EncodeRecord(sc.Trace.At(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := conn.Write(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ctl, _ := json.Marshal(ctlMsg{Ctl: ctlClose})
-	if _, err := conn.Write(append(ctl, '\n')); err != nil {
-		t.Fatal(err)
-	}
-	races := 0
-	for {
-		line, err := readLine(br)
-		if err != nil {
-			t.Fatalf("reading server line: %v", err)
-		}
-		var m serverMsg
-		if err := json.Unmarshal(line, &m); err != nil {
-			t.Fatalf("bad server line %s: %v", line, err)
-		}
-		switch {
-		case m.Err != "":
-			t.Fatalf("server error: %s", m.Err)
-		case m.Race != nil:
-			races++
-		case m.Ack != nil && m.Ack.Final:
-			if m.Ack.Applied != uint64(sc.Trace.Len()) {
-				t.Fatalf("final ack applied=%d, want %d", m.Ack.Applied, sc.Trace.Len())
-			}
-			if races == 0 {
-				t.Fatal("no race verdicts over the legacy protocol")
-			}
-			return
-		}
-	}
-}
-
-// startOldServer runs a minimal stand-in for a pre-negotiation daemon:
-// it ignores unknown hello keys (as encoding/json always has), never
-// sets welcome.Format, and speaks only line JSON. A current client
-// dialing it must fall back cleanly.
-func startOldServer(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go oldServeConn(conn)
-		}
-	}()
-	return ln.Addr().String()
-}
-
-func oldServeConn(conn net.Conn) {
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	line, err := readLine(br)
-	if err != nil {
-		return
-	}
-	var h struct {
-		Proto   string `json:"proto"`
-		Version int    `json:"version"`
-		Session string `json:"session"`
-	}
-	if json.Unmarshal(line, &h) != nil || h.Proto != ProtoName {
-		return
-	}
-	b, _ := json.Marshal(welcome{OK: true})
-	bw.Write(append(b, '\n'))
-	bw.Flush()
-	if line, err = readLine(br); err != nil || event.CheckStreamHeader(line) != nil {
-		return
-	}
-	eng := core.NewEngine(core.DefaultOptions())
-	applied, races := uint64(0), uint64(0)
-	send := func(m serverMsg) {
-		b, _ := json.Marshal(m)
-		bw.Write(append(b, '\n'))
-	}
-	for {
-		line, err := readLine(br)
-		if err != nil {
-			return
-		}
-		var ctl ctlMsg
-		if json.Unmarshal(line, &ctl) == nil && ctl.Ctl != "" {
-			stats := eng.Stats()
-			send(serverMsg{Ack: &wireAck{
-				Applied: applied, Races: races,
-				Final: ctl.Ctl == ctlClose, Stats: &stats,
-				RuleFires: make([]uint64, 10),
-			}})
-			bw.Flush()
-			if ctl.Ctl == ctlClose {
-				return
-			}
-			continue
-		}
-		a, _, ok := event.DecodeRecordSpan(line)
-		if !ok {
-			send(serverMsg{Err: "corrupt record"})
-			bw.Flush()
-			return
-		}
-		for _, r := range eng.Step(a) {
-			races++
-			if wr, err := encodeRace(r, applied); err == nil {
-				send(serverMsg{Race: wr})
-			}
-		}
-		applied++
+	if typ != frameErr || !bytes.Contains(body, []byte("corrupt")) {
+		t.Fatalf("expected a corrupt-frame error, got frame 0x%02x %q", typ, body)
 	}
 }
 
@@ -322,23 +176,22 @@ var (
 // FuzzHandshake throws arbitrary bytes at a live daemon's handshake and
 // early stream: the server must always answer the first line with a
 // welcome (or drop the connection) and never wedge or crash, whatever
-// the bytes — truncated hellos, binary frames where JSON belongs, torn
-// frames after a valid binary negotiation.
+// the bytes — truncated hellos, JSON where binary frames belong, torn
+// frames after a valid handshake.
 func FuzzHandshake(f *testing.F) {
-	okHello, _ := json.Marshal(hello{Proto: ProtoName, Version: ProtoVersion, Session: "fuzz"})
-	binHello, _ := json.Marshal(hello{Proto: ProtoName, Version: ProtoVersion, Session: "fuzz",
-		Formats: []string{WireFormatBinary}})
+	h, _ := json.Marshal(hello{Proto: ProtoName, Version: ProtoVersion, Session: "fuzz"})
+	okHello := append(h, '\n')
+	withHeader := append(append([]byte{}, okHello...), event.BinHeaderFrame()...)
 	f.Add([]byte("garbage\n"))
-	f.Add(append(append([]byte{}, okHello...), '\n'))
-	f.Add(append(append(append([]byte{}, okHello...), '\n'), event.StreamHeaderLine()...))
-	f.Add(append(append(append([]byte{}, binHello...), '\n'), event.BinHeaderFrame()...))
-	// Binary negotiation followed by a torn frame.
-	torn := append(append(append([]byte{}, binHello...), '\n'), event.BinHeaderFrame()...)
-	torn = append(torn, event.AppendEventFrame(nil, event.Action{Kind: event.KindRead, Thread: 1, Obj: 1}, 0)[:7]...)
-	f.Add(torn)
-	// JSON negotiation followed by binary frames (format confusion).
-	confused := append(append(append([]byte{}, okHello...), '\n'), event.BinHeaderFrame()...)
-	f.Add(confused)
+	f.Add(okHello)
+	f.Add(withHeader)
+	// A valid handshake followed by a torn event frame.
+	f.Add(append(append([]byte{}, withHeader...),
+		event.AppendEventFrame(nil, event.Action{Kind: event.KindRead, Thread: 1, Obj: 1}, 0)[:7]...))
+	// The retired line-JSON stream header where the binary one belongs.
+	f.Add(append(append([]byte{}, okHello...), event.StreamHeaderLine()...))
+	// A valid handshake followed by an unknown control verb.
+	f.Add(append(append([]byte{}, withHeader...), event.AppendFrame(nil, event.FrameCtl, []byte{9})...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzSrvOnce.Do(func() {
 			srv, err := New("127.0.0.1:0", Config{Queue: 4, Batch: 2})
@@ -369,21 +222,4 @@ func FuzzHandshake(f *testing.F) {
 			}
 		}
 	})
-}
-
-// TestWireFormatNames pins the negotiated format strings: they are the
-// cross-version compatibility surface and must never drift.
-func TestWireFormatNames(t *testing.T) {
-	if WireFormatBinary != "goldilocks-bin" || WireFormatJSON != "goldilocks-json" {
-		t.Fatalf("wire format names drifted: %q %q", WireFormatBinary, WireFormatJSON)
-	}
-	if got := pickWireFormat([]string{"x", WireFormatBinary}); got != WireFormatBinary {
-		t.Fatalf("pickWireFormat = %q", got)
-	}
-	if got := pickWireFormat(nil); got != WireFormatJSON {
-		t.Fatalf("pickWireFormat(nil) = %q", got)
-	}
-	if got := pickWireFormat([]string{"future-format"}); got != WireFormatJSON {
-		t.Fatalf("pickWireFormat(unknown) = %q", got)
-	}
 }
