@@ -20,11 +20,9 @@ import (
 	"goldilocks/internal/bench"
 	"goldilocks/internal/core"
 	"goldilocks/internal/detect"
-	"goldilocks/internal/detectors/basic"
-	"goldilocks/internal/detectors/eraser"
+	"goldilocks/internal/detectors"
 	"goldilocks/internal/event"
 	"goldilocks/internal/explore"
-	"goldilocks/internal/hb"
 	"goldilocks/internal/jrt"
 	"goldilocks/internal/mj"
 	"goldilocks/internal/obs"
@@ -133,19 +131,12 @@ func BenchmarkDetectorComparison(b *testing.B) {
 	for _, tr := range traces {
 		actions += tr.Len()
 	}
-	detectors := map[string]func() detect.Detector{
-		"goldilocks":      func() detect.Detector { return core.New() },
-		"goldilocks-spec": func() detect.Detector { return core.NewSpecEngine() },
-		"vectorclock":     func() detect.Detector { return hb.NewDetector() },
-		"eraser":          func() detect.Detector { return eraser.New() },
-		"basic-lockset":   func() detect.Detector { return basic.New() },
-	}
-	for name, mk := range detectors {
-		b.Run(name, func(b *testing.B) {
+	for _, e := range detectors.All() {
+		b.Run(e.Name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, tr := range traces {
-					detect.RunTrace(mk(), tr)
+					detect.RunTrace(e.New(core.DefaultOptions(), nil), tr)
 				}
 			}
 			b.ReportMetric(float64(actions), "actions/op")

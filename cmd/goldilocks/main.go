@@ -30,12 +30,10 @@ import (
 
 	"goldilocks/internal/core"
 	"goldilocks/internal/detect"
-	"goldilocks/internal/detectors/basic"
-	"goldilocks/internal/detectors/eraser"
+	"goldilocks/internal/detectors"
 	"goldilocks/internal/detectors/regiontrack"
 	"goldilocks/internal/event"
 	"goldilocks/internal/explore"
-	"goldilocks/internal/hb"
 	"goldilocks/internal/jrt"
 	"goldilocks/internal/mj"
 	"goldilocks/internal/obs"
@@ -74,7 +72,6 @@ type runConfig struct {
 	seed     int64
 	stats    bool
 	noSC     bool
-	fastPath bool // epoch fast path in the goldilocks engine
 	record   string
 	serial   bool   // record the run and check conflict-serializability
 	onError  string // quarantine | abort
@@ -93,14 +90,13 @@ type runConfig struct {
 
 func main() {
 	var (
-		detName  = flag.String("detector", "goldilocks", "race detector: goldilocks, vectorclock, eraser, basic, none")
+		detName  = flag.String("detector", "goldilocks", "race detector: "+detectors.Names(detectors.Runtime())+", none")
 		analysis = flag.String("static", "none", "static pre-analysis: none, chord, rcc")
 		policy   = flag.String("policy", "throw", "on race: throw (DataRaceException) or log")
 		sched    = flag.String("sched", "free", "scheduler: free or det")
 		seed     = flag.Int64("seed", 1, "seed for the deterministic scheduler")
 		stats    = flag.Bool("stats", false, "print runtime and detector statistics")
 		noSC     = flag.Bool("no-shortcircuit", false, "disable the short-circuit checks (ablation)")
-		fastPath = flag.Bool("fastpath", true, "enable the epoch fast path in the goldilocks engine (verdicts are identical either way; ablation)")
 		record   = flag.String("record", "", "write the observed linearization to this file (.jsonl: checksummed streaming format; replay with cmd/racereplay)")
 		serial   = flag.Bool("serializability", false, "after the run, check conflict-serializability of its atomic regions (transactions and outermost lock-protected spans); a violation exits like a race")
 		onError  = flag.String("on-detector-error", "quarantine", "when a detector check panics: quarantine (drop the variable, keep running) or abort")
@@ -143,7 +139,6 @@ func main() {
 		seed:     *seed,
 		stats:    *stats,
 		noSC:     *noSC,
-		fastPath: *fastPath,
 		record:   *record,
 		serial:   *serial,
 		onError:  *onError,
@@ -297,29 +292,25 @@ func run(ctx context.Context, path string, c runConfig) (int, error) {
 	}
 	switch {
 	case remote != nil: // detection offloaded; -detector does not apply
-	case c.detector == "goldilocks":
+	case c.detector == "none":
+	default:
+		e, ok := detectors.Lookup(detectors.Runtime(), c.detector)
+		if !ok {
+			return 0, usageErrf("unknown detector %q", c.detector)
+		}
 		opts := core.DefaultOptions()
 		if c.noSC {
 			opts.SC1, opts.SC2, opts.SC3, opts.XactSC = false, false, false, false
 		}
-		opts.FastPath = c.fastPath
 		opts.OnError = errPolicy
 		opts.MemoryBudget = c.budget
-		opts.Telemetry = tel
-		engine = core.NewEngine(opts)
-		cfg.Detector = engine
-	case c.detector == "vectorclock":
-		guard = jrt.Guard(jrt.Serialize(hb.NewDetector()), errPolicy)
-		cfg.Detector = guard
-	case c.detector == "eraser":
-		guard = jrt.Guard(jrt.Serialize(eraser.New()), errPolicy)
-		cfg.Detector = guard
-	case c.detector == "basic":
-		guard = jrt.Guard(jrt.Serialize(basic.New()), errPolicy)
-		cfg.Detector = guard
-	case c.detector == "none":
-	default:
-		return 0, usageErrf("unknown detector %q", c.detector)
+		// The goldilocks engine recovers its own panics; the other
+		// backends get the runtime's guard.
+		cfg.Detector = jrt.Serialize(e.New(opts, tel))
+		if engine, _ = cfg.Detector.(*core.Engine); engine == nil {
+			guard = jrt.Guard(cfg.Detector, errPolicy)
+			cfg.Detector = guard
+		}
 	}
 	var recorder *jrt.Recorder
 	if c.record != "" || c.serial {

@@ -9,6 +9,7 @@ import (
 
 	"goldilocks/internal/core"
 	"goldilocks/internal/detect"
+	"goldilocks/internal/detectors"
 	"goldilocks/internal/event"
 	"goldilocks/internal/resilience"
 )
@@ -58,34 +59,23 @@ class Main {
 
 func TestRunCleanProgramAllDetectors(t *testing.T) {
 	path := writeProgram(t, cleanSrc)
-	for _, det := range []string{"goldilocks", "vectorclock", "eraser", "none"} {
-		c := cfg()
-		c.detector = det
-		c.stats = true
-		n, err := run(context.Background(), path, c)
-		if err != nil {
-			t.Errorf("detector %s: %v", det, err)
-		}
-		if n != 0 {
-			t.Errorf("detector %s: %d races on a race-free program", det, n)
-		}
-		if code := exitFor(n, err); code != resilience.ExitClean {
-			t.Errorf("detector %s: exit code %d, want %d", det, code, resilience.ExitClean)
-		}
-	}
 	// The naive lockset detector false-alarms on the unprotected
 	// initialization, demonstrating the precision gap from the CLI too.
-	c := cfg()
-	c.detector, c.policy = "basic", "log"
-	n, err := run(context.Background(), path, c)
-	if err != nil {
-		t.Fatalf("basic: %v", err)
-	}
-	if n == 0 {
-		t.Error("basic-lockset did not false-alarm")
-	}
-	if code := exitFor(n, err); code != resilience.ExitRace {
-		t.Errorf("racy exit code %d, want %d", code, resilience.ExitRace)
+	falseAlarm := map[string]bool{"basic": true}
+	for _, e := range append(detectors.Runtime(), detectors.Entry{Name: "none"}) {
+		c := cfg()
+		c.detector, c.policy, c.stats = e.Name, "log", true
+		n, err := run(context.Background(), path, c)
+		if err != nil {
+			t.Errorf("detector %s: %v", e.Name, err)
+		}
+		want := resilience.ExitClean
+		if falseAlarm[e.Name] {
+			want = resilience.ExitRace
+		}
+		if code := exitFor(n, err); code != want {
+			t.Errorf("detector %s: %d races, exit code %d, want %d", e.Name, n, code, want)
+		}
 	}
 }
 

@@ -13,7 +13,6 @@
 //	racebench -scale [-scaleout F]  # GOMAXPROCS scalability sweep → JSON
 //	racebench -txn [-txnout F]      # transactional commit sweep → JSON
 //	racebench -channels [-chanout F] # channels-vs-monitors ladder → JSON
-//	racebench -ingest [-ingestout F] # local-vs-remote ingest pipeline → JSON
 //	racebench -all [-full]          # everything
 //
 // Exit codes: 0 success, 2 usage error, 3 runtime failure.
@@ -44,10 +43,6 @@ func main() {
 		txn        = flag.Bool("txn", false, "transactional commit sweep (contended vs disjoint vs governed)")
 		txnCommits = flag.Int("txncommits", 20, "commits per thread for -txn")
 		txnTo      = flag.String("txnout", "BENCH_txn.json", "txn sweep JSON output path")
-		ingest     = flag.Bool("ingest", false, "local-vs-remote ingest pipeline benchmark with per-stage latency")
-		ingestTo   = flag.String("ingestout", "BENCH_ingest.json", "ingest benchmark JSON output path")
-		ingestEvts = flag.Int("ingestevents", 0, "events per session for -ingest (0: default)")
-		ingestSess = flag.Int("ingestsessions", 0, "concurrent sessions for -ingest (0: default)")
 
 		chans   = flag.Bool("channels", false, "channels-vs-monitors contention ladder")
 		chIters = flag.Int("chaniters", bench.DefaultChannelSweep().Iters, "critical sections per worker for -channels")
@@ -154,24 +149,6 @@ func main() {
 		}
 		fmt.Print(bench.FormatTxn(rep))
 		fmt.Println("wrote", *txnTo)
-	}
-	if *all || *ingest {
-		ran = true
-		rep, err := bench.Ingest(bench.IngestConfig{
-			Sessions: *ingestSess, Events: *ingestEvts,
-		}, progress)
-		if err != nil {
-			fail(err)
-		}
-		data, err := bench.MarshalIngest(rep)
-		if err != nil {
-			fail(err)
-		}
-		if err := os.WriteFile(*ingestTo, data, 0o644); err != nil {
-			fail(err)
-		}
-		fmt.Print(bench.FormatIngest(rep))
-		fmt.Println("wrote", *ingestTo)
 	}
 	if *all || *chans {
 		ran = true

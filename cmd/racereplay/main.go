@@ -27,8 +27,7 @@ import (
 
 	"goldilocks/internal/core"
 	"goldilocks/internal/detect"
-	"goldilocks/internal/detectors/basic"
-	"goldilocks/internal/detectors/eraser"
+	"goldilocks/internal/detectors"
 	"goldilocks/internal/detectors/regiontrack"
 	"goldilocks/internal/event"
 	"goldilocks/internal/hb"
@@ -55,7 +54,7 @@ func exitFor(nraces int, err error) int {
 
 func main() {
 	var (
-		detName   = flag.String("detector", "goldilocks", "goldilocks, spec, vectorclock, eraser, basic, or all")
+		detName   = flag.String("detector", "goldilocks", detectors.Names(detectors.All())+", or all")
 		oracle    = flag.Bool("oracle", false, "enumerate exact extended-race pairs via the happens-before oracle")
 		serial    = flag.Bool("serializability", false, "check conflict-serializability of the trace's transactional regions (RegionTrack-style)")
 		lockRgns  = flag.Bool("lockregions", false, "with -serializability: also treat outermost lock-protected spans as atomic regions")
@@ -63,7 +62,6 @@ func main() {
 		remote    = flag.String("remote", "", "replay through the goldilocksd at this address (or comma-separated cluster list, with failover) instead of an in-process detector (see docs/SERVICE.md)")
 		session   = flag.String("session", "", "session id for -remote (default: derived from the trace file name); a resumed session replays only the remaining suffix")
 		stopAfter = flag.Int("stop-after", 0, "with -remote: stream only this many actions, flush, and detach without closing (the session stays resumable; for restart drills)")
-		fastPath  = flag.Bool("fastpath", true, "enable the epoch fast path in the local goldilocks engine (detection verdicts are identical either way)")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -71,7 +69,6 @@ func main() {
 		flag.Usage()
 		os.Exit(resilience.ExitUsage)
 	}
-	localFastPath = *fastPath
 	if *remote != "" {
 		n, err := replayRemote(flag.Arg(0), *remote, *session, *stopAfter, os.Stdout)
 		if err != nil {
@@ -130,30 +127,6 @@ func replaySerializability(path string, lockRegions bool, out *os.File) (int, er
 	return sum.ViolationTotal, nil
 }
 
-// detectorFactories build each detector; tel (nil unless -stats-json is
-// set) is attached where the implementation supports telemetry — both
-// Goldilocks engines count the same event-level rule fires, so their
-// -stats-json output is directly comparable.
-// localFastPath mirrors -fastpath into the goldilocks factory.
-var localFastPath = true
-
-var detectorFactories = map[string]func(tel *obs.Telemetry) detect.Detector{
-	"goldilocks": func(tel *obs.Telemetry) detect.Detector {
-		opts := core.DefaultOptions()
-		opts.Telemetry = tel
-		opts.FastPath = localFastPath
-		return core.NewEngine(opts)
-	},
-	"spec": func(tel *obs.Telemetry) detect.Detector {
-		s := core.NewSpecEngine()
-		s.SetTelemetry(tel)
-		return s
-	},
-	"vectorclock": func(*obs.Telemetry) detect.Detector { return hb.NewDetector() },
-	"eraser":      func(*obs.Telemetry) detect.Detector { return eraser.New() },
-	"basic":       func(*obs.Telemetry) detect.Detector { return basic.New() },
-}
-
 // replayRaceDoc is one race in the -stats-json document.
 type replayRaceDoc struct {
 	Var        string          `json:"var"`
@@ -200,23 +173,23 @@ func replay(path, detName string, useOracle bool, statsJSON string, out *os.File
 		return len(pairs), nil
 	}
 
-	names := []string{detName}
-	if detName == "all" {
-		names = []string{"goldilocks", "spec", "vectorclock", "eraser", "basic"}
+	entries := detectors.All()
+	if detName != "all" {
+		e, ok := detectors.Lookup(entries, detName)
+		if !ok {
+			return 0, fmt.Errorf("%w: unknown detector %q", errUsage, detName)
+		}
+		entries = []detectors.Entry{e}
 	}
 	total := 0
 	var stats []replayStats
-	for _, name := range names {
-		mk, ok := detectorFactories[name]
-		if !ok {
-			return 0, fmt.Errorf("%w: unknown detector %q", errUsage, name)
-		}
+	for _, e := range entries {
 		var tel *obs.Telemetry
-		if statsJSON != "" && (name == "goldilocks" || name == "spec") {
+		if statsJSON != "" && e.Telemetry {
 			tel = obs.NewTelemetry()
 		}
-		races := detect.RunTrace(mk(tel), tr)
-		fmt.Fprintf(out, "%s: %d races\n", name, len(races))
+		races := detect.RunTrace(e.New(core.DefaultOptions(), tel), tr)
+		fmt.Fprintf(out, "%s: %d races\n", e.Name, len(races))
 		for _, r := range races {
 			fmt.Fprintf(out, "  %v\n", &r)
 			if r.Prov != nil {
@@ -224,7 +197,7 @@ func replay(path, detName string, useOracle bool, statsJSON string, out *os.File
 			}
 		}
 		if statsJSON != "" {
-			stats = append(stats, replayStatsFor(name, tel, races))
+			stats = append(stats, replayStatsFor(e.Name, tel, races))
 		}
 		total = len(races)
 	}

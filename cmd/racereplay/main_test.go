@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"goldilocks/internal/detectors"
 	"goldilocks/internal/event"
 	"goldilocks/internal/resilience"
 )
@@ -58,7 +59,8 @@ func cleanTrace() *event.Trace {
 func TestReplayDetectors(t *testing.T) {
 	racy := writeTraceFile(t, racyTrace())
 	clean := writeTraceFile(t, cleanTrace())
-	for _, det := range []string{"goldilocks", "spec", "vectorclock", "eraser", "basic", "all"} {
+	for _, e := range append(detectors.All(), detectors.Entry{Name: "all"}) {
+		det := e.Name
 		n, err := replay(racy, det, false, "", os.Stdout)
 		if err != nil {
 			t.Fatalf("%s: %v", det, err)
@@ -70,7 +72,13 @@ func TestReplayDetectors(t *testing.T) {
 			t.Errorf("%s: exit code %d, want %d", det, code, resilience.ExitRace)
 		}
 	}
-	for _, det := range []string{"goldilocks", "spec", "vectorclock"} {
+	// The lockset baselines may false-alarm; every other backend is
+	// precise on this trace.
+	for _, e := range detectors.All() {
+		if e.Precision == detectors.Approximate {
+			continue
+		}
+		det := e.Name
 		n, err := replay(clean, det, false, "", os.Stdout)
 		if err != nil {
 			t.Fatalf("%s: %v", det, err)

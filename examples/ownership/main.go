@@ -14,9 +14,7 @@ import (
 	"goldilocks/internal/bench"
 	"goldilocks/internal/core"
 	"goldilocks/internal/detect"
-	"goldilocks/internal/detectors/basic"
-	"goldilocks/internal/detectors/eraser"
-	"goldilocks/internal/hb"
+	"goldilocks/internal/detectors"
 	"goldilocks/internal/scenarios"
 )
 
@@ -25,15 +23,9 @@ func main() {
 	fmt.Println()
 
 	sc := scenarios.Ownership()
-	detectors := []detect.Detector{
-		core.New(),
-		core.NewSpecEngine(),
-		hb.NewDetector(),
-		eraser.New(),
-		basic.New(),
-	}
 	fmt.Println("Detector verdicts on Example 2 (ground truth: race-free):")
-	for _, d := range detectors {
+	for _, e := range detectors.All() {
+		d := e.New(core.DefaultOptions(), nil)
 		races := detect.RunTrace(d, sc.Trace)
 		verdict := "race-free ✓"
 		if len(races) > 0 {

@@ -7,8 +7,7 @@ import (
 	"strings"
 	"time"
 
-	"goldilocks/internal/jrt"
-	"goldilocks/internal/mj"
+	"goldilocks/internal/detectors"
 )
 
 // channelLadderSrc is the channel-style rung of the contention ladder:
@@ -79,18 +78,7 @@ var channelStyles = []struct {
 // channelBackends is the per-backend overhead matrix: "none" runs the
 // interpreter with no detector attached and is the overhead baseline
 // every other backend is normalized against.
-var channelBackends = func() []struct {
-	name string
-	mk   func() jrt.Detector
-} {
-	backends := []struct {
-		name string
-		mk   func() jrt.Detector
-	}{
-		{"none", func() jrt.Detector { return nil }},
-	}
-	return append(backends, detectorUnderTest...)
-}()
+var channelBackends = append([]detectors.Entry{{Name: "none"}}, detectors.Runtime()...)
 
 // ChannelPoint is one cell of the sweep: a (style, workers, weight,
 // backend) combination with its race count, wall time, critical-section
@@ -158,22 +146,22 @@ func ChannelSweep(cfg ChannelSweepConfig, progress func(string)) (ChannelReport,
 				src := instantiateLadder(style.src, workers, weight, cfg.Iters)
 				var baseline float64
 				for _, b := range channelBackends {
-					races, elapsed, err := runLadder(src, b.mk(), cfg.Seed)
+					races, elapsed, err := runProgram(src, runtimeDetector(b), cfg.Seed)
 					if err != nil {
 						return rep, fmt.Errorf("%s w=%d x%d %s: %w",
-							style.name, workers, weight, b.name, err)
+							style.name, workers, weight, b.Name, err)
 					}
 					p := ChannelPoint{
 						Style:     style.name,
 						Workers:   workers,
 						Weight:    weight,
-						Backend:   b.name,
+						Backend:   b.Name,
 						Races:     races,
 						ElapsedMS: float64(elapsed) / float64(time.Millisecond),
 						SectionsPerSec: float64(workers*cfg.Iters) /
 							elapsed.Seconds(),
 					}
-					if b.name == "none" {
+					if b.Name == "none" {
 						baseline = p.ElapsedMS
 					}
 					if baseline > 0 {
@@ -187,34 +175,6 @@ func ChannelSweep(cfg ChannelSweepConfig, progress func(string)) (ChannelReport,
 		}
 	}
 	return rep, nil
-}
-
-// runLadder executes one rung under one backend and returns the race
-// count and wall time.
-func runLadder(src string, det jrt.Detector, seed int64) (int, time.Duration, error) {
-	prog, err := mj.Parse(src)
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := mj.Check(prog); err != nil {
-		return 0, 0, err
-	}
-	rt := jrt.NewRuntime(jrt.Config{
-		Detector: det,
-		Policy:   jrt.Log,
-		Mode:     jrt.Deterministic,
-		Seed:     seed,
-	})
-	interp, err := mj.NewInterp(prog, mj.InterpConfig{Runtime: rt})
-	if err != nil {
-		return 0, 0, err
-	}
-	start := time.Now()
-	races, err := interp.Run()
-	if err != nil {
-		return 0, 0, err
-	}
-	return len(races), time.Since(start), nil
 }
 
 // FormatChannels renders the sweep as the aligned table racebench

@@ -41,16 +41,16 @@ func TestChannelSweepSmall(t *testing.T) {
 func TestChannelLadderDeterministic(t *testing.T) {
 	src := instantiateLadder(channelLadderSrc, 3, 2, 5)
 	for _, b := range channelBackends {
-		r1, _, err := runLadder(src, b.mk(), 7)
+		r1, _, err := runProgram(src, runtimeDetector(b), 7)
 		if err != nil {
-			t.Fatalf("%s: %v", b.name, err)
+			t.Fatalf("%s: %v", b.Name, err)
 		}
-		r2, _, err := runLadder(src, b.mk(), 7)
+		r2, _, err := runProgram(src, runtimeDetector(b), 7)
 		if err != nil {
-			t.Fatalf("%s: %v", b.name, err)
+			t.Fatalf("%s: %v", b.Name, err)
 		}
 		if r1 != r2 {
-			t.Errorf("%s: race count not deterministic: %d vs %d", b.name, r1, r2)
+			t.Errorf("%s: race count not deterministic: %d vs %d", b.Name, r1, r2)
 		}
 	}
 }

@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"goldilocks/internal/core"
-	"goldilocks/internal/detectors/basic"
-	"goldilocks/internal/detectors/eraser"
-	"goldilocks/internal/hb"
+	"goldilocks/internal/detectors"
 	"goldilocks/internal/jrt"
 	"goldilocks/internal/mj"
 )
@@ -26,15 +24,13 @@ type DetectorRow struct {
 	Elapsed map[string]time.Duration
 }
 
-// detectorUnderTest builds each runtime detector fresh per run.
-var detectorUnderTest = []struct {
-	name string
-	mk   func() jrt.Detector
-}{
-	{"goldilocks", func() jrt.Detector { return core.New() }},
-	{"vectorclock", func() jrt.Detector { return jrt.Serialize(hb.NewDetector()) }},
-	{"eraser", func() jrt.Detector { return jrt.Serialize(eraser.New()) }},
-	{"basic-lockset", func() jrt.Detector { return jrt.Serialize(basic.New()) }},
+// runtimeDetector builds a fresh runtime detector for registry entry e;
+// an entry without a constructor ("none") runs uninstrumented.
+func runtimeDetector(e detectors.Entry) jrt.Detector {
+	if e.New == nil {
+		return nil
+	}
+	return jrt.Serialize(e.New(core.DefaultOptions(), nil))
 }
 
 // DetectorComparison runs every Table 1 workload (test scale,
@@ -48,35 +44,45 @@ func DetectorComparison(seed int64) ([]DetectorRow, error) {
 			Elapsed:  make(map[string]time.Duration),
 		}
 		src := w.Instantiate(false)
-		for _, d := range detectorUnderTest {
-			prog, err := mj.Parse(src)
+		for _, d := range detectors.Runtime() {
+			races, elapsed, err := runProgram(src, runtimeDetector(d), seed)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("%s/%s: %w", w.Name, d.Name, err)
 			}
-			if err := mj.Check(prog); err != nil {
-				return nil, err
-			}
-			rt := jrt.NewRuntime(jrt.Config{
-				Detector: d.mk(),
-				Policy:   jrt.Log,
-				Mode:     jrt.Deterministic,
-				Seed:     seed,
-			})
-			interp, err := mj.NewInterp(prog, mj.InterpConfig{Runtime: rt})
-			if err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			races, err := interp.Run()
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", w.Name, d.name, err)
-			}
-			row.Elapsed[d.name] = time.Since(start)
-			row.Reports[d.name] = len(races)
+			row.Elapsed[d.Name] = elapsed
+			row.Reports[d.Name] = races
 		}
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// runProgram runs an MJ program under det on the deterministic
+// scheduler and returns the race count and wall time.
+func runProgram(src string, det jrt.Detector, seed int64) (int, time.Duration, error) {
+	prog, err := mj.Parse(src)
+	if err != nil {
+		return 0, 0, err
+	}
+	if err := mj.Check(prog); err != nil {
+		return 0, 0, err
+	}
+	rt := jrt.NewRuntime(jrt.Config{
+		Detector: det,
+		Policy:   jrt.Log,
+		Mode:     jrt.Deterministic,
+		Seed:     seed,
+	})
+	interp, err := mj.NewInterp(prog, mj.InterpConfig{Runtime: rt})
+	if err != nil {
+		return 0, 0, err
+	}
+	start := time.Now()
+	races, err := interp.Run()
+	if err != nil {
+		return 0, 0, err
+	}
+	return len(races), time.Since(start), nil
 }
 
 // FormatDetectorComparison renders the comparison. The workloads are
@@ -86,15 +92,15 @@ func FormatDetectorComparison(rows []DetectorRow) string {
 	sb.WriteString("Detector comparison on the benchmark suite (all workloads race-free;\n")
 	sb.WriteString("reports by imprecise detectors are false alarms)\n")
 	fmt.Fprintf(&sb, "%-12s", "Benchmark")
-	for _, d := range detectorUnderTest {
-		fmt.Fprintf(&sb, " | %13s", d.name)
+	for _, d := range detectors.Runtime() {
+		fmt.Fprintf(&sb, " | %13s", d.Name)
 	}
 	sb.WriteString("\n")
 	for _, r := range rows {
 		fmt.Fprintf(&sb, "%-12s", r.Workload)
-		for _, d := range detectorUnderTest {
-			fmt.Fprintf(&sb, " | %2d in %7s", r.Reports[d.name],
-				r.Elapsed[d.name].Round(time.Millisecond))
+		for _, d := range detectors.Runtime() {
+			fmt.Fprintf(&sb, " | %2d in %7s", r.Reports[d.Name],
+				r.Elapsed[d.Name].Round(time.Millisecond))
 		}
 		sb.WriteString("\n")
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"goldilocks/internal/core"
+	"goldilocks/internal/detectors"
 	"goldilocks/internal/event"
 	"goldilocks/internal/scenarios"
 )
@@ -51,7 +52,8 @@ func Figure7() string {
 }
 
 func renderEvolution(title string, sc scenarios.Scenario, v event.Variable, labels map[int]string) string {
-	spec := core.NewSpecEngine()
+	ref, _ := detectors.Lookup(detectors.All(), "spec")
+	spec := ref.New(core.Options{}, nil).(*core.SpecEngine)
 	var sb strings.Builder
 	fmt.Fprintln(&sb, title)
 	for i := 0; i < sc.Trace.Len(); i++ {

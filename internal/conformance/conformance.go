@@ -4,22 +4,10 @@
 // Theorem 1 (soundness and completeness of the generalized Goldilocks
 // algorithm).
 //
-// The harness executes one trace through a matrix of backends —
-//
-//   - the executable specification (core.SpecEngine, eager locksets),
-//   - the optimized engine (core.Engine) with serial delivery,
-//   - the optimized engine with concurrent event delivery (each trace
-//     thread steps the engine from its own goroutine, serialized to the
-//     same linearization by a ticket, so cross-goroutine publication
-//     inside the engine is exercised under -race),
-//   - the vector-clock detector (internal/hb), and
-//   - the extended happens-before oracle as ground truth
-//
-// — and fails on any verdict divergence. The Eraser baseline also runs,
-// but only as a may-overapproximate detector: it both false-alarms (on
-// ownership transfer) and misses races (its exclusive state hides
-// first-owner accesses), so the matrix checks it solely for determinism
-// and crash-freedom.
+// The harness executes one trace through the extended happens-before
+// oracle, the ground truth, and through every backend of the detector
+// registry (internal/detectors), each gated by its precision class (see
+// Run); it fails on any divergence.
 //
 // On top of the backend matrix sit metamorphic invariants: the same
 // trace must yield identical verdicts with GC off and aggressively on,
@@ -42,7 +30,7 @@ import (
 
 	"goldilocks/internal/core"
 	"goldilocks/internal/detect"
-	"goldilocks/internal/detectors/eraser"
+	"goldilocks/internal/detectors"
 	"goldilocks/internal/event"
 	"goldilocks/internal/hb"
 	"goldilocks/internal/obs"
@@ -51,8 +39,8 @@ import (
 // Divergence describes one conformance failure: which backend or
 // invariant disagreed on which trace, and how.
 type Divergence struct {
-	// Backend names the disagreeing matrix entry ("engine",
-	// "engine-concurrent", "variant:shards-1", "oracle-vs-spec", ...).
+	// Backend names the disagreeing matrix entry ("goldilocks",
+	// "goldilocks-concurrent", "variant:shards-1", "oracle-vs-spec", ...).
 	Backend string
 	// Detail is a human-readable got/want description.
 	Detail string
@@ -85,7 +73,8 @@ type Result struct {
 // Variants returns the metamorphic engine configurations that must be
 // verdict-equivalent to the spec engine on every trace. Each entry
 // stresses a different representation choice; all of them preserve
-// precision by design, so any divergence is a bug.
+// precision by design, so any divergence is a bug. The fast path off
+// is not among them: FastPathParity compares it with the fast path on.
 func Variants() map[string]core.Options {
 	d := core.DefaultOptions()
 
@@ -105,15 +94,11 @@ func Variants() map[string]core.Options {
 	noSC.Memoize, noSC.HBCache = false, false
 	noSC.FastPath = false
 
-	fastPathOff := d
-	fastPathOff.FastPath = false
-
 	return map[string]core.Options{
 		"gc-off":        gcOff,
 		"gc-aggressive": gcAggressive,
 		"shards-1":      oneShard,
 		"no-shortcircs": noSC,
-		"fastpath-off":  fastPathOff,
 	}
 }
 
@@ -344,20 +329,29 @@ func Run(tr *event.Trace) Result {
 			firstOf(specRaces), pos, vars, racy)
 	}
 
-	// Optimized engine, serial delivery, default options.
-	engRaces := detect.RunTrace(core.New(), tr)
-	if got := raceKeys(engRaces); !equalKeys(got, specKeys) {
-		return fail("engine", "races %v, spec %v", got, specKeys)
-	}
-
-	// Optimized engine, concurrent event delivery.
-	if got := raceKeys(RunConcurrent(core.New(), tr)); !equalKeys(got, specKeys) {
-		return fail("engine-concurrent", "races %v, spec %v", got, specKeys)
-	}
-
-	// Vector-clock detector: precise on the first race by construction.
-	if r := detect.FirstRace(hb.NewDetector(), tr); !agreesWithOracle(r, pos, vars, racy) {
-		return fail("vectorclock", "first race %v, oracle pos %d vars %v racy %v", r, pos, vars, racy)
+	// Every registered backend, gated by its precision class; the
+	// reference ran above. Exact backends also run with concurrent
+	// delivery. Approximate ones both false-alarm and miss races, so
+	// only determinism and crash-freedom gate.
+	for _, e := range detectors.All() {
+		mk := func() detect.Detector { return e.New(core.DefaultOptions(), nil) }
+		switch e.Precision {
+		case detectors.Exact:
+			if got := raceKeys(detect.RunTrace(mk(), tr)); !equalKeys(got, specKeys) {
+				return fail(e.Name, "races %v, spec %v", got, specKeys)
+			}
+			if got := raceKeys(RunConcurrent(mk(), tr)); !equalKeys(got, specKeys) {
+				return fail(e.Name+"-concurrent", "races %v, spec %v", got, specKeys)
+			}
+		case detectors.FirstRace:
+			if r := detect.FirstRace(mk(), tr); !agreesWithOracle(r, pos, vars, racy) {
+				return fail(e.Name, "first race %v, oracle pos %d vars %v racy %v", r, pos, vars, racy)
+			}
+		case detectors.Approximate:
+			if r1, r2 := raceKeys(detect.RunTrace(mk(), tr)), raceKeys(detect.RunTrace(mk(), tr)); !equalKeys(r1, r2) {
+				return fail(e.Name, "non-deterministic: %v vs %v", r1, r2)
+			}
+		}
 	}
 
 	// Metamorphic invariants: precision-preserving representation
@@ -390,15 +384,6 @@ func Run(tr *event.Trace) Result {
 	// Degradation may only suppress reports, never invent them.
 	if got := raceKeys(detect.RunTrace(core.NewEngine(DegradedOptions()), tr)); !subsetKeys(got, specKeys) {
 		return fail("variant:degraded", "degraded races %v not a subset of spec %v", got, specKeys)
-	}
-
-	// Eraser is may-overapproximate AND may-underapproximate (its
-	// exclusive state hides first-owner accesses), so verdicts do not
-	// gate; determinism and crash-freedom do.
-	er1 := raceKeys(detect.RunTrace(eraser.New(), tr))
-	er2 := raceKeys(detect.RunTrace(eraser.New(), tr))
-	if !equalKeys(er1, er2) {
-		return fail("eraser", "non-deterministic: %v vs %v", er1, er2)
 	}
 
 	// RegionTrack: the composed serializability checker must be

@@ -92,7 +92,7 @@ func NewSpecEngineSem(sem event.TxnSemantics) *SpecEngine {
 func (s *SpecEngine) SetTelemetry(tel *obs.Telemetry) { s.tel = tel }
 
 // Name implements detect.Detector.
-func (s *SpecEngine) Name() string { return "goldilocks-spec" }
+func (s *SpecEngine) Name() string { return "spec" }
 
 // SetObserver registers f to run after every processed action.
 func (s *SpecEngine) SetObserver(f func(a event.Action)) { s.observer = f }

@@ -34,7 +34,7 @@ func New() *Detector {
 }
 
 // Name implements detect.Detector.
-func (d *Detector) Name() string { return "basic-lockset" }
+func (d *Detector) Name() string { return "basic" }
 
 // Step implements detect.Detector.
 func (d *Detector) Step(a event.Action) []detect.Race {

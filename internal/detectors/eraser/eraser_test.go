@@ -201,7 +201,7 @@ func TestBasicLocksetSound(t *testing.T) {
 		tr := tracegen.FromSeed(seed)
 		if _, racy := hb.NewOracle(tr).FirstRacePos(); racy {
 			if len(detect.RunTrace(basic.New(), tr)) == 0 {
-				t.Errorf("seed %d: racy trace with no basic-lockset alarm", seed)
+				t.Errorf("seed %d: racy trace with no basic alarm", seed)
 			}
 		}
 	}

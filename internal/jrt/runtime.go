@@ -17,7 +17,7 @@ import (
 // natively — its hot path runs without any global lock (sharded
 // variable state, lock-free list snapshots, per-thread lock records;
 // see docs/PERFORMANCE.md) — so the runtime routes it directly.
-// Serialize exists only to adapt the trace-based detect.Detector
+// Serialize is the one adapter from the trace-based detect.Detector
 // implementations (vector-clock, Eraser, ...), which assume a single
 // caller.
 type Detector interface {
@@ -33,8 +33,14 @@ var _ Detector = (*core.Engine)(nil)
 // Serialize wraps a single-threaded detect.Detector (the vector-clock
 // detector, Eraser, ...) behind a mutex so it can serve as a runtime
 // detector. The serialization also fixes the linearization the detector
-// observes.
-func Serialize(d detect.Detector) Detector { return &serialized{d: d} }
+// observes. A detector that already implements Detector (*core.Engine)
+// is returned unchanged.
+func Serialize(d detect.Detector) Detector {
+	if rd, ok := d.(Detector); ok {
+		return rd
+	}
+	return &serialized{d: d}
+}
 
 type serialized struct {
 	mu sync.Mutex

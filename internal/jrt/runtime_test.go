@@ -354,6 +354,15 @@ func TestDeterminismSameSeed(t *testing.T) {
 	}
 }
 
+// TestSerializePassesEngineThrough: the engine's concurrent entry
+// points must not be put behind the adapter's mutex.
+func TestSerializePassesEngineThrough(t *testing.T) {
+	eng := core.New()
+	if got := jrt.Serialize(eng); got != jrt.Detector(eng) {
+		t.Errorf("Serialize(engine) = %T, want the engine itself", got)
+	}
+}
+
 func TestSerializeAdapterWithEraser(t *testing.T) {
 	rt := jrt.NewRuntime(jrt.Config{
 		Detector: jrt.Serialize(eraser.New()),
