@@ -97,7 +97,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "seed for the deterministic scheduler")
 		stats    = flag.Bool("stats", false, "print runtime and detector statistics")
 		noSC     = flag.Bool("no-shortcircuit", false, "disable the short-circuit checks (ablation)")
-		record   = flag.String("record", "", "write the observed linearization to this file (.jsonl: checksummed streaming format; replay with cmd/racereplay)")
+		record   = flag.String("record", "", "write the observed linearization to this file as checksummed JSONL (replay with cmd/racereplay)")
 		serial   = flag.Bool("serializability", false, "after the run, check conflict-serializability of its atomic regions (transactions and outermost lock-protected spans); a violation exits like a race")
 		onError  = flag.String("on-detector-error", "quarantine", "when a detector check panics: quarantine (drop the variable, keep running) or abort")
 		budget   = flag.Int("memory-budget", 0, "event-list cell budget; over it the engine degrades gracefully (0: unbounded)")
@@ -517,18 +517,14 @@ func writeStatsJSON(path string, doc map[string]any) error {
 	return enc.Encode(doc)
 }
 
-// writeRecording writes the trace in the format the path's extension
-// selects: .jsonl is the checksummed streaming format (robust to
-// truncation), anything else the legacy single-object JSON.
+// writeRecording writes the trace in the checksummed JSONL trace file
+// format, whatever the path's extension.
 func writeRecording(path string, tr *event.Trace) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if strings.HasSuffix(path, ".jsonl") {
-		return event.WriteTraceStream(f, tr)
-	}
 	return event.WriteTrace(f, tr)
 }
 

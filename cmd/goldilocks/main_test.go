@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -206,6 +207,8 @@ class Main {
 	t.Fatal("no seed in 1..50 deadlocked the lock-inversion program")
 }
 
+// TestRecordFlagWritesReplayableTrace: -record writes checksummed JSONL
+// whatever the extension, so a .json path reads back loss-free.
 func TestRecordFlagWritesReplayableTrace(t *testing.T) {
 	path := writeProgram(t, cleanSrc)
 	trace := filepath.Join(t.TempDir(), "out.json")
@@ -219,9 +222,12 @@ func TestRecordFlagWritesReplayableTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	tr, err := event.ReadTrace(f)
+	tr, dropped, err := event.ReadTrace(f)
 	if err != nil {
 		t.Fatalf("recorded trace unreadable: %v", err)
+	}
+	if dropped != 0 {
+		t.Errorf("dropped = %d on an intact recording", dropped)
 	}
 	if tr.Len() == 0 {
 		t.Error("empty recording")
@@ -232,33 +238,29 @@ func TestRecordFlagWritesReplayableTrace(t *testing.T) {
 	}
 }
 
-// TestRecordStreamFormat: a .jsonl path selects the checksummed
-// streaming format, which reads back loss-free.
+// TestRecordStreamFormat: -record has no extension switch, so .json and
+// .jsonl paths get byte-identical checksummed JSONL under -sched det.
 func TestRecordStreamFormat(t *testing.T) {
 	path := writeProgram(t, cleanSrc)
-	trace := filepath.Join(t.TempDir(), "out.jsonl")
-	c := cfg()
-	c.policy, c.record = "log", trace
-	if _, err := run(context.Background(), path, c); err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	var files [2][]byte
+	for i, name := range []string{"out.json", "out.jsonl"} {
+		c := cfg()
+		c.policy, c.record = "log", filepath.Join(dir, name)
+		if _, err := run(context.Background(), path, c); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(c.record)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[i] = b
 	}
-	f, err := os.Open(trace)
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.HasPrefix(files[1], event.StreamHeaderLine()) {
+		t.Errorf(".jsonl recording does not start with the stream header: %.60q", files[1])
 	}
-	defer f.Close()
-	tr, dropped, err := event.ReadTraceStream(f)
-	if err != nil {
-		t.Fatalf("streamed trace unreadable: %v", err)
-	}
-	if dropped != 0 {
-		t.Errorf("dropped = %d on an intact recording", dropped)
-	}
-	if tr.Len() == 0 {
-		t.Error("empty recording")
-	}
-	if rs := detect.RunTrace(core.New(), tr); len(rs) != 0 {
-		t.Errorf("replay found races: %v", rs)
+	if !bytes.Equal(files[0], files[1]) {
+		t.Error(".json and .jsonl recordings differ")
 	}
 }
 

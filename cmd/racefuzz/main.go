@@ -201,17 +201,9 @@ func runCheck(cfg config, w io.Writer) (int, error) {
 	var entries []conformance.CorpusEntry
 	if len(cfg.files) > 0 {
 		for _, path := range cfg.files {
-			f, err := os.Open(path)
-			if err != nil {
-				return 0, err
-			}
-			tr, dropped, err := event.ReadTraceAuto(f)
-			f.Close()
+			tr, err := conformance.LoadTraceFile(path)
 			if err != nil {
 				return 0, fmt.Errorf("%s: %w", path, err)
-			}
-			if dropped != 0 {
-				return 0, fmt.Errorf("%s: %d corrupt records dropped", path, dropped)
 			}
 			entries = append(entries, conformance.CorpusEntry{Name: path, Path: path, Trace: tr})
 		}

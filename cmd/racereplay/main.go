@@ -1,17 +1,16 @@
 // Command racereplay analyzes a recorded execution trace offline: it
 // replays the linearization through the chosen detectors and the
 // happens-before oracle and reports every race. Traces are produced by
-// cmd/goldilocks -record (legacy JSON or the .jsonl checksummed
-// streaming format), or by any tool using event.WriteTrace /
-// event.WriteTraceStream. A truncated or partially corrupted streaming
-// trace is salvaged: the longest valid prefix replays and the number of
-// dropped records is reported.
+// cmd/goldilocks -record or by any tool using event.WriteTrace, in the
+// checksummed JSONL trace file format. A truncated or partially
+// corrupted trace is salvaged: the longest valid prefix replays and the
+// number of dropped records is reported.
 //
 // Usage:
 //
-//	racereplay [-detector goldilocks|spec|vectorclock|eraser|basic|all] trace.json
-//	racereplay -oracle trace.json     # exact extended-race pairs
-//	racereplay -serializability trace.json  # conflict-serializability check
+//	racereplay [-detector goldilocks|spec|vectorclock|eraser|basic|all] trace.jsonl
+//	racereplay -oracle trace.jsonl     # exact extended-race pairs
+//	racereplay -serializability trace.jsonl  # conflict-serializability check
 //
 // Exit codes: 0 no races, 1 at least one race (or, with
 // -serializability, a non-serializable execution), 2 usage error, 3
@@ -65,7 +64,7 @@ func main() {
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: racereplay [flags] trace.json")
+		fmt.Fprintln(os.Stderr, "usage: racereplay [flags] trace.jsonl")
 		flag.Usage()
 		os.Exit(resilience.ExitUsage)
 	}
@@ -90,25 +89,36 @@ func main() {
 	os.Exit(exitFor(n, err))
 }
 
+// loadTrace reads a trace file and prints its summary line, plus a
+// damage line naming what the caller is doing with the salvaged prefix
+// when records were dropped.
+func loadTrace(path, verb string, out *os.File) (*event.Trace, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	tr, dropped, err := event.ReadTrace(f)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(out, "trace: %d actions, %d threads, %d variables\n",
+		tr.Len(), len(tr.Threads()), len(tr.Vars()))
+	if dropped > 0 {
+		fmt.Fprintf(out, "trace damaged: %s the valid %d-action prefix, %d records dropped\n",
+			verb, tr.Len(), dropped)
+	}
+	return tr, nil
+}
+
 // replaySerializability loads a trace and runs the RegionTrack-style
 // conflict-serializability checker over it; the return value counts the
 // violations found (mapped to the race exit code — a non-serializable
 // execution is a flagged execution).
 func replaySerializability(path string, lockRegions bool, out *os.File) (int, error) {
-	f, err := os.Open(path)
+	tr, err := loadTrace(path, "checking", out)
 	if err != nil {
 		return 0, err
-	}
-	defer f.Close()
-	tr, dropped, err := event.ReadTraceAuto(f)
-	if err != nil {
-		return 0, err
-	}
-	fmt.Fprintf(out, "trace: %d actions, %d threads, %d variables\n",
-		tr.Len(), len(tr.Threads()), len(tr.Vars()))
-	if dropped > 0 {
-		fmt.Fprintf(out, "trace damaged: checking the valid %d-action prefix, %d records dropped\n",
-			tr.Len(), dropped)
 	}
 	opts := regiontrack.DefaultOptions()
 	opts.LockRegions = lockRegions
@@ -146,20 +156,9 @@ type replayStats struct {
 // replay loads a trace and reports races; it returns the number of
 // races found by the last analysis run.
 func replay(path, detName string, useOracle bool, statsJSON string, out *os.File) (int, error) {
-	f, err := os.Open(path)
+	tr, err := loadTrace(path, "replaying", out)
 	if err != nil {
 		return 0, err
-	}
-	defer f.Close()
-	tr, dropped, err := event.ReadTraceAuto(f)
-	if err != nil {
-		return 0, err
-	}
-	fmt.Fprintf(out, "trace: %d actions, %d threads, %d variables\n",
-		tr.Len(), len(tr.Threads()), len(tr.Vars()))
-	if dropped > 0 {
-		fmt.Fprintf(out, "trace damaged: replaying the valid %d-action prefix, %d records dropped\n",
-			tr.Len(), dropped)
 	}
 
 	if useOracle {

@@ -14,27 +14,13 @@ import (
 
 func writeTraceFile(t *testing.T, tr *event.Trace) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "trace.json")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := event.WriteTrace(f, tr); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func writeStreamFile(t *testing.T, tr *event.Trace) string {
-	t.Helper()
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := event.WriteTraceStream(f, tr); err != nil {
+	if err := event.WriteTrace(f, tr); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -92,16 +78,18 @@ func TestReplayDetectors(t *testing.T) {
 	}
 }
 
-// TestReplayStreamFormat: the auto-detected streaming format replays
-// identically to the legacy format.
+// TestReplayStreamFormat: racereplay reads only the checksummed JSONL
+// trace file format. A file in the retired single-object JSON format is
+// a runtime failure, not an empty trace with a clean verdict.
 func TestReplayStreamFormat(t *testing.T) {
-	racy := writeStreamFile(t, racyTrace())
-	n, err := replay(racy, "goldilocks", false, "", os.Stdout)
-	if err != nil {
+	legacy := filepath.Join(t.TempDir(), "legacy.json")
+	src := `{"actions":[{"kind":"fork","t":1,"peer":2},{"kind":"write","t":1,"o":10},{"kind":"write","t":2,"o":10}]}`
+	if err := os.WriteFile(legacy, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if n == 0 {
-		t.Error("no race on racy streaming trace")
+	n, err := replay(legacy, "goldilocks", false, "", os.Stdout)
+	if code := exitFor(n, err); code != resilience.ExitRuntime {
+		t.Errorf("legacy file: exit code %d (err %v), want %d", code, err, resilience.ExitRuntime)
 	}
 }
 
@@ -109,7 +97,7 @@ func TestReplayStreamFormat(t *testing.T) {
 // replays its valid prefix and reports the dropped tail.
 func TestReplayTruncatedStream(t *testing.T) {
 	var buf bytes.Buffer
-	if err := event.WriteTraceStream(&buf, racyTrace()); err != nil {
+	if err := event.WriteTrace(&buf, racyTrace()); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"goldilocks/internal/event"
 	"goldilocks/internal/server"
 )
 
@@ -22,20 +21,9 @@ import (
 // resumable, which is how the CI service job interrupts a session
 // mid-trace before killing the daemon.
 func replayRemote(path, addr, sessionID string, stopAfter int, out *os.File) (int, error) {
-	f, err := os.Open(path)
+	tr, err := loadTrace(path, "replaying", out)
 	if err != nil {
 		return 0, err
-	}
-	defer f.Close()
-	tr, dropped, err := event.ReadTraceAuto(f)
-	if err != nil {
-		return 0, err
-	}
-	fmt.Fprintf(out, "trace: %d actions, %d threads, %d variables\n",
-		tr.Len(), len(tr.Threads()), len(tr.Vars()))
-	if dropped > 0 {
-		fmt.Fprintf(out, "trace damaged: replaying the valid %d-action prefix, %d records dropped\n",
-			tr.Len(), dropped)
 	}
 	if sessionID == "" {
 		sessionID = strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))

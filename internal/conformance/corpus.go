@@ -13,7 +13,7 @@ import (
 )
 
 // This file manages the on-disk counterexample corpus. Counterexamples
-// are stored in the checksummed stream format (event.WriteTraceStream):
+// are stored in the checksummed trace file format (event.WriteTrace):
 // a header line plus one CRC-tagged record per action, so a corpus file
 // is self-describing, appendably diffable, and corrupt records are
 // detected on load rather than silently misreplayed. File names embed
@@ -28,11 +28,11 @@ type CorpusEntry struct {
 	Trace *event.Trace
 }
 
-// EncodeTrace serializes tr in the stream format and returns the bytes
+// EncodeTrace serializes tr in the trace file format and returns the bytes
 // and their CRC-32 (IEEE), which doubles as the corpus file identity.
 func EncodeTrace(tr *event.Trace) ([]byte, uint32, error) {
 	var buf bytes.Buffer
-	if err := event.WriteTraceStream(&buf, tr); err != nil {
+	if err := event.WriteTrace(&buf, tr); err != nil {
 		return nil, 0, err
 	}
 	b := buf.Bytes()
@@ -61,9 +61,7 @@ func WriteCounterexample(dir string, tr *event.Trace) (string, error) {
 }
 
 // LoadCorpus reads every .jsonl trace under dir (sorted by name, so
-// replay order is stable). Corpus files must load losslessly: a record
-// dropped by checksum salvage means the corpus itself is corrupt, which
-// is an error here, not a salvage.
+// replay order is stable) with LoadTraceFile.
 func LoadCorpus(dir string) ([]CorpusEntry, error) {
 	names, err := filepath.Glob(filepath.Join(dir, "*.jsonl"))
 	if err != nil {
@@ -72,21 +70,32 @@ func LoadCorpus(dir string) ([]CorpusEntry, error) {
 	sort.Strings(names)
 	var out []CorpusEntry
 	for _, path := range names {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		tr, dropped, err := event.ReadTraceAuto(f)
-		f.Close()
+		tr, err := LoadTraceFile(path)
 		if err != nil {
 			return nil, fmt.Errorf("corpus %s: %w", filepath.Base(path), err)
-		}
-		if dropped != 0 {
-			return nil, fmt.Errorf("corpus %s: %d corrupt records dropped", filepath.Base(path), dropped)
 		}
 		out = append(out, CorpusEntry{Name: filepath.Base(path), Path: path, Trace: tr})
 	}
 	return out, nil
+}
+
+// LoadTraceFile reads one corpus trace. Corpus files must load
+// losslessly: a record dropped by checksum salvage means the corpus
+// itself is corrupt, which is an error here, not a salvage.
+func LoadTraceFile(path string) (*event.Trace, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	tr, dropped, err := event.ReadTrace(f)
+	if err != nil {
+		return nil, err
+	}
+	if dropped != 0 {
+		return nil, fmt.Errorf("%d corrupt records dropped", dropped)
+	}
+	return tr, nil
 }
 
 // ReportCounterexample renders a human-readable failure report: the

@@ -54,7 +54,7 @@ func checkpointTraces(t *testing.T) map[string]*event.Trace {
 		if err != nil {
 			t.Fatalf("opening %s: %v", e.Name(), err)
 		}
-		tr, dropped, err := event.ReadTraceAuto(f)
+		tr, dropped, err := event.ReadTrace(f)
 		f.Close()
 		if err != nil {
 			t.Fatalf("reading %s: %v", e.Name(), err)

@@ -326,7 +326,7 @@ func TestConformanceCounterexampleReplay(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer f.Close()
-			tr, dropped, err := event.ReadTraceAuto(f)
+			tr, dropped, err := event.ReadTrace(f)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,17 +7,14 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-
-	"goldilocks/internal/report"
 )
 
-// The binary stream format is the length-prefixed counterpart of the
-// line-JSON streaming format: the same actions, the same per-record
-// integrity checking, the same salvage-the-valid-prefix durability
-// story, at a fraction of the bytes and the encode/decode cost. It is
-// both a trace-file format (WriteTraceBin/ReadTraceBin, sniffed by
-// ReadTraceAuto) and the goldilocksd wire format ("goldilocks-bin",
-// spoken after the handshake — internal/server).
+// The binary stream format is the goldilocksd wire format
+// ("goldilocks-bin", spoken after the handshake — internal/server): the
+// length-prefixed counterpart of the JSONL trace file format, with the
+// same actions and the same per-record integrity checking at a fraction
+// of the bytes and the encode/decode cost. It is a wire format only;
+// trace files are always JSONL (WriteTrace/ReadTrace).
 //
 // Every frame is
 //
@@ -34,9 +31,7 @@ import (
 // the lock pseudo-field, the channel closed element, and conveyor
 // slots); the span id uses a plain uvarint.
 
-// BinFormatName identifies the binary stream format. It deliberately
-// does not contain StreamFormatName as a substring, so ReadTraceAuto
-// can sniff the two formats independently.
+// BinFormatName identifies the binary stream format.
 const BinFormatName = "goldilocks-binstream"
 
 // BinFormatVersion is the current binary stream version.
@@ -64,9 +59,9 @@ const (
 	frameFlagSets byte = 1 << 1 // commit read/write sets follow
 )
 
-// MaxFrameLen bounds one frame (length prefix excluded). A commit's
-// read/write sets are the only unbounded payload; 16 MiB matches the
-// line-JSON scanner's record bound.
+// MaxFrameLen bounds one record in either encoding: a binary frame
+// (length prefix excluded) or a JSONL trace file line. A commit's
+// read/write sets are the only unbounded payload.
 const MaxFrameLen = 16 << 20
 
 // minFrameLen is type byte + checksum: the smallest well-formed m.
@@ -75,7 +70,8 @@ const minFrameLen = 5
 // Frame-decode errors. ErrTornFrame means the stream ended inside a
 // frame (what a crash or a cut connection leaves behind);
 // ErrCorruptFrame means the frame is structurally intact but fails its
-// checksum or bounds. Both end a salvage; see ReadTraceBin.
+// checksum or bounds. After either, the position of the next frame is
+// untrustworthy, so the reader must stop.
 var (
 	ErrTornFrame    = errors.New("event: torn binary frame")
 	ErrCorruptFrame = errors.New("event: corrupt binary frame")
@@ -105,10 +101,10 @@ func AppendFrame(dst []byte, typ byte, body []byte) []byte {
 }
 
 // AppendEventFrame appends one action record frame to dst — the binary
-// counterpart of EncodeRecord, plus an optional trace span id — and
-// returns the extended slice. It
-// allocates nothing beyond dst's growth, so a streaming sender reusing
-// dst reaches steady-state zero allocations per event.
+// counterpart of a JSONL trace record, plus an optional trace span id —
+// and returns the extended slice. It allocates nothing beyond dst's
+// growth, so a streaming sender reusing dst reaches steady-state zero
+// allocations per event.
 func AppendEventFrame(dst []byte, a Action, span uint64) []byte {
 	start := len(dst)
 	dst = appendPaddedUvarint(dst, 0) // length hole, patched below
@@ -309,181 +305,4 @@ func (fr *FrameReader) Next() (typ byte, body []byte, err error) {
 		return 0, nil, ErrCorruptFrame
 	}
 	return payload[0], payload[1:], nil
-}
-
-// BinWriter writes actions incrementally in the binary stream format,
-// with the same auto-flush durability contract as StreamWriter. The
-// encode buffer is reused across Appends, so steady-state appends
-// allocate nothing.
-type BinWriter struct {
-	w       *bufio.Writer
-	buf     []byte
-	err     error
-	pending int
-}
-
-// NewBinWriter writes and flushes the header frame and returns a
-// writer ready for Append calls.
-func NewBinWriter(w io.Writer) (*BinWriter, error) {
-	bw := &BinWriter{w: bufio.NewWriter(w)}
-	if _, err := bw.w.Write(BinHeaderFrame()); err != nil {
-		return nil, fmt.Errorf("event: writing binary stream header: %w", err)
-	}
-	if err := bw.w.Flush(); err != nil {
-		return nil, fmt.Errorf("event: flushing binary stream header: %w", err)
-	}
-	return bw, nil
-}
-
-// Append writes one action frame. After the first error every
-// subsequent Append is a no-op returning that error.
-func (bw *BinWriter) Append(a Action) error { return bw.AppendSpan(a, 0) }
-
-// AppendSpan is Append with a trace span id riding the frame.
-func (bw *BinWriter) AppendSpan(a Action, span uint64) error {
-	if bw.err != nil {
-		return bw.err
-	}
-	bw.buf = AppendEventFrame(bw.buf[:0], a, span)
-	if _, err := bw.w.Write(bw.buf); err != nil {
-		bw.err = fmt.Errorf("event: writing binary stream frame: %w", err)
-		return bw.err
-	}
-	bw.pending++
-	if bw.pending >= autoFlushRecords || bw.w.Buffered() >= autoFlushBytes {
-		if err := bw.w.Flush(); err != nil {
-			bw.err = fmt.Errorf("event: flushing binary stream frames: %w", err)
-			return bw.err
-		}
-		bw.pending = 0
-	}
-	return nil
-}
-
-// Flush flushes buffered frames to the underlying writer.
-func (bw *BinWriter) Flush() error {
-	if bw.err != nil {
-		return bw.err
-	}
-	if err := bw.w.Flush(); err != nil {
-		bw.err = fmt.Errorf("event: flushing binary stream frames: %w", err)
-		return bw.err
-	}
-	bw.pending = 0
-	return nil
-}
-
-// Close flushes buffered frames and marks the writer finished.
-func (bw *BinWriter) Close() error {
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	bw.err = fmt.Errorf("event: binary stream writer closed")
-	return nil
-}
-
-// WriteTraceBin writes a whole trace in the binary stream format.
-func WriteTraceBin(w io.Writer, tr *Trace) error {
-	bw, err := NewBinWriter(w)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < tr.Len(); i++ {
-		if err := bw.Append(tr.At(i)); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadTraceBin reads a binary stream trace, salvaging the longest valid
-// prefix, mirroring ReadTraceStream's contract with one strengthening:
-// a torn or checksum-failing frame also returns a structured
-// *report.Report (Corruption kind, the same type as resilience.Report),
-// because a binary frame boundary — unlike a JSON line boundary —
-// distinguishes a crash-truncated tail from a clean end of stream. An
-// intact frame with an unknown kind (version skew) reports the same
-// way, naming the kind. A frame whose action is invalid after the
-// salvaged prefix ends the salvage silently, as in the JSON reader.
-func ReadTraceBin(r io.Reader) (tr *Trace, dropped int, err error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 64*1024)
-	}
-	fr := NewFrameReader(br)
-	typ, body, ferr := fr.Next()
-	if ferr != nil {
-		return nil, 0, fmt.Errorf("event: missing binary stream header: %w", ferr)
-	}
-	if typ != FrameHeader {
-		return nil, 0, fmt.Errorf("event: not a %s stream", BinFormatName)
-	}
-	if err := CheckBinHeader(body); err != nil {
-		return nil, 0, err
-	}
-
-	var actions []Action
-	var rep *report.Report
-	val := NewValidator()
-	frame := 0
-	bad := false
-	for {
-		typ, body, ferr := fr.Next()
-		if ferr == io.EOF {
-			break
-		}
-		frame++
-		if ferr != nil {
-			// Torn or corrupt frame: the length of anything after it is
-			// untrustworthy, so the salvage ends here.
-			dropped++
-			rep = &report.Report{
-				Kind:   report.Corruption,
-				Detail: fmt.Sprintf("binary stream frame %d: %v (valid prefix of %d records salvaged)", frame, ferr, len(actions)),
-			}
-			break
-		}
-		if bad {
-			dropped++
-			continue
-		}
-		if typ != FrameEvent {
-			dropped++
-			bad = true
-			rep = &report.Report{
-				Kind:   report.Corruption,
-				Detail: fmt.Sprintf("binary stream frame %d: unexpected frame type 0x%02x", frame, typ),
-			}
-			continue
-		}
-		a, _, derr := DecodeEventFrame(body)
-		if derr != nil {
-			dropped++
-			bad = true
-			var unk *errUnknownBinKind
-			if errors.As(derr, &unk) {
-				rep = &report.Report{
-					Kind: report.Corruption,
-					Detail: fmt.Sprintf("unknown event kind %d in intact frame %d (binary stream version <= %d reader; writer is newer)",
-						unk.kind, frame, BinFormatVersion),
-				}
-			} else {
-				rep = &report.Report{
-					Kind:   report.Corruption,
-					Detail: fmt.Sprintf("binary stream frame %d: %v", frame, derr),
-				}
-			}
-			continue
-		}
-		if val.Step(a) != nil {
-			dropped++
-			bad = true
-			continue
-		}
-		actions = append(actions, a)
-	}
-	if rep != nil {
-		return NewTrace(actions), dropped, rep
-	}
-	return NewTrace(actions), dropped, nil
 }

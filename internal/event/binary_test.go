@@ -5,10 +5,10 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
-
-	"goldilocks/internal/report"
 )
 
 // sampleTrace is the shared valid-trace fixture covering every kind,
@@ -34,12 +34,50 @@ func sampleTrace() *Trace {
 		Trace()
 }
 
-func sampleBin(tb testing.TB) []byte {
-	var buf bytes.Buffer
-	if err := WriteTraceBin(&buf, sampleTrace()); err != nil {
-		tb.Fatal(err)
+// sampleBin encodes sampleTrace as a binary stream: the header frame,
+// then one event frame per action.
+func sampleBin() []byte {
+	buf := BinHeaderFrame()
+	for _, a := range sampleTrace().Actions() {
+		buf = AppendEventFrame(buf, a, 0)
 	}
-	return buf.Bytes()
+	return buf
+}
+
+// decodeFrames reads a binary stream the way the goldilocksd ingest
+// loop does: a header frame, then event frames until the first error.
+// It returns the actions decoded before that error and the error, which
+// is nil at a clean end of stream.
+func decodeFrames(data []byte) ([]Action, error) {
+	fr := NewFrameReader(bufio.NewReader(bytes.NewReader(data)))
+	typ, body, err := fr.Next()
+	if err != nil {
+		return nil, err
+	}
+	if typ != FrameHeader {
+		return nil, fmt.Errorf("first frame has type %#x, want a header", typ)
+	}
+	if err := CheckBinHeader(body); err != nil {
+		return nil, err
+	}
+	var out []Action
+	for {
+		typ, body, err := fr.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		if typ != FrameEvent {
+			return out, fmt.Errorf("unexpected frame type %#x", typ)
+		}
+		a, _, err := DecodeEventFrame(body)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, a)
+	}
 }
 
 // TestBinaryGoldenVectors pins the wire encoding byte for byte. A
@@ -120,161 +158,73 @@ func TestBinaryMinimalLengthPrefix(t *testing.T) {
 	}
 }
 
-// TestBinaryRoundTrip writes the full-vocabulary sample and reads it
-// back with zero drops and identical actions.
+// TestBinaryRoundTrip encodes the full-vocabulary sample and decodes
+// it back with no error and identical actions.
 func TestBinaryRoundTrip(t *testing.T) {
 	want := sampleTrace()
-	tr, dropped, err := ReadTraceBin(bytes.NewReader(sampleBin(t)))
-	if err != nil || dropped != 0 {
-		t.Fatalf("ReadTraceBin: err=%v dropped=%d", err, dropped)
-	}
-	if tr.Len() != want.Len() {
-		t.Fatalf("round trip length %d, want %d", tr.Len(), want.Len())
-	}
-	for i := 0; i < want.Len(); i++ {
-		if tr.At(i).String() != want.At(i).String() {
-			t.Fatalf("action %d: %v != %v", i, tr.At(i), want.At(i))
-		}
-	}
-}
-
-// TestBinaryAutoSniff checks ReadTraceAuto routes binary, line-JSON,
-// and legacy inputs to the right reader.
-func TestBinaryAutoSniff(t *testing.T) {
-	tr, dropped, err := ReadTraceAuto(bytes.NewReader(sampleBin(t)))
-	if err != nil || dropped != 0 || tr.Len() != sampleTrace().Len() {
-		t.Fatalf("binary sniff: len=%d dropped=%d err=%v", tr.Len(), dropped, err)
-	}
-	var jbuf bytes.Buffer
-	if err := WriteTraceStream(&jbuf, sampleTrace()); err != nil {
+	got, err := decodeFrames(sampleBin())
+	if err != nil {
 		t.Fatal(err)
 	}
-	tr, _, err = ReadTraceAuto(&jbuf)
-	if err != nil || tr.Len() != sampleTrace().Len() {
-		t.Fatalf("stream sniff: len=%d err=%v", tr.Len(), err)
+	if len(got) != want.Len() {
+		t.Fatalf("round trip length %d, want %d", len(got), want.Len())
 	}
-	tr, _, err = ReadTraceAuto(strings.NewReader(`{"actions":[{"kind":"write","t":1,"o":10}]}`))
-	if err != nil || tr.Len() != 1 {
-		t.Fatalf("legacy sniff: len=%d err=%v", tr.Len(), err)
+	for i, a := range got {
+		if a.String() != want.At(i).String() {
+			t.Fatalf("action %d: %v != %v", i, a, want.At(i))
+		}
 	}
 }
 
-// TestBinarySalvageTorn cuts the sample mid-frame: the valid prefix
-// must be salvaged and the error must be a structured corruption
-// report (the same type as resilience.Report).
+// TestBinarySalvageTorn cuts the sample mid-frame: every frame before
+// the cut decodes and the reader reports ErrTornFrame.
 func TestBinarySalvageTorn(t *testing.T) {
-	sample := sampleBin(t)
+	sample := sampleBin()
 	for _, cut := range []int{len(sample) - 1, len(sample) - 5, len(sample) - 9} {
-		tr, dropped, err := ReadTraceBin(bytes.NewReader(sample[:cut]))
-		var rep *report.Report
-		if !errors.As(err, &rep) {
-			t.Fatalf("cut %d: err = %v, want *report.Report", cut, err)
+		got, err := decodeFrames(sample[:cut])
+		if !errors.Is(err, ErrTornFrame) {
+			t.Fatalf("cut %d: err = %v, want ErrTornFrame", cut, err)
 		}
-		if rep.Kind != report.Corruption {
-			t.Fatalf("cut %d: report kind %v, want Corruption", cut, rep.Kind)
-		}
-		if dropped != 1 {
-			t.Fatalf("cut %d: dropped = %d, want 1", cut, dropped)
-		}
-		if verr := tr.Validate(); verr != nil {
-			t.Fatalf("cut %d: salvaged prefix invalid: %v", cut, verr)
-		}
-		if tr.Len() != sampleTrace().Len()-1 {
-			t.Fatalf("cut %d: salvaged %d actions, want %d", cut, tr.Len(), sampleTrace().Len()-1)
+		if len(got) != sampleTrace().Len()-1 {
+			t.Fatalf("cut %d: decoded %d actions, want %d", cut, len(got), sampleTrace().Len()-1)
 		}
 	}
 }
 
 // TestBinarySalvageCorruptCRC flips a payload byte in the middle of the
-// stream: the prefix before the bad frame survives, the error is a
-// corruption report, and nothing after the bad frame is trusted.
+// stream: the frames before the bad one decode, and the reader reports
+// ErrCorruptFrame rather than trusting anything after it.
 func TestBinarySalvageCorruptCRC(t *testing.T) {
-	sample := sampleBin(t)
-	corrupt := append([]byte(nil), sample...)
+	corrupt := sampleBin()
 	// Flip a byte well past the header frame but before the end.
 	corrupt[len(corrupt)/2] ^= 0xff
-	tr, dropped, err := ReadTraceBin(bytes.NewReader(corrupt))
-	var rep *report.Report
-	if !errors.As(err, &rep) || rep.Kind != report.Corruption {
-		t.Fatalf("err = %v, want corruption report", err)
+	got, err := decodeFrames(corrupt)
+	if !errors.Is(err, ErrCorruptFrame) {
+		t.Fatalf("err = %v, want ErrCorruptFrame", err)
 	}
-	if dropped < 1 {
-		t.Fatalf("dropped = %d, want >= 1", dropped)
-	}
-	if verr := tr.Validate(); verr != nil {
-		t.Fatalf("salvaged prefix invalid: %v", verr)
-	}
-	if tr.Len() >= sampleTrace().Len() {
-		t.Fatalf("salvage kept %d actions out of %d despite corruption", tr.Len(), sampleTrace().Len())
+	if len(got) == 0 || len(got) >= sampleTrace().Len() {
+		t.Fatalf("decoded %d of %d actions, want a proper non-empty prefix", len(got), sampleTrace().Len())
 	}
 }
 
 // TestBinaryUnknownKind feeds an intact frame carrying a future kind:
-// the reader must salvage the prefix and name the kind in a structured
-// report rather than failing the checksum path.
+// the decoder must name the kind (version skew) rather than call the
+// frame corrupt.
 func TestBinaryUnknownKind(t *testing.T) {
-	var buf bytes.Buffer
-	bw, err := NewBinWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Append(Action{Kind: KindWrite, Thread: 1, Obj: 10}); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	stream := AppendEventFrame(BinHeaderFrame(), Action{Kind: KindWrite, Thread: 1, Obj: 10}, 0)
 	// Hand-build an intact frame with kind byte 200.
 	body := []byte{0 /* flags */, 200 /* kind */, 2, 0, 0, 0}
-	buf.Write(AppendFrame(nil, FrameEvent, body))
-	tr, dropped, rerr := ReadTraceBin(&buf)
-	var rep *report.Report
-	if !errors.As(rerr, &rep) || rep.Kind != report.Corruption {
-		t.Fatalf("err = %v, want corruption report", rerr)
+	stream = AppendFrame(stream, FrameEvent, body)
+	got, err := decodeFrames(stream)
+	var unk *errUnknownBinKind
+	if !errors.As(err, &unk) || unk.kind != 200 {
+		t.Fatalf("err = %v, want the unknown-kind error for kind 200", err)
 	}
-	if !strings.Contains(rep.Detail, "kind 200") {
-		t.Fatalf("report does not name the kind: %q", rep.Detail)
+	if !strings.Contains(err.Error(), "kind 200") {
+		t.Fatalf("error does not name the kind: %q", err)
 	}
-	if tr.Len() != 1 || dropped != 1 {
-		t.Fatalf("salvage = %d actions, %d dropped; want 1, 1", tr.Len(), dropped)
-	}
-}
-
-// TestBinWriterFlushBoundaries mirrors the StreamWriter durability
-// contract: after Flush, tearing the underlying buffer anywhere only
-// loses frames appended since, bounding the loss window to under
-// autoFlushRecords records.
-func TestBinWriterFlushBoundaries(t *testing.T) {
-	var buf bytes.Buffer
-	bw, err := NewBinWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := sampleTrace()
-	for i := 0; i < tr.Len(); i++ {
-		if err := bw.Append(tr.At(i)); err != nil {
-			t.Fatal(err)
-		}
-		if i == 4 {
-			if err := bw.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			// Everything up to here must already be durable and readable.
-			got, dropped, rerr := ReadTraceBin(bytes.NewReader(buf.Bytes()))
-			if rerr != nil || dropped != 0 || got.Len() != 5 {
-				t.Fatalf("after mid-stream flush: len=%d dropped=%d err=%v", got.Len(), dropped, rerr)
-			}
-		}
-	}
-	if err := bw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Append(Action{Kind: KindRead, Thread: 1, Obj: 10}); err == nil {
-		t.Fatal("Append after Close succeeded")
-	}
-	got, dropped, rerr := ReadTraceBin(bytes.NewReader(buf.Bytes()))
-	if rerr != nil || dropped != 0 || got.Len() != tr.Len() {
-		t.Fatalf("after close: len=%d dropped=%d err=%v", got.Len(), dropped, rerr)
+	if len(got) != 1 {
+		t.Fatalf("decoded %d actions before the unknown kind, want 1", len(got))
 	}
 }
 
@@ -291,51 +241,34 @@ func TestBinaryEncodeZeroAlloc(t *testing.T) {
 	}
 }
 
-// FuzzBinaryStream throws arbitrary bytes at the binary reader with the
-// same robustness contract as FuzzReadTraceStream: never panic, never
-// return an invalid trace, and any salvage is a valid re-serializable
-// trace; every error surfaced past the header is a structured
-// corruption report.
+// FuzzBinaryStream throws arbitrary bytes at the wire decoder
+// (FrameReader + DecodeEventFrame). Robustness contract: never panic,
+// and the actions decoded before any error re-encode to a stream that
+// decodes back to the same actions.
 func FuzzBinaryStream(f *testing.F) {
-	sample := sampleBin(f)
+	sample := sampleBin()
 	f.Add(sample)
 	f.Add(BinHeaderFrame())
-	f.Add(sample[:len(sample)-3])       // torn final frame
+	f.Add(sample[:len(sample)-3])           // torn final frame
 	f.Add(sample[:len(BinHeaderFrame())+2]) // torn first event frame
 	f.Add([]byte("not a stream at all"))
 	corrupt := append([]byte(nil), sample...)
 	corrupt[len(corrupt)/2] ^= 0xff
 	f.Add(corrupt)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, dropped, err := ReadTraceBin(bytes.NewReader(data))
-		if err != nil {
-			var rep *report.Report
-			if errors.As(err, &rep) {
-				if rep.Kind != report.Corruption {
-					t.Fatalf("binary reader produced report kind %v", rep.Kind)
-				}
-				if verr := tr.Validate(); verr != nil {
-					t.Fatalf("salvage alongside corruption report invalid: %v", verr)
-				}
+		got, _ := decodeFrames(data)
+		stream := BinHeaderFrame()
+		for _, a := range got {
+			stream = AppendEventFrame(stream, a, 0)
+		}
+		again, rerr := decodeFrames(stream)
+		if rerr != nil || len(again) != len(got) {
+			t.Fatalf("round trip: err=%v, %d actions, want %d", rerr, len(again), len(got))
+		}
+		for i := range got {
+			if again[i].String() != got[i].String() {
+				t.Fatalf("round trip action %d: %v != %v", i, again[i], got[i])
 			}
-			return
-		}
-		if dropped < 0 {
-			t.Fatalf("negative dropped count %d", dropped)
-		}
-		if verr := tr.Validate(); verr != nil {
-			t.Fatalf("salvaged trace invalid: %v", verr)
-		}
-		var buf bytes.Buffer
-		if werr := WriteTraceBin(&buf, tr); werr != nil {
-			t.Fatalf("re-serialize: %v", werr)
-		}
-		tr2, dropped2, rerr := ReadTraceBin(&buf)
-		if rerr != nil || dropped2 != 0 {
-			t.Fatalf("round trip: err=%v dropped=%d", rerr, dropped2)
-		}
-		if tr2.Len() != tr.Len() {
-			t.Fatalf("round trip length %d, want %d", tr2.Len(), tr.Len())
 		}
 	})
 }

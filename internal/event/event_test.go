@@ -1,6 +1,8 @@
 package event
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -143,23 +145,57 @@ func TestValidateOK(t *testing.T) {
 	}
 }
 
+// TestValidateErrors checks that Validate names the first violating
+// action, and that a trace file holding the same actions salvages
+// exactly the valid prefix before it: the one Validator serves both.
 func TestValidateErrors(t *testing.T) {
 	cases := []struct {
 		name  string
 		trace *Trace
+		at    int // index of the first violating action
 	}{
-		{"acquire held lock", NewBuilder().Acquire(1, 20).Fork(1, 2).Acquire(2, 20).Trace()},
-		{"release unheld", NewBuilder().Release(1, 20).Trace()},
-		{"release by non-owner", NewBuilder().Acquire(1, 20).Fork(1, 2).Release(2, 20).Trace()},
-		{"fork twice", NewBuilder().Fork(1, 2).Fork(1, 2).Trace()},
-		{"act after join", NewBuilder().Fork(1, 2).Write(2, 10, 0).Join(1, 2).Write(2, 10, 0).Trace()},
-		{"join unknown", NewBuilder().Join(1, 9).Trace()},
-		{"alloc after access", NewBuilder().Write(1, 10, 0).Alloc(1, 10).Trace()},
-		{"missing tid", NewTrace([]Action{{Kind: KindRead, Obj: 10}})},
+		{"acquire held lock", NewBuilder().Acquire(1, 20).Fork(1, 2).Acquire(2, 20).Trace(), 2},
+		{"release unheld", NewBuilder().Release(1, 20).Trace(), 0},
+		{"release by non-owner", NewBuilder().Acquire(1, 20).Fork(1, 2).Release(2, 20).Trace(), 2},
+		{"fork twice", NewBuilder().Fork(1, 2).Fork(1, 2).Trace(), 1},
+		{"act after join", NewBuilder().Fork(1, 2).Write(2, 10, 0).Join(1, 2).Write(2, 10, 0).Trace(), 3},
+		{"join unknown", NewBuilder().Join(1, 9).Trace(), 0},
+		{"alloc after access", NewBuilder().Write(1, 10, 0).Alloc(1, 10).Trace(), 1},
+		// The alloc-after-access violation comes first, ahead of the
+		// later release of an unheld lock.
+		{"first violation wins", NewBuilder().Write(1, 10, 0).Alloc(1, 10).Release(1, 20).Trace(), 1},
+		{"alloc after commit access", NewBuilder().
+			Fork(1, 2).
+			Alloc(1, 5).
+			Write(1, 5, 0).
+			Commit(2, []Variable{{Obj: 5, Field: 0}}, nil).
+			Alloc(2, 5).
+			Trace(), 4},
+		{"missing tid", NewTrace([]Action{{Kind: KindRead, Obj: 10}}), 0},
 	}
 	for _, c := range cases {
-		if err := c.trace.Validate(); err == nil {
+		err := c.trace.Validate()
+		if err == nil {
 			t.Errorf("%s: Validate() = nil, want error", c.name)
+			continue
+		}
+		if want := fmt.Sprintf("action %d ", c.at); !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%s: Validate() = %q, want prefix %q", c.name, err, want)
+		}
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, c.trace); err != nil {
+			t.Fatal(err)
+		}
+		got, dropped, err := ReadTrace(&buf)
+		if err != nil {
+			t.Fatalf("%s: ReadTrace: %v", c.name, err)
+		}
+		if got.Len() != c.at || dropped != c.trace.Len()-c.at {
+			t.Errorf("%s: salvaged %d actions, %d dropped; want %d and %d",
+				c.name, got.Len(), dropped, c.at, c.trace.Len()-c.at)
+		}
+		if err := got.Validate(); err != nil {
+			t.Errorf("%s: salvaged prefix invalid: %v", c.name, err)
 		}
 	}
 }

@@ -9,29 +9,11 @@ import (
 	"goldilocks/internal/report"
 )
 
-// sampleStream serializes a small valid trace in the streaming format,
-// as seed material for the fuzz targets.
+// sampleStream serializes a small valid trace in the trace file
+// format, as seed material for the fuzz target.
 func sampleStream(tb testing.TB) []byte {
-	tr := NewBuilder().
-		Fork(1, 2).
-		Acquire(1, 7).
-		Write(1, 10, 0).
-		Release(1, 7).
-		Acquire(2, 7).
-		Read(2, 10, 0).
-		Release(2, 7).
-		VolatileWrite(1, 1, 0).
-		VolatileRead(2, 1, 0).
-		Commit(2, []Variable{{Obj: 10, Field: 1}}, []Variable{{Obj: 11, Field: 0}}).
-		Alloc(1, 42).
-		ChanMake(1, 30, 1).
-		ChanSend(1, 30).
-		ChanRecv(2, 30).
-		ChanClose(1, 30).
-		Join(1, 2).
-		Trace()
 	var buf bytes.Buffer
-	if err := WriteTraceStream(&buf, tr); err != nil {
+	if err := WriteTrace(&buf, sampleTrace()); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
@@ -49,17 +31,17 @@ func preChannelStream(tb testing.TB) []byte {
 		Join(1, 2).
 		Trace()
 	var buf bytes.Buffer
-	if err := WriteTraceStream(&buf, tr); err != nil {
+	if err := WriteTrace(&buf, tr); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// FuzzReadTraceStream throws arbitrary bytes at the streaming reader.
+// FuzzReadTrace throws arbitrary bytes at the trace file reader.
 // Robustness contract: never panic, never return an invalid trace, and
 // when the reader salvages (dropped > 0 or early stop) the salvaged
 // prefix must itself be a valid, re-serializable trace.
-func FuzzReadTraceStream(f *testing.F) {
+func FuzzReadTrace(f *testing.F) {
 	sample := sampleStream(f)
 	f.Add(sample)
 	f.Add([]byte(`{"format":"goldilocks-stream","version":1}` + "\n"))
@@ -76,12 +58,19 @@ func FuzzReadTraceStream(f *testing.F) {
 	withUnknown := append(append([]byte(nil), sample...),
 		[]byte(`{"a":{"kind":"warp","t":1,"o":2},"crc":"`+actionCRC([]byte(`{"kind":"warp","t":1,"o":2}`))+`"}`+"\n")...)
 	f.Add(withUnknown)
+	// Input that is not a trace file at all, including the retired
+	// single-object format: refused without a panic.
+	f.Add([]byte(`{"actions":[{"kind":"write","t":1,"o":10,"d":0}]}`))
+	f.Add([]byte(`{"format":"goldilocks-stream"`))
+	f.Add([]byte{})
+	f.Add([]byte("\n\n\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, dropped, err := ReadTraceStream(bytes.NewReader(data))
+		tr, dropped, err := ReadTrace(bytes.NewReader(data))
 		if err != nil {
-			// Unusable header: fine, as long as it did not panic. The one
-			// structured error — version skew on an intact record — still
-			// hands back a salvage, which must be a valid trace.
+			// Unusable header: fine, as long as it did not panic. The
+			// structured errors — version skew on an intact record, an
+			// unreadable line — still hand back a salvage, which must be
+			// a valid trace.
 			var rep *report.Report
 			if errors.As(err, &rep) {
 				if rep.Kind != report.Corruption {
@@ -102,10 +91,10 @@ func FuzzReadTraceStream(f *testing.F) {
 			t.Fatalf("salvaged trace invalid: %v", verr)
 		}
 		var buf bytes.Buffer
-		if werr := WriteTraceStream(&buf, tr); werr != nil {
+		if werr := WriteTrace(&buf, tr); werr != nil {
 			t.Fatalf("re-serialize: %v", werr)
 		}
-		tr2, dropped2, rerr := ReadTraceStream(&buf)
+		tr2, dropped2, rerr := ReadTrace(&buf)
 		if rerr != nil || dropped2 != 0 {
 			t.Fatalf("round trip: err=%v dropped=%d", rerr, dropped2)
 		}
@@ -116,28 +105,6 @@ func FuzzReadTraceStream(f *testing.F) {
 			if tr2.At(i).String() != tr.At(i).String() {
 				t.Fatalf("round trip action %d: %v != %v", i, tr2.At(i), tr.At(i))
 			}
-		}
-	})
-}
-
-// FuzzReadTraceAuto exercises the format sniffer: arbitrary bytes must
-// never panic, and whatever parses must be a valid trace.
-func FuzzReadTraceAuto(f *testing.F) {
-	f.Add(sampleStream(f))
-	f.Add([]byte(`{"actions":[{"kind":"write","t":1,"o":10,"d":0}]}`))
-	f.Add([]byte(`{"format":"goldilocks-stream"`))
-	f.Add([]byte{})
-	f.Add([]byte("\n\n\n"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, dropped, err := ReadTraceAuto(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if dropped < 0 {
-			t.Fatalf("negative dropped count %d", dropped)
-		}
-		if verr := tr.Validate(); verr != nil {
-			t.Fatalf("parsed trace invalid: %v", verr)
 		}
 	})
 }
@@ -154,7 +121,7 @@ func TestStreamSalvageTruncatedPrefix(t *testing.T) {
 	}
 	// Keep the header and first 5 records, then tear record 6 in half.
 	torn := strings.Join(lines[:6], "") + lines[6][:len(lines[6])/2]
-	tr, dropped, err := ReadTraceStream(strings.NewReader(torn))
+	tr, dropped, err := ReadTrace(strings.NewReader(torn))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package event
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 )
 
 // jsonAction is the serialized form of an Action. Kind uses the String
@@ -18,10 +17,9 @@ type jsonAction struct {
 	Writes []Variable `json:"writes,omitempty"`
 }
 
-// MarshalAction serializes a single action in the same JSON shape trace
-// files use (greppable kind names, omitted zero fields). It is the
-// action payload of the goldilocksd wire protocol and of engine
-// checkpoints.
+// MarshalAction serializes a single action as JSON (greppable kind
+// names, omitted zero fields). It is the action body of every trace
+// file record, of goldilocksd race reports and of engine checkpoints.
 func MarshalAction(a Action) ([]byte, error) {
 	return json.Marshal(jsonAction{
 		Kind:   a.Kind.String(),
@@ -40,9 +38,20 @@ func UnmarshalAction(data []byte) (Action, error) {
 	if err := json.Unmarshal(data, &ja); err != nil {
 		return Action{}, fmt.Errorf("event: decoding action: %w", err)
 	}
+	a, ok := ja.action()
+	if !ok {
+		return Action{}, fmt.Errorf("event: unknown action kind %q", ja.Kind)
+	}
+	return a, nil
+}
+
+// action converts the serialized form back to an Action; ok is false
+// when the kind name is not one this reader knows (version skew, not
+// corruption — the callers report the two differently).
+func (ja jsonAction) action() (Action, bool) {
 	k, ok := kindByName[ja.Kind]
 	if !ok || k == KindInvalid {
-		return Action{}, fmt.Errorf("event: unknown action kind %q", ja.Kind)
+		return Action{}, false
 	}
 	return Action{
 		Kind:   k,
@@ -52,7 +61,7 @@ func UnmarshalAction(data []byte) (Action, error) {
 		Peer:   ja.Peer,
 		Reads:  ja.Reads,
 		Writes: ja.Writes,
-	}, nil
+	}, true
 }
 
 var kindByName = func() map[string]Kind {
@@ -62,56 +71,3 @@ var kindByName = func() map[string]Kind {
 	}
 	return m
 }()
-
-// WriteTrace serializes tr as JSON (one object with an "actions" array).
-func WriteTrace(w io.Writer, tr *Trace) error {
-	out := struct {
-		Actions []jsonAction `json:"actions"`
-	}{Actions: make([]jsonAction, tr.Len())}
-	for i := 0; i < tr.Len(); i++ {
-		a := tr.At(i)
-		out.Actions[i] = jsonAction{
-			Kind:   a.Kind.String(),
-			Thread: a.Thread,
-			Obj:    a.Obj,
-			Field:  a.Field,
-			Peer:   a.Peer,
-			Reads:  a.Reads,
-			Writes: a.Writes,
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(out)
-}
-
-// ReadTrace deserializes a trace written by WriteTrace and validates it.
-func ReadTrace(r io.Reader) (*Trace, error) {
-	var in struct {
-		Actions []jsonAction `json:"actions"`
-	}
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, fmt.Errorf("event: decoding trace: %w", err)
-	}
-	actions := make([]Action, len(in.Actions))
-	for i, ja := range in.Actions {
-		k, ok := kindByName[ja.Kind]
-		if !ok || k == KindInvalid {
-			return nil, fmt.Errorf("event: action %d: unknown kind %q", i, ja.Kind)
-		}
-		actions[i] = Action{
-			Kind:   k,
-			Thread: ja.Thread,
-			Obj:    ja.Obj,
-			Field:  ja.Field,
-			Peer:   ja.Peer,
-			Reads:  ja.Reads,
-			Writes: ja.Writes,
-		}
-	}
-	tr := NewTrace(actions)
-	if err := tr.Validate(); err != nil {
-		return nil, fmt.Errorf("event: invalid trace: %w", err)
-	}
-	return tr, nil
-}

@@ -6,53 +6,50 @@ import (
 	"testing"
 )
 
+// TestTraceJSONRoundTrip: every action of the full-vocabulary sample
+// survives MarshalAction/UnmarshalAction — the one Action<->JSON mapping
+// behind trace file records, race reports and checkpoints — and an
+// unknown kind name is refused, not decoded as some other kind.
 func TestTraceJSONRoundTrip(t *testing.T) {
-	orig := NewBuilder().
-		Alloc(1, 10).
-		Write(1, 10, 0).
-		Fork(1, 2).
-		Acquire(2, 20).
-		VolatileWrite(2, 1, 3).
-		VolatileRead(1, 1, 3).
-		Release(2, 20).
-		Commit(2, []Variable{{10, 0}}, []Variable{{10, 1}, {11, 2}}).
-		Join(1, 2).
-		Trace()
-
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, orig); err != nil {
-		t.Fatal(err)
+	for _, a := range sampleTrace().Actions() {
+		data, err := MarshalAction(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := UnmarshalAction(data)
+		if err != nil {
+			t.Fatalf("%v: %v", a, err)
+		}
+		if back.String() != a.String() || back.Peer != a.Peer || back.Field != a.Field {
+			t.Errorf("round trip %v -> %s -> %v", a, data, back)
+		}
 	}
-	back, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != orig.Len() {
-		t.Fatalf("len %d, want %d", back.Len(), orig.Len())
-	}
-	for i := 0; i < orig.Len(); i++ {
-		a, b := orig.At(i), back.At(i)
-		if a.String() != b.String() {
-			t.Errorf("action %d: %v != %v", i, a, b)
+	for _, src := range []string{`{"kind":"teleport","t":1}`, `{"kind":"invalid","t":1}`} {
+		if a, err := UnmarshalAction([]byte(src)); err == nil || !strings.Contains(err.Error(), "unknown action kind") {
+			t.Errorf("UnmarshalAction(%s) = %v, %v; want an unknown-kind error", src, a, err)
 		}
 	}
 }
 
+// TestReadTraceRejectsGarbage: input that does not open with a trace
+// file header is refused as a whole, including a file in the retired
+// single-object format.
 func TestReadTraceRejectsGarbage(t *testing.T) {
 	cases := []string{
+		``,
 		`{`,
-		`{"actions":[{"kind":"teleport","t":1}]}`,
-		`{"actions":[{"kind":"invalid","t":1}]}`,
-		// Structurally invalid: release of an unheld lock.
-		`{"actions":[{"kind":"rel","t":1,"o":5}]}`,
+		`{"actions":[{"kind":"write","t":1,"o":10}]}`,
+		`{"a":{"kind":"write","t":1,"o":10},"crc":"00000000"}`,
+		`{"format":"goldilocks-binstream","version":1}`,
 	}
 	for _, src := range cases {
-		if _, err := ReadTrace(strings.NewReader(src)); err == nil {
-			t.Errorf("accepted %q", src)
+		if tr, _, err := ReadTrace(strings.NewReader(src)); err == nil {
+			t.Errorf("accepted %q as a %d-action trace", src, tr.Len())
 		}
 	}
 }
 
+// TestWriteTraceIsReadable: trace files keep greppable kind names.
 func TestWriteTraceIsReadable(t *testing.T) {
 	tr := NewBuilder().Write(1, 10, 0).Trace()
 	var buf bytes.Buffer
@@ -60,7 +57,7 @@ func TestWriteTraceIsReadable(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{`"kind": "write"`, `"t": 1`, `"o": 10`} {
+	for _, want := range []string{`"format":"goldilocks-stream"`, `"kind":"write"`, `"t":1`, `"o":10`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("serialized trace missing %q:\n%s", want, out)
 		}

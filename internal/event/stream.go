@@ -11,7 +11,8 @@ import (
 	"goldilocks/internal/report"
 )
 
-// The streaming trace format is line-delimited so that a truncated or
+// The trace file format — the only one WriteTrace writes and ReadTrace
+// reads — is line-delimited JSON (JSONL) so that a truncated or
 // partially corrupted file still yields its valid prefix: a header line
 // identifying the format, then one record per action. Each record
 // carries a CRC-32 (IEEE) checksum of the serialized action, so torn
@@ -22,9 +23,9 @@ import (
 //	{"a":{"kind":"acquire","t":1,"o":2},"crc":"7f1c0d3a"}
 //	...
 //
-// Trace validity is prefix-closed (Trace.Validate checks each action
-// against the state built by the actions before it), so every valid
-// prefix of a recorded execution is itself a replayable trace.
+// Trace validity is prefix-closed (Validator checks each action against
+// the state built by the actions before it), so every valid prefix of a
+// recorded execution is itself a replayable trace.
 
 // StreamFormatName identifies the line-delimited trace format.
 const StreamFormatName = "goldilocks-stream"
@@ -63,7 +64,7 @@ const (
 	autoFlushBytes   = 2048
 )
 
-// StreamWriter writes actions incrementally in the streaming format.
+// StreamWriter writes actions incrementally in the trace file format.
 // Unlike WriteTrace it needs no completed Trace up front, so a recording
 // cut short by a crash (or by fault injection) keeps everything written
 // so far — the header is flushed at creation and records auto-flush
@@ -96,7 +97,7 @@ func (sw *StreamWriter) Append(a Action) error {
 	if sw.err != nil {
 		return sw.err
 	}
-	rec, err := EncodeRecord(a)
+	rec, err := encodeRecord(a)
 	if err != nil {
 		sw.err = err
 		return err
@@ -164,19 +165,10 @@ func CheckStreamHeader(line []byte) error {
 	return nil
 }
 
-// EncodeRecord serializes one action as a checksummed record line
-// (newline-terminated), the unit of the streaming format.
-func EncodeRecord(a Action) ([]byte, error) {
-	ja := jsonAction{
-		Kind:   a.Kind.String(),
-		Thread: a.Thread,
-		Obj:    a.Obj,
-		Field:  a.Field,
-		Peer:   a.Peer,
-		Reads:  a.Reads,
-		Writes: a.Writes,
-	}
-	body, err := json.Marshal(ja)
+// encodeRecord serializes one action as a checksummed record line
+// (newline-terminated), the unit of the trace file format.
+func encodeRecord(a Action) ([]byte, error) {
+	body, err := MarshalAction(a)
 	if err != nil {
 		return nil, err
 	}
@@ -187,15 +179,8 @@ func EncodeRecord(a Action) ([]byte, error) {
 	return append(rec, '\n'), nil
 }
 
-// DecodeRecord parses and checksum-verifies one record line; ok is
-// false for a torn, corrupt, or unknown-kind record.
-func DecodeRecord(line []byte) (a Action, ok bool) {
-	a, st, _ := decodeStreamLine(line)
-	return a, st == recOK
-}
-
-// WriteTraceStream writes a whole trace in the streaming format.
-func WriteTraceStream(w io.Writer, tr *Trace) error {
+// WriteTrace writes a whole trace in the trace file format.
+func WriteTrace(w io.Writer, tr *Trace) error {
 	sw, err := NewStreamWriter(w)
 	if err != nil {
 		return err
@@ -208,26 +193,30 @@ func WriteTraceStream(w io.Writer, tr *Trace) error {
 	return sw.Flush()
 }
 
-// ReadTraceStream reads a streaming-format trace, salvaging the longest
-// valid prefix. It stops at the first unreadable record — truncated
-// line, malformed JSON, checksum mismatch, or an action that is invalid
-// after the prefix before it — and returns the prefix trace together
-// with the number of records dropped (the bad record, if
-// distinguishable, plus everything after it).
+// ReadTrace reads a trace file, salvaging the longest valid prefix. It
+// stops at the first unreadable record — truncated line, malformed
+// JSON, checksum mismatch, or an action that is invalid after the
+// prefix before it — and returns the prefix trace together with the
+// number of records dropped (the bad record, if distinguishable, plus
+// everything after it).
 //
 // A torn or checksum-failing record is what a crash leaves behind, so
-// it ends the salvage silently. An *intact* record (checksum verifies,
-// JSON parses) whose kind this reader does not know is different: it
-// means the stream came from a newer writer, and silently discarding it
-// would misreport the execution. That case still returns the salvaged
-// prefix and dropped count, but err is a structured *report.Report
-// (Corruption kind, same type as resilience.Report) naming the unknown
-// kind and the version skew. err is otherwise non-nil only when the
-// header itself is unusable.
-func ReadTraceStream(r io.Reader) (tr *Trace, dropped int, err error) {
+// it ends the salvage silently. Two cases are reported instead, still
+// with the salvaged prefix and dropped count, as a structured
+// *report.Report (Corruption kind, the same type as resilience.Report):
+// an *intact* record (checksum verifies, JSON parses) whose kind this
+// reader does not know, which means the file came from a newer writer
+// and silently discarding it would misreport the execution; and a line
+// the reader cannot read at all — one longer than MaxFrameLen, or an
+// I/O error — after which the rest of the file is out of reach. err is
+// otherwise non-nil only when the header itself is unusable.
+func ReadTrace(r io.Reader) (tr *Trace, dropped int, err error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), MaxFrameLen)
 	if !sc.Scan() {
+		if err := sc.Err(); err != nil {
+			return nil, 0, fmt.Errorf("event: reading stream header: %w", err)
+		}
 		return nil, 0, fmt.Errorf("event: empty stream trace")
 	}
 	if err := CheckStreamHeader(sc.Bytes()); err != nil {
@@ -235,7 +224,7 @@ func ReadTraceStream(r io.Reader) (tr *Trace, dropped int, err error) {
 	}
 
 	var actions []Action
-	var unknownRep *report.Report
+	var rep *report.Report
 	val := NewValidator()
 	record := 0
 	bad := false
@@ -252,7 +241,7 @@ func ReadTraceStream(r io.Reader) (tr *Trace, dropped int, err error) {
 		a, st, kindName := decodeStreamLine(line)
 		if st != recOK {
 			if st == recUnknownKind {
-				unknownRep = &report.Report{
+				rep = &report.Report{
 					Kind: report.Corruption,
 					Detail: fmt.Sprintf("unknown event kind %q in intact record %d (stream version <= %d reader; writer is newer)",
 						kindName, record, StreamFormatVersion),
@@ -271,118 +260,22 @@ func ReadTraceStream(r io.Reader) (tr *Trace, dropped int, err error) {
 		}
 		actions = append(actions, a)
 	}
-	// A read error (not io.EOF) ends the salvage the same way a bad
-	// record does: the prefix is what we have.
-	_ = sc.Err()
-	if unknownRep != nil {
-		return NewTrace(actions), dropped, unknownRep
+	if err := sc.Err(); err != nil {
+		// The scanner cannot step past the unreadable line, so the
+		// records after it are lost with it.
+		dropped++
+		if rep == nil {
+			rep = &report.Report{
+				Kind: report.Corruption,
+				Detail: fmt.Sprintf("record %d unreadable: %v (valid prefix of %d records salvaged)",
+					record+1, err, len(actions)),
+			}
+		}
+	}
+	if rep != nil {
+		return NewTrace(actions), dropped, rep
 	}
 	return NewTrace(actions), dropped, nil
-}
-
-// Validator is Trace.Validate as an incremental state machine, so
-// streaming consumers (trace salvage, the goldilocksd ingest path) pay
-// O(1) per record instead of revalidating the whole prefix. Step(a)
-// errors exactly when Validate would error on the prefix extended with
-// a (both of Validate's passes are streamable: the alloc-after-access
-// check only consults the already-seen touched set). A Validator whose
-// Step errored must not be stepped further.
-type Validator struct {
-	lockOwner map[Addr]Tid
-	lockDepth map[Addr]int
-	forked    map[Tid]bool
-	started   map[Tid]bool
-	joined    map[Tid]bool
-	touched   map[Addr]bool
-	inRegion  map[Tid]bool
-	chans     *ChanTracker
-}
-
-// NewValidator returns a validator for an empty prefix.
-func NewValidator() *Validator {
-	return &Validator{
-		lockOwner: make(map[Addr]Tid),
-		lockDepth: make(map[Addr]int),
-		forked:    make(map[Tid]bool),
-		started:   make(map[Tid]bool),
-		joined:    make(map[Tid]bool),
-		touched:   make(map[Addr]bool),
-		inRegion:  make(map[Tid]bool),
-		chans:     NewChanTracker(),
-	}
-}
-
-// Step checks that a is valid after the prefix stepped so far.
-func (v *Validator) Step(a Action) error {
-	if a.Thread == NoTid {
-		return fmt.Errorf("event: missing thread id in %v", a)
-	}
-	if v.joined[a.Thread] {
-		return fmt.Errorf("event: thread %v acts after being joined", a.Thread)
-	}
-	v.started[a.Thread] = true
-	switch a.Kind {
-	case KindAcquire:
-		if owner, held := v.lockOwner[a.Obj]; held && owner != a.Thread {
-			return fmt.Errorf("event: lock %v held by %v", a.Obj, owner)
-		}
-		v.lockOwner[a.Obj] = a.Thread
-		v.lockDepth[a.Obj]++
-	case KindRelease:
-		owner, held := v.lockOwner[a.Obj]
-		if !held {
-			return fmt.Errorf("event: release of unheld lock %v", a.Obj)
-		}
-		if owner != a.Thread {
-			return fmt.Errorf("event: release by non-owner (owner %v)", owner)
-		}
-		v.lockDepth[a.Obj]--
-		if v.lockDepth[a.Obj] == 0 {
-			delete(v.lockOwner, a.Obj)
-			delete(v.lockDepth, a.Obj)
-		}
-	case KindFork:
-		if v.forked[a.Peer] {
-			return fmt.Errorf("event: thread %v forked twice", a.Peer)
-		}
-		if v.started[a.Peer] {
-			return fmt.Errorf("event: thread %v forked after it acted", a.Peer)
-		}
-		v.forked[a.Peer] = true
-	case KindJoin:
-		if !v.forked[a.Peer] && !v.started[a.Peer] {
-			return fmt.Errorf("event: join of unknown thread %v", a.Peer)
-		}
-		v.joined[a.Peer] = true
-	case KindAlloc:
-		if v.touched[a.Obj] {
-			return fmt.Errorf("event: alloc of %v after it was accessed", a.Obj)
-		}
-	case KindChanMake, KindChanSend, KindChanRecv, KindChanClose:
-		if _, err := v.chans.Normalize(a); err != nil {
-			return fmt.Errorf("event: %v", err)
-		}
-	case KindTxBegin:
-		if v.inRegion[a.Thread] {
-			return fmt.Errorf("event: nested txbegin by %v", a.Thread)
-		}
-		v.inRegion[a.Thread] = true
-	case KindTxEnd:
-		if !v.inRegion[a.Thread] {
-			return fmt.Errorf("event: txend by %v without an open region", a.Thread)
-		}
-		v.inRegion[a.Thread] = false
-	case KindRead, KindWrite:
-		v.touched[a.Obj] = true
-	case KindCommit:
-		for _, x := range a.Reads {
-			v.touched[x.Obj] = true
-		}
-		for _, x := range a.Writes {
-			v.touched[x.Obj] = true
-		}
-	}
-	return nil
 }
 
 // recDecodeStatus classifies one record line.
@@ -410,36 +303,9 @@ func decodeStreamLine(line []byte) (Action, recDecodeStatus, string) {
 	if err := json.Unmarshal(rec.Action, &ja); err != nil {
 		return Action{}, recCorrupt, ""
 	}
-	k, ok := kindByName[ja.Kind]
-	if !ok || k == KindInvalid {
+	a, ok := ja.action()
+	if !ok {
 		return Action{}, recUnknownKind, ja.Kind
 	}
-	return Action{
-		Kind:   k,
-		Thread: ja.Thread,
-		Obj:    ja.Obj,
-		Field:  ja.Field,
-		Peer:   ja.Peer,
-		Reads:  ja.Reads,
-		Writes: ja.Writes,
-	}, recOK, ""
-}
-
-// ReadTraceAuto sniffs the format: a binary header frame selects
-// ReadTraceBin, a streaming header selects ReadTraceStream (both
-// returning any salvage count), anything else is read as the legacy
-// single-object format (dropped is always 0 there — the legacy format
-// is all-or-nothing). The binary sniff runs first: BinFormatName and
-// StreamFormatName are chosen so neither contains the other.
-func ReadTraceAuto(r io.Reader) (tr *Trace, dropped int, err error) {
-	br := bufio.NewReader(r)
-	peek, _ := br.Peek(64)
-	if bytes.Contains(peek, []byte(BinFormatName)) {
-		return ReadTraceBin(br)
-	}
-	if bytes.Contains(peek, []byte(StreamFormatName)) {
-		return ReadTraceStream(br)
-	}
-	tr, err = ReadTrace(br)
-	return tr, 0, err
+	return a, recOK, ""
 }

@@ -26,13 +26,26 @@ func sampleTrace() *event.Trace {
 		Trace()
 }
 
+// TestStreamRoundTrip writes every non-channel kind, including
+// volatiles and a commit with read/write sets, and reads it back
+// loss-free.
 func TestStreamRoundTrip(t *testing.T) {
-	tr := sampleTrace()
+	tr := event.NewBuilder().
+		Alloc(1, 10).
+		Write(1, 10, 0).
+		Fork(1, 2).
+		Acquire(2, 20).
+		VolatileWrite(2, 1, 3).
+		VolatileRead(1, 1, 3).
+		Release(2, 20).
+		Commit(2, []event.Variable{{Obj: 10, Field: 0}}, []event.Variable{{Obj: 10, Field: 1}, {Obj: 11, Field: 2}}).
+		Join(1, 2).
+		Trace()
 	var buf bytes.Buffer
-	if err := event.WriteTraceStream(&buf, tr); err != nil {
+	if err := event.WriteTrace(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, dropped, err := event.ReadTraceStream(&buf)
+	got, dropped, err := event.ReadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,8 +56,7 @@ func TestStreamRoundTrip(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", got.Len(), tr.Len())
 	}
 	for i := 0; i < tr.Len(); i++ {
-		a, b := tr.At(i), got.At(i)
-		if a.Kind != b.Kind || a.Thread != b.Thread || a.Obj != b.Obj || a.Field != b.Field || a.Peer != b.Peer {
+		if a, b := tr.At(i), got.At(i); a.String() != b.String() {
 			t.Fatalf("action %d: got %v, want %v", i, b, a)
 		}
 	}
@@ -55,13 +67,13 @@ func TestStreamRoundTrip(t *testing.T) {
 func TestStreamTruncatedTail(t *testing.T) {
 	tr := sampleTrace()
 	var buf bytes.Buffer
-	if err := event.WriteTraceStream(&buf, tr); err != nil {
+	if err := event.WriteTrace(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
 	// Cut inside the last record's line.
 	cut := bytes.LastIndexByte(full[:len(full)-1], '\n') + 4
-	got, dropped, err := event.ReadTraceStream(bytes.NewReader(full[:cut]))
+	got, dropped, err := event.ReadTrace(bytes.NewReader(full[:cut]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +94,7 @@ func TestStreamTruncatedTail(t *testing.T) {
 func TestStreamCorruptRecord(t *testing.T) {
 	tr := sampleTrace()
 	var buf bytes.Buffer
-	if err := event.WriteTraceStream(&buf, tr); err != nil {
+	if err := event.WriteTrace(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
@@ -93,7 +105,7 @@ func TestStreamCorruptRecord(t *testing.T) {
 		t.Fatalf("corruption did not apply to %q", lines[5])
 	}
 	lines[5] = corrupt
-	got, dropped, err := event.ReadTraceStream(strings.NewReader(strings.Join(lines, "\n")))
+	got, dropped, err := event.ReadTrace(strings.NewReader(strings.Join(lines, "\n")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +137,7 @@ func TestStreamInvalidSuffixRejected(t *testing.T) {
 	if err := sw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, dropped, err := event.ReadTraceStream(&buf)
+	got, dropped, err := event.ReadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +146,8 @@ func TestStreamInvalidSuffixRejected(t *testing.T) {
 	}
 }
 
-// TestStreamSalvageMatchesValidate: the incremental validator must agree
-// with Trace.Validate — a salvaged prefix always validates.
+// TestStreamSalvageMatchesValidate: records appended one at a time
+// through a StreamWriter salvage to a prefix that Trace.Validate accepts.
 func TestStreamSalvageMatchesValidate(t *testing.T) {
 	var buf bytes.Buffer
 	sw, _ := event.NewStreamWriter(&buf)
@@ -149,7 +161,7 @@ func TestStreamSalvageMatchesValidate(t *testing.T) {
 		sw.Append(a)
 	}
 	sw.Flush()
-	got, dropped, err := event.ReadTraceStream(&buf)
+	got, dropped, err := event.ReadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +181,7 @@ func TestStreamSalvageMatchesValidate(t *testing.T) {
 func TestStreamV1CorpusReadable(t *testing.T) {
 	tr := sampleTrace() // pre-channel kinds only
 	var buf bytes.Buffer
-	if err := event.WriteTraceStream(&buf, tr); err != nil {
+	if err := event.WriteTrace(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	v1 := strings.Replace(buf.String(),
@@ -177,7 +189,7 @@ func TestStreamV1CorpusReadable(t *testing.T) {
 	if v1 == buf.String() {
 		t.Fatal("header rewrite did not apply")
 	}
-	got, dropped, err := event.ReadTraceStream(strings.NewReader(v1))
+	got, dropped, err := event.ReadTrace(strings.NewReader(v1))
 	if err != nil {
 		t.Fatalf("v1 corpus unreadable: %v", err)
 	}
@@ -201,13 +213,13 @@ func unknownKindRecord(kind string) string {
 func TestStreamUnknownKindStructuredReport(t *testing.T) {
 	tr := sampleTrace()
 	var buf bytes.Buffer
-	if err := event.WriteTraceStream(&buf, tr); err != nil {
+	if err := event.WriteTrace(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	buf.WriteString(unknownKindRecord("chan-rendezvous-v3"))
 	buf.WriteString(unknownKindRecord("chan-rendezvous-v3")) // dropped with the rest
 
-	got, dropped, err := event.ReadTraceStream(&buf)
+	got, dropped, err := event.ReadTrace(&buf)
 	if err == nil {
 		t.Fatal("unknown kind in intact record was swallowed silently")
 	}
@@ -229,41 +241,39 @@ func TestStreamUnknownKindStructuredReport(t *testing.T) {
 	}
 }
 
+// TestReadTraceOverlongRecord: a line longer than MaxFrameLen stops
+// the scanner, and every record after it is out of reach. The reader
+// must keep the prefix, count the loss and say why, rather than return
+// what looks like a clean short trace.
+func TestReadTraceOverlongRecord(t *testing.T) {
+	var buf bytes.Buffer
+	if err := event.WriteTrace(&buf, sampleTrace()); err != nil {
+		t.Fatal(err)
+	}
+	// Header and three records, the overlong line, then the rest.
+	lines := strings.SplitAfter(buf.String(), "\n")
+	long := `{"a":"` + strings.Repeat("x", event.MaxFrameLen) + "\"}\n"
+	in := strings.Join(lines[:4], "") + long + strings.Join(lines[4:], "")
+	got, dropped, err := event.ReadTrace(strings.NewReader(in))
+	var rep *resilience.Report
+	if !errors.As(err, &rep) || rep.Kind != resilience.Corruption {
+		t.Fatalf("err = %v, want a corruption report", err)
+	}
+	if !strings.Contains(rep.Detail, "record 4") || !strings.Contains(rep.Detail, "too long") {
+		t.Fatalf("report does not name the record and the cause: %q", rep.Detail)
+	}
+	if got.Len() != 3 || dropped < 1 {
+		t.Fatalf("salvage: Len = %d dropped = %d, want 3 and at least 1", got.Len(), dropped)
+	}
+}
+
 // TestStreamFutureVersionRejected: a header from a newer format version
 // is unusable as a whole (the reader cannot bound what changed).
 func TestStreamFutureVersionRejected(t *testing.T) {
 	hdr := fmt.Sprintf(`{"format":%q,"version":%d}`+"\n",
 		event.StreamFormatName, event.StreamFormatVersion+1)
-	if _, _, err := event.ReadTraceStream(strings.NewReader(hdr)); err == nil {
+	if _, _, err := event.ReadTrace(strings.NewReader(hdr)); err == nil {
 		t.Fatal("future version accepted")
-	}
-}
-
-func TestReadTraceAuto(t *testing.T) {
-	tr := sampleTrace()
-
-	var legacy bytes.Buffer
-	if err := event.WriteTrace(&legacy, tr); err != nil {
-		t.Fatal(err)
-	}
-	got, dropped, err := event.ReadTraceAuto(&legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != tr.Len() || dropped != 0 {
-		t.Fatalf("legacy auto-read: Len = %d dropped = %d", got.Len(), dropped)
-	}
-
-	var stream bytes.Buffer
-	if err := event.WriteTraceStream(&stream, tr); err != nil {
-		t.Fatal(err)
-	}
-	got, dropped, err = event.ReadTraceAuto(&stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != tr.Len() || dropped != 0 {
-		t.Fatalf("stream auto-read: Len = %d dropped = %d", got.Len(), dropped)
 	}
 }
 
@@ -273,7 +283,7 @@ func TestReadTraceAuto(t *testing.T) {
 func TestStreamSurvivesInjectedTruncation(t *testing.T) {
 	tr := sampleTrace()
 	var intact bytes.Buffer
-	if err := event.WriteTraceStream(&intact, tr); err != nil {
+	if err := event.WriteTrace(&intact, tr); err != nil {
 		t.Fatal(err)
 	}
 
@@ -281,14 +291,14 @@ func TestStreamSurvivesInjectedTruncation(t *testing.T) {
 	var buf bytes.Buffer
 	inj := &resilience.Injector{TruncateTraceBytes: limit}
 	w := inj.WrapTraceWriter(&buf)
-	if err := event.WriteTraceStream(w, tr); err != nil {
+	if err := event.WriteTrace(w, tr); err != nil {
 		t.Fatalf("truncating writer leaked an error: %v", err)
 	}
 	if buf.Len() > limit {
 		t.Fatalf("writer wrote %d bytes past the %d-byte fault", buf.Len(), limit)
 	}
 
-	got, dropped, err := event.ReadTraceStream(&buf)
+	got, dropped, err := event.ReadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +374,7 @@ func TestStreamWriterSeveredMidStream(t *testing.T) {
 		t.Fatalf("only %d records flushed before sever at %d; auto-flush window too large", complete, severAt)
 	}
 
-	got, _, err := event.ReadTraceStream(bytes.NewReader(accepted))
+	got, _, err := event.ReadTrace(bytes.NewReader(accepted))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +397,7 @@ func TestStreamWriterHeaderDurable(t *testing.T) {
 	if _, err := event.NewStreamWriter(w); err != nil {
 		t.Fatal(err)
 	}
-	tr, dropped, err := event.ReadTraceStream(bytes.NewReader(w.buf.Bytes()))
+	tr, dropped, err := event.ReadTrace(bytes.NewReader(w.buf.Bytes()))
 	if err != nil {
 		t.Fatalf("header-only stream unreadable: %v", err)
 	}
@@ -413,7 +423,7 @@ func TestStreamWriterClose(t *testing.T) {
 	if err := sw.Append(event.Release(1, 20)); err == nil {
 		t.Fatal("Append after Close succeeded")
 	}
-	tr, dropped, err := event.ReadTraceStream(&buf)
+	tr, dropped, err := event.ReadTrace(&buf)
 	if err != nil || dropped != 0 || tr.Len() != 1 {
 		t.Fatalf("got tr=%v dropped=%d err=%v; want the 1 closed-over record", tr, dropped, err)
 	}

@@ -1,8 +1,6 @@
 package event
 
-import (
-	"fmt"
-)
+import "fmt"
 
 // Trace is a linearization of an execution: a sequence of actions that is
 // consistent with each thread's program order and with the extended
@@ -64,7 +62,23 @@ func (tr *Trace) Vars() []Variable {
 	return out
 }
 
-// Validate checks structural well-formedness of the trace:
+// Validate checks structural well-formedness of the trace by stepping a
+// Validator over it, and returns the first violation, naming the
+// offending action and its index.
+func (tr *Trace) Validate() error {
+	v := NewValidator()
+	for i, a := range tr.actions {
+		if err := v.Step(a); err != nil {
+			return fmt.Errorf("action %d (%v): %w", i, a, err)
+		}
+	}
+	return nil
+}
+
+// Validator holds the trace-validity rules as an incremental state
+// machine, so every consumer — Trace.Validate, trace salvage in
+// ReadTrace — checks a record in O(1) against the prefix before it.
+// A well-formed trace satisfies:
 //
 //   - lock acquire/release alternate correctly per object (reentrancy is
 //     permitted: nested acquires by the owner count up);
@@ -73,9 +87,10 @@ func (tr *Trace) Vars() []Variable {
 //     most once;
 //   - a join(u) is preceded by at least one action of u or a fork of u
 //     (thread existence), and no action of u follows a join(u);
-//   - every object accessed was allocated earlier, when allocations are
-//     present for that object (traces without explicit allocs are
-//     permitted: detectors treat first contact as creation);
+//   - an alloc(o) does not follow an access to o (address reuse without
+//     allocation ordering makes lockset resets unsound; traces without
+//     explicit allocs are permitted: detectors treat first contact as
+//     creation);
 //   - channel operations respect the capacity-conveyor semantics
 //     (ChanTracker): a channel is made exactly once before use, a
 //     completed send implies buffer room and an open channel, a
@@ -83,106 +98,106 @@ func (tr *Trace) Vars() []Variable {
 //     and close happens at most once;
 //   - region markers balance per thread: a txend requires an open
 //     txbegin by the same thread, and regions do not nest. A region
-//     left open at the end of the trace is permitted — every prefix of
-//     a valid trace must itself be valid (truncated streaming traces
-//     salvage their longest valid prefix, and checkpoint cuts land at
-//     arbitrary positions, including mid-region).
+//     left open at the end of the trace is permitted.
 //
-// The first violation found is returned.
-func (tr *Trace) Validate() error {
-	lockOwner := make(map[Addr]Tid)
-	lockDepth := make(map[Addr]int)
-	forked := make(map[Tid]bool)
-	started := make(map[Tid]bool)
-	joined := make(map[Tid]bool)
-	allocated := make(map[Addr]bool)
-	inRegion := make(map[Tid]bool)
-	chans := NewChanTracker()
+// Every rule looks only at the prefix, so validity is prefix-closed:
+// every prefix of a valid trace is valid (truncated trace files
+// salvage their longest valid prefix, and checkpoint cuts land at
+// arbitrary positions, including mid-region). A Validator whose Step
+// errored must not be stepped further.
+type Validator struct {
+	lockOwner map[Addr]Tid
+	lockDepth map[Addr]int
+	forked    map[Tid]bool
+	started   map[Tid]bool
+	joined    map[Tid]bool
+	touched   map[Addr]bool
+	inRegion  map[Tid]bool
+	chans     *ChanTracker
+}
 
-	for i, a := range tr.actions {
-		if a.Thread == NoTid {
-			return fmt.Errorf("action %d (%v): missing thread id", i, a)
-		}
-		if joined[a.Thread] {
-			return fmt.Errorf("action %d (%v): thread %v acts after being joined", i, a, a.Thread)
-		}
-		started[a.Thread] = true
-		switch a.Kind {
-		case KindAcquire:
-			if owner, held := lockOwner[a.Obj]; held && owner != a.Thread {
-				return fmt.Errorf("action %d (%v): lock %v held by %v", i, a, a.Obj, owner)
-			}
-			lockOwner[a.Obj] = a.Thread
-			lockDepth[a.Obj]++
-		case KindRelease:
-			owner, held := lockOwner[a.Obj]
-			if !held {
-				return fmt.Errorf("action %d (%v): release of unheld lock %v", i, a, a.Obj)
-			}
-			if owner != a.Thread {
-				return fmt.Errorf("action %d (%v): release by non-owner (owner %v)", i, a, owner)
-			}
-			lockDepth[a.Obj]--
-			if lockDepth[a.Obj] == 0 {
-				delete(lockOwner, a.Obj)
-				delete(lockDepth, a.Obj)
-			}
-		case KindFork:
-			if forked[a.Peer] {
-				return fmt.Errorf("action %d (%v): thread %v forked twice", i, a, a.Peer)
-			}
-			if started[a.Peer] {
-				return fmt.Errorf("action %d (%v): thread %v forked after it acted", i, a, a.Peer)
-			}
-			forked[a.Peer] = true
-		case KindJoin:
-			if !forked[a.Peer] && !started[a.Peer] {
-				return fmt.Errorf("action %d (%v): join of unknown thread %v", i, a, a.Peer)
-			}
-			joined[a.Peer] = true
-		case KindAlloc:
-			allocated[a.Obj] = true
-		case KindChanMake, KindChanSend, KindChanRecv, KindChanClose:
-			if _, err := chans.Normalize(a); err != nil {
-				return fmt.Errorf("action %d (%v): %v", i, a, err)
-			}
-		case KindTxBegin:
-			if inRegion[a.Thread] {
-				return fmt.Errorf("action %d (%v): nested txbegin by %v", i, a, a.Thread)
-			}
-			inRegion[a.Thread] = true
-		case KindTxEnd:
-			if !inRegion[a.Thread] {
-				return fmt.Errorf("action %d (%v): txend by %v without an open region", i, a, a.Thread)
-			}
-			inRegion[a.Thread] = false
-		case KindRead, KindWrite:
-			// Accessing an object that is later allocated means the trace
-			// reused an address without an intervening alloc: reject only
-			// the clearly-inverted case (alloc after access) below.
-		}
-		if a.Kind == KindAlloc {
-			continue
-		}
+// NewValidator returns a validator for an empty prefix.
+func NewValidator() *Validator {
+	return &Validator{
+		lockOwner: make(map[Addr]Tid),
+		lockDepth: make(map[Addr]int),
+		forked:    make(map[Tid]bool),
+		started:   make(map[Tid]bool),
+		joined:    make(map[Tid]bool),
+		touched:   make(map[Addr]bool),
+		inRegion:  make(map[Tid]bool),
+		chans:     NewChanTracker(),
 	}
-	// Second pass: an alloc(o) must not follow an access to o (address
-	// reuse without allocation ordering makes lockset resets unsound).
-	touched := make(map[Addr]bool)
-	for i, a := range tr.actions {
-		switch a.Kind {
-		case KindRead, KindWrite:
-			touched[a.Obj] = true
-		case KindCommit:
-			for _, v := range a.Reads {
-				touched[v.Obj] = true
-			}
-			for _, v := range a.Writes {
-				touched[v.Obj] = true
-			}
-		case KindAlloc:
-			if touched[a.Obj] {
-				return fmt.Errorf("action %d (%v): alloc of %v after it was accessed", i, a, a.Obj)
-			}
+}
+
+// Step checks that a is valid after the prefix stepped so far.
+func (v *Validator) Step(a Action) error {
+	if a.Thread == NoTid {
+		return fmt.Errorf("missing thread id")
+	}
+	if v.joined[a.Thread] {
+		return fmt.Errorf("thread %v acts after being joined", a.Thread)
+	}
+	v.started[a.Thread] = true
+	switch a.Kind {
+	case KindAcquire:
+		if owner, held := v.lockOwner[a.Obj]; held && owner != a.Thread {
+			return fmt.Errorf("lock %v held by %v", a.Obj, owner)
+		}
+		v.lockOwner[a.Obj] = a.Thread
+		v.lockDepth[a.Obj]++
+	case KindRelease:
+		owner, held := v.lockOwner[a.Obj]
+		if !held {
+			return fmt.Errorf("release of unheld lock %v", a.Obj)
+		}
+		if owner != a.Thread {
+			return fmt.Errorf("release by non-owner (owner %v)", owner)
+		}
+		v.lockDepth[a.Obj]--
+		if v.lockDepth[a.Obj] == 0 {
+			delete(v.lockOwner, a.Obj)
+			delete(v.lockDepth, a.Obj)
+		}
+	case KindFork:
+		if v.forked[a.Peer] {
+			return fmt.Errorf("thread %v forked twice", a.Peer)
+		}
+		if v.started[a.Peer] {
+			return fmt.Errorf("thread %v forked after it acted", a.Peer)
+		}
+		v.forked[a.Peer] = true
+	case KindJoin:
+		if !v.forked[a.Peer] && !v.started[a.Peer] {
+			return fmt.Errorf("join of unknown thread %v", a.Peer)
+		}
+		v.joined[a.Peer] = true
+	case KindAlloc:
+		if v.touched[a.Obj] {
+			return fmt.Errorf("alloc of %v after it was accessed", a.Obj)
+		}
+	case KindChanMake, KindChanSend, KindChanRecv, KindChanClose:
+		if _, err := v.chans.Normalize(a); err != nil {
+			return err
+		}
+	case KindTxBegin:
+		if v.inRegion[a.Thread] {
+			return fmt.Errorf("nested txbegin by %v", a.Thread)
+		}
+		v.inRegion[a.Thread] = true
+	case KindTxEnd:
+		if !v.inRegion[a.Thread] {
+			return fmt.Errorf("txend by %v without an open region", a.Thread)
+		}
+		v.inRegion[a.Thread] = false
+	case KindRead, KindWrite:
+		v.touched[a.Obj] = true
+	case KindCommit:
+		for _, x := range a.Reads {
+			v.touched[x.Obj] = true
+		}
+		for _, x := range a.Writes {
+			v.touched[x.Obj] = true
 		}
 	}
 	return nil
