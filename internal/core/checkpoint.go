@@ -2,12 +2,12 @@ package core
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"slices"
-	"sort"
 
 	"goldilocks/internal/event"
 	"goldilocks/internal/obs"
@@ -33,9 +33,11 @@ import (
 //	{"format":"goldilocks-checkpoint","version":1}
 //	{"engine":{...},"crc":"7f1c0d3a"}
 //
-// Checkpoint requires quiescence: the caller must ensure no concurrent
-// Step/Read/Write/Sync while the snapshot is taken (goldilocksd pauses
-// the session's apply loop first). Restore builds a brand-new engine.
+// Checkpointing is two steps. Capture copies the state and requires
+// quiescence: the caller must ensure no concurrent Step/Read/Write/Sync
+// while it runs (goldilocksd captures from the session's own worker).
+// Encode serializes the copy in one pass and may run on any goroutine
+// while the engine keeps stepping. Restore builds a brand-new engine.
 
 // CheckpointFormatName identifies the snapshot format.
 const CheckpointFormatName = "goldilocks-checkpoint"
@@ -83,14 +85,14 @@ type ckptElem struct {
 }
 
 type ckptInfo struct {
-	Owner   event.Tid       `json:"t"`
-	Pos     uint64          `json:"pos"`
-	OrigSeq uint64          `json:"orig"`
-	ALock   event.Addr      `json:"alock,omitempty"`
-	Xact    bool            `json:"xact,omitempty"`
-	Action  json.RawMessage `json:"a"`
-	Lockset []ckptElem      `json:"ls"`
-	HBAfter []event.Tid     `json:"hb,omitempty"`
+	Owner   event.Tid        `json:"t"`
+	Pos     uint64           `json:"pos"`
+	OrigSeq uint64           `json:"orig"`
+	ALock   event.Addr       `json:"alock,omitempty"`
+	Xact    bool             `json:"xact,omitempty"`
+	Action  event.JSONAction `json:"a"`
+	Lockset []ckptElem       `json:"ls"`
+	HBAfter []event.Tid      `json:"hb,omitempty"`
 }
 
 type ckptVar struct {
@@ -120,10 +122,10 @@ type ckptChan struct {
 }
 
 type ckptList struct {
-	HeadSeq   uint64            `json:"head_seq"`
-	Actions   []json.RawMessage `json:"actions"` // filled cells, head to tail
-	Enqueued  uint64            `json:"enqueued"`
-	Collected uint64            `json:"collected"`
+	HeadSeq   uint64             `json:"head_seq"`
+	Actions   []event.JSONAction `json:"actions"` // filled cells, head to tail
+	Enqueued  uint64             `json:"enqueued"`
+	Collected uint64             `json:"collected"`
 }
 
 // ckptCounters carries every Stats field plus the internals Stats is
@@ -177,14 +179,24 @@ type RestoreAttach struct {
 	Injector  *resilience.Injector
 }
 
-// Checkpoint serializes the engine's complete detector state to w. The
-// engine must be quiescent: no concurrent Step/Read/Write/Sync calls.
+// Snapshot is an engine's complete detector state, copied at a
+// quiescent point. It shares no mutable memory with the engine, so it
+// can be encoded on another goroutine while the engine keeps stepping.
+type Snapshot struct{ p ckptPayload }
+
+// Checkpoint serializes the engine's complete detector state to w: a
+// Capture followed by its Encode. The engine must be quiescent: no
+// concurrent Step/Read/Write/Sync calls.
 func (e *Engine) Checkpoint(w io.Writer) error {
-	payload, err := e.snapshot()
-	if err != nil {
-		return err
-	}
-	body, err := json.Marshal(payload)
+	return e.Capture().Encode(w)
+}
+
+// Encode writes the snapshot in the checkpoint format. Each line is
+// written once: the payload is marshalled in a single pass, with the
+// actions embedded as event.JSONAction values, and the checksummed
+// body line is assembled around it rather than marshalled again.
+func (s *Snapshot) Encode(w io.Writer) error {
+	body, err := json.Marshal(&s.p)
 	if err != nil {
 		return err
 	}
@@ -192,20 +204,21 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	rec, err := json.Marshal(ckptBody{Engine: body, CRC: fmt.Sprintf("%08x", crc32.ChecksumIEEE(body))})
-	if err != nil {
-		return err
-	}
+	// The body line is exactly json.Marshal(ckptBody{body, crc}): body
+	// is already compact JSON, so it needs no second pass.
 	bw := bufio.NewWriter(w)
-	bw.Write(append(hdr, '\n'))
-	bw.Write(append(rec, '\n'))
+	bw.Write(hdr)
+	bw.WriteString("\n{\"engine\":")
+	bw.Write(body)
+	fmt.Fprintf(bw, ",\"crc\":\"%08x\"}\n", crc32.ChecksumIEEE(body))
 	return bw.Flush()
 }
 
-// snapshot assembles the checkpoint payload.
-func (e *Engine) snapshot() (*ckptPayload, error) {
+// Capture copies the engine's complete detector state. The engine must
+// be quiescent: no concurrent Step/Read/Write/Sync calls.
+func (e *Engine) Capture() *Snapshot {
 	o := e.opts
-	p := &ckptPayload{
+	p := ckptPayload{
 		Opts: ckptOptions{
 			SC1: o.SC1, SC2: o.SC2, SC3: o.SC3, SC3MaxSegment: o.SC3MaxSegment,
 			XactSC: o.XactSC, Memoize: o.Memoize, HBCache: o.HBCache,
@@ -227,12 +240,11 @@ func (e *Engine) snapshot() (*ckptPayload, error) {
 	p.List.HeadSeq = head.seq
 	p.List.Enqueued = e.list.enqueued.Load()
 	p.List.Collected = e.list.collected.Load()
+	if n := e.list.length.Load(); n > 0 {
+		p.List.Actions = make([]event.JSONAction, 0, n)
+	}
 	for c := head; c != tail && c != nil && c.filled; c = c.next {
-		a, err := event.MarshalAction(c.action)
-		if err != nil {
-			return nil, err
-		}
-		p.List.Actions = append(p.List.Actions, a)
+		p.List.Actions = append(p.List.Actions, event.ToJSON(c.action))
 	}
 
 	// Per-thread lock records.
@@ -248,7 +260,7 @@ func (e *Engine) snapshot() (*ckptPayload, error) {
 		p.Threads = append(p.Threads, ct)
 		return true
 	})
-	sort.Slice(p.Threads, func(i, j int) bool { return p.Threads[i].Tid < p.Threads[j].Tid })
+	slices.SortFunc(p.Threads, func(a, b ckptThread) int { return cmp.Compare(a.Tid, b.Tid) })
 
 	// Channel conveyor state.
 	e.chanMu.Lock()
@@ -256,32 +268,27 @@ func (e *Engine) snapshot() (*ckptPayload, error) {
 		p.Chans = append(p.Chans, ckptChan{Obj: c, Cap: cs.Cap, Sends: cs.Sends, Recvs: cs.Recvs, Closed: cs.Closed})
 	}
 	e.chanMu.Unlock()
-	sort.Slice(p.Chans, func(i, j int) bool { return p.Chans[i].Obj < p.Chans[j].Obj })
+	slices.SortFunc(p.Chans, func(a, b ckptChan) int { return cmp.Compare(a.Obj, b.Obj) })
 
 	// Variable table: every tracked state, including info-less ones
 	// (quarantined or alloc-reset variables still occupy a table slot,
 	// which VarsTracked counts).
+	p.Vars = make([]ckptVar, 0, e.varsTracked.Load())
 	for i := range e.varShards {
 		sh := &e.varShards[i]
 		sh.mu.RLock()
 		for obj, fields := range sh.vars {
 			for field, vs := range fields {
-				cv, err := snapshotVar(obj, field, vs)
-				if err != nil {
-					sh.mu.RUnlock()
-					return nil, err
-				}
-				p.Vars = append(p.Vars, cv)
+				p.Vars = append(p.Vars, captureVar(obj, field, vs))
 			}
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Slice(p.Vars, func(i, j int) bool {
-		a, b := p.Vars[i], p.Vars[j]
-		if a.Obj != b.Obj {
-			return a.Obj < b.Obj
+	slices.SortFunc(p.Vars, func(a, b ckptVar) int {
+		if c := cmp.Compare(a.Obj, b.Obj); c != 0 {
+			return c
 		}
-		return a.Field < b.Field
+		return cmp.Compare(a.Field, b.Field)
 	})
 
 	// Counters: the summed stat stripes plus the off-path atomics.
@@ -308,11 +315,11 @@ func (e *Engine) snapshot() (*ckptPayload, error) {
 			p.WalkRuleHits[i] = e.tel.WalkRuleHits[i].Load()
 		}
 	}
-	return p, nil
+	return &Snapshot{p: p}
 }
 
-// snapshotVar serializes one variable state under its own mutex.
-func snapshotVar(obj event.Addr, field event.FieldID, vs *varState) (ckptVar, error) {
+// captureVar copies one variable state under its own mutex.
+func captureVar(obj event.Addr, field event.FieldID, vs *varState) ckptVar {
 	vs.mu.Lock()
 	defer vs.mu.Unlock()
 	cv := ckptVar{
@@ -322,58 +329,52 @@ func snapshotVar(obj event.Addr, field event.FieldID, vs *varState) (ckptVar, er
 		Quarantined:  vs.quarantined,
 	}
 	if vs.write != nil {
-		ci, err := snapshotInfo(vs.write)
-		if err != nil {
-			return cv, err
-		}
+		ci := captureInfo(vs.write)
 		cv.Write = &ci
 	}
-	tids := make([]event.Tid, 0, len(vs.reads))
-	for t := range vs.reads {
-		tids = append(tids, t)
-	}
-	slices.Sort(tids)
-	for _, t := range tids {
-		ci, err := snapshotInfo(vs.reads[t])
-		if err != nil {
-			return cv, err
+	if len(vs.reads) > 0 {
+		cv.Reads = make([]ckptInfo, 0, len(vs.reads))
+		for _, in := range vs.reads {
+			cv.Reads = append(cv.Reads, captureInfo(in))
 		}
-		cv.Reads = append(cv.Reads, ci)
+		slices.SortFunc(cv.Reads, func(a, b ckptInfo) int { return cmp.Compare(a.Owner, b.Owner) })
 	}
-	return cv, nil
+	return cv
 }
 
-func snapshotInfo(in *info) (ckptInfo, error) {
-	a, err := event.MarshalAction(in.action)
-	if err != nil {
-		return ckptInfo{}, err
-	}
+func captureInfo(in *info) ckptInfo {
 	ci := ckptInfo{
 		Owner: in.owner, Pos: in.pos.seq, OrigSeq: in.origSeq,
-		ALock: in.alock, Xact: in.xact, Action: a,
+		ALock: in.alock, Xact: in.xact, Action: event.ToJSON(in.action),
 	}
-	elems := in.ls.Elems()
-	sort.Slice(elems, func(i, j int) bool {
-		a, b := elems[i], elems[j]
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
+	// An empty lockset stays nil: "ls" has no omitempty, and the format
+	// writes an empty set as null.
+	if elems := in.ls.Elems(); len(elems) > 0 {
+		ci.Lockset = make([]ckptElem, len(elems))
+		for i, el := range elems {
+			ci.Lockset[i] = ckptElem{K: event.FieldID(el.Kind), T: el.Tid, O: el.Obj, F: el.Field}
 		}
-		if a.Tid != b.Tid {
-			return a.Tid < b.Tid
+	}
+	slices.SortFunc(ci.Lockset, func(a, b ckptElem) int {
+		if c := cmp.Compare(a.K, b.K); c != 0 {
+			return c
 		}
-		if a.Obj != b.Obj {
-			return a.Obj < b.Obj
+		if c := cmp.Compare(a.T, b.T); c != 0 {
+			return c
 		}
-		return a.Field < b.Field
+		if c := cmp.Compare(a.O, b.O); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.F, b.F)
 	})
-	for _, el := range elems {
-		ci.Lockset = append(ci.Lockset, ckptElem{K: event.FieldID(el.Kind), T: el.Tid, O: el.Obj, F: el.Field})
+	if len(in.hbAfter) > 0 {
+		ci.HBAfter = make([]event.Tid, 0, len(in.hbAfter))
+		for t := range in.hbAfter {
+			ci.HBAfter = append(ci.HBAfter, t)
+		}
+		slices.Sort(ci.HBAfter)
 	}
-	for t := range in.hbAfter {
-		ci.HBAfter = append(ci.HBAfter, t)
-	}
-	slices.Sort(ci.HBAfter)
-	return ci, nil
+	return ci
 }
 
 // RestoreEngine rebuilds an engine from a checkpoint written by
@@ -459,8 +460,8 @@ func restore(p *ckptPayload, attach RestoreAttach) (*Engine, error) {
 	head := &cell{seq: p.List.HeadSeq}
 	cells[head.seq] = head
 	cur := head
-	for _, raw := range p.List.Actions {
-		a, err := event.UnmarshalAction(raw)
+	for _, ja := range p.List.Actions {
+		a, err := ja.Action()
 		if err != nil {
 			return nil, fmt.Errorf("core: checkpoint list: %w", err)
 		}
@@ -580,7 +581,7 @@ func restoreInfo(ci ckptInfo, cells map[uint64]*cell) (*info, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: checkpoint info at seq %d: cell not retained", ci.Pos)
 	}
-	a, err := event.UnmarshalAction(ci.Action)
+	a, err := ci.Action.Action()
 	if err != nil {
 		return nil, fmt.Errorf("core: checkpoint info action: %w", err)
 	}

@@ -269,3 +269,98 @@ func TestCheckpointDetectsCorruption(t *testing.T) {
 		t.Fatal("garbage restored without error")
 	}
 }
+
+// restoreAttachFor gives a restore the telemetry the checkpointed engine
+// had: rule-fire counts are re-encoded only when telemetry is attached.
+func restoreAttachFor(snap []byte) core.RestoreAttach {
+	if bytes.Contains(snap, []byte(`"rule_fires":`)) {
+		return core.RestoreAttach{Telemetry: obs.NewTelemetry()}
+	}
+	return core.RestoreAttach{}
+}
+
+// reencode restores snap and checkpoints the restored engine again.
+func reencode(t *testing.T, snap []byte) []byte {
+	t.Helper()
+	e, err := core.RestoreEngine(bytes.NewReader(snap), restoreAttachFor(snap))
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	var out bytes.Buffer
+	if err := e.Checkpoint(&out); err != nil {
+		t.Fatalf("re-checkpoint: %v", err)
+	}
+	return out.Bytes()
+}
+
+// firstDiff locates the first differing byte of two encodings.
+func firstDiff(a, b []byte) string {
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
+	}
+	lo := max(i-40, 0)
+	return fmt.Sprintf("at byte %d: %q vs %q", i, a[lo:min(i+40, len(a))], b[lo:min(i+40, len(b))])
+}
+
+// TestCheckpointGoldens pins the checkpoint format to bytes: every
+// testdata/*.ckpt was written by an earlier build of the encoder (one
+// empty engine, and engines with and without telemetry, the fast path,
+// channels, commits, an aggressive collector and a degraded governor),
+// and each must restore and re-encode byte for byte.
+func TestCheckpointGoldens(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "*.ckpt"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no golden checkpoints found (%v)", err)
+	}
+	sawFastPath := false
+	for _, path := range paths {
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sawFastPath = sawFastPath || bytes.Contains(want, []byte(`"fast_path":true`))
+		if got := reencode(t, want); !bytes.Equal(got, want) {
+			t.Errorf("%s: re-encoding differs %s", filepath.Base(path), firstDiff(got, want))
+		}
+	}
+	if !sawFastPath {
+		t.Error("no golden carries the fast_path option")
+	}
+}
+
+// TestCheckpointReencodeIdentical requires Checkpoint -> RestoreEngine
+// -> Checkpoint to reproduce the same bytes at every cut of the
+// round-trip corpus and of generated traces, under every checkpoint
+// test configuration: the encoding is a function of the detector state
+// alone.
+func TestCheckpointReencodeIdentical(t *testing.T) {
+	traces := checkpointTraces(t)
+	chans := tracegen.Default()
+	chans.Channels = 2
+	for seed := int64(1); seed <= 5; seed++ {
+		traces[fmt.Sprintf("tracegen-%d", seed)] = tracegen.FromSeed(seed)
+		traces[fmt.Sprintf("tracegen-chan-%d", seed)] = tracegen.FromSeedConfig(seed, chans)
+	}
+	for cfgName, cfg := range ckptConfigs() {
+		for name, tr := range traces {
+			opts := cfg.opts
+			if cfg.tel {
+				opts.Telemetry = obs.NewTelemetry()
+			}
+			e := core.NewEngine(opts)
+			for cut := 0; cut <= tr.Len(); cut++ {
+				var snap bytes.Buffer
+				if err := e.Checkpoint(&snap); err != nil {
+					t.Fatalf("%s/%s cut %d: checkpoint: %v", cfgName, name, cut, err)
+				}
+				if got := reencode(t, snap.Bytes()); !bytes.Equal(got, snap.Bytes()) {
+					t.Fatalf("%s/%s cut %d: re-encoding differs %s", cfgName, name, cut, firstDiff(got, snap.Bytes()))
+				}
+				if cut < tr.Len() {
+					e.Step(tr.At(cut))
+				}
+			}
+		}
+	}
+}

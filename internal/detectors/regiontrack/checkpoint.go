@@ -92,9 +92,31 @@ type ckptGraph struct {
 	ViolationsAll int                 `json:"violations_all,omitempty"`
 }
 
-// Checkpoint serializes the complete checker state to w. The caller
-// must ensure no concurrent Step.
+// Snapshot is a checker's complete state copied at a quiescent point:
+// the engine snapshot and the flattened region graph. Like
+// core.Snapshot it shares no mutable memory with the checker, so it can
+// be encoded on another goroutine while the checker keeps stepping.
+type Snapshot struct {
+	eng   *core.Snapshot
+	graph ckptGraph
+}
+
+// Capture copies the complete checker state. The caller must ensure no
+// concurrent Step.
+func (c *Checker) Capture() *Snapshot {
+	return &Snapshot{eng: c.eng.Capture(), graph: c.graphSnapshot()}
+}
+
+// Checkpoint serializes the complete checker state to w: a Capture
+// followed by its Encode. The caller must ensure no concurrent Step.
 func (c *Checker) Checkpoint(w io.Writer) error {
+	return c.Capture().Encode(w)
+}
+
+// Encode writes the snapshot in the checker checkpoint format. The
+// graph line is assembled around the once-marshalled graph, exactly as
+// json.Marshal(ckptGraphBody{...}) would write it.
+func (s *Snapshot) Encode(w io.Writer) error {
 	hdr, err := json.Marshal(ckptHeader{Format: CheckpointFormatName, Version: CheckpointFormatVersion})
 	if err != nil {
 		return err
@@ -102,21 +124,18 @@ func (c *Checker) Checkpoint(w io.Writer) error {
 	if _, err := w.Write(append(hdr, '\n')); err != nil {
 		return err
 	}
-	if err := c.eng.Checkpoint(w); err != nil {
+	if err := s.eng.Encode(w); err != nil {
 		return err
 	}
-	raw, err := json.Marshal(c.graphSnapshot())
+	raw, err := json.Marshal(&s.graph)
 	if err != nil {
 		return err
 	}
-	body, err := json.Marshal(ckptGraphBody{
-		Graph: raw,
-		CRC:   fmt.Sprintf("%08x", crc32.ChecksumIEEE(raw)),
-	})
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(append(body, '\n'))
+	line := make([]byte, 0, len(raw)+32)
+	line = append(line, `{"graph":`...)
+	line = append(line, raw...)
+	line = fmt.Appendf(line, `,"crc":"%08x"}`+"\n", crc32.ChecksumIEEE(raw))
+	_, err = w.Write(line)
 	return err
 }
 

@@ -5,9 +5,11 @@ import (
 	"fmt"
 )
 
-// jsonAction is the serialized form of an Action. Kind uses the String
-// names so trace files are greppable.
-type jsonAction struct {
+// JSONAction is the serialized form of an Action. Kind uses the String
+// names so trace files are greppable. A document that embeds it as a
+// field marshals each action to the same bytes MarshalAction writes, in
+// the same pass as the rest of the document (engine checkpoints do).
+type JSONAction struct {
 	Kind   string     `json:"kind"`
 	Thread Tid        `json:"t"`
 	Obj    Addr       `json:"o,omitempty"`
@@ -17,11 +19,10 @@ type jsonAction struct {
 	Writes []Variable `json:"writes,omitempty"`
 }
 
-// MarshalAction serializes a single action as JSON (greppable kind
-// names, omitted zero fields). It is the action body of every trace
-// file record, of goldilocksd race reports and of engine checkpoints.
-func MarshalAction(a Action) ([]byte, error) {
-	return json.Marshal(jsonAction{
+// ToJSON converts an action to its serialized form. The commit read and
+// write sets are shared, not copied.
+func ToJSON(a Action) JSONAction {
+	return JSONAction{
 		Kind:   a.Kind.String(),
 		Thread: a.Thread,
 		Obj:    a.Obj,
@@ -29,15 +30,28 @@ func MarshalAction(a Action) ([]byte, error) {
 		Peer:   a.Peer,
 		Reads:  a.Reads,
 		Writes: a.Writes,
-	})
+	}
+}
+
+// MarshalAction serializes a single action as JSON (greppable kind
+// names, omitted zero fields). It is the action body of every trace
+// file record, of goldilocksd race reports and of engine checkpoints.
+func MarshalAction(a Action) ([]byte, error) {
+	return json.Marshal(ToJSON(a))
 }
 
 // UnmarshalAction parses an action serialized by MarshalAction.
 func UnmarshalAction(data []byte) (Action, error) {
-	var ja jsonAction
+	var ja JSONAction
 	if err := json.Unmarshal(data, &ja); err != nil {
 		return Action{}, fmt.Errorf("event: decoding action: %w", err)
 	}
+	return ja.Action()
+}
+
+// Action converts the serialized form back to an Action. A kind name
+// this reader does not know is an error.
+func (ja JSONAction) Action() (Action, error) {
 	a, ok := ja.action()
 	if !ok {
 		return Action{}, fmt.Errorf("event: unknown action kind %q", ja.Kind)
@@ -47,8 +61,8 @@ func UnmarshalAction(data []byte) (Action, error) {
 
 // action converts the serialized form back to an Action; ok is false
 // when the kind name is not one this reader knows (version skew, not
-// corruption — the callers report the two differently).
-func (ja jsonAction) action() (Action, bool) {
+// corruption — the stream reader reports the two differently).
+func (ja JSONAction) action() (Action, bool) {
 	k, ok := kindByName[ja.Kind]
 	if !ok || k == KindInvalid {
 		return Action{}, false

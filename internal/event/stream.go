@@ -299,7 +299,7 @@ func decodeStreamLine(line []byte) (Action, recDecodeStatus, string) {
 	if actionCRC(rec.Action) != rec.CRC {
 		return Action{}, recCorrupt, ""
 	}
-	var ja jsonAction
+	var ja JSONAction
 	if err := json.Unmarshal(rec.Action, &ja); err != nil {
 		return Action{}, recCorrupt, ""
 	}

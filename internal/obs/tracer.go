@@ -16,7 +16,8 @@ import (
 //	queue_wait      enqueue to dequeue in the session ingest queue
 //	apply           core.Engine.Step for one action (worker)
 //	verdict_flush   flushing a batch's verdicts to the client (worker)
-//	checkpoint_write  snapshot + durable write of a periodic checkpoint
+//	checkpoint_capture  copying a periodic checkpoint's state (worker)
+//	checkpoint_write  encoding + durable write of it (checkpoint writer)
 //	replica_push    mirroring one checkpoint to one ring successor
 type Stage uint8
 
@@ -27,6 +28,7 @@ const (
 	StageQueueWait
 	StageApply
 	StageVerdictFlush
+	StageCheckpointCapture
 	StageCheckpointWrite
 	StageReplicaPush
 
@@ -37,13 +39,14 @@ const (
 // stageNames index by Stage; used for metric names, so they must stay
 // snake_case.
 var stageNames = [NumStages]string{
-	StageClientEncode:    "client_encode",
-	StageWireRTT:         "wire_rtt",
-	StageQueueWait:       "queue_wait",
-	StageApply:           "apply",
-	StageVerdictFlush:    "verdict_flush",
-	StageCheckpointWrite: "checkpoint_write",
-	StageReplicaPush:     "replica_push",
+	StageClientEncode:      "client_encode",
+	StageWireRTT:           "wire_rtt",
+	StageQueueWait:         "queue_wait",
+	StageApply:             "apply",
+	StageVerdictFlush:      "verdict_flush",
+	StageCheckpointCapture: "checkpoint_capture",
+	StageCheckpointWrite:   "checkpoint_write",
+	StageReplicaPush:       "replica_push",
 }
 
 // String returns the stage's snake_case name.

@@ -23,7 +23,7 @@ import (
 // (event.FrameHeader/FrameEvent/FrameCtl) live in internal/event.
 const (
 	frameRace byte = 0x10 // body: wireRace JSON
-	frameAck  byte = 0x11 // body: flags | uvarint applied | uvarint races | [ackTail JSON]
+	frameAck  byte = 0x11 // body: flags | uvarint applied | uvarint races | [uvarint durable] | [ackTail JSON]
 	frameErr  byte = 0x12 // body: the error message string
 )
 
@@ -42,6 +42,7 @@ const (
 	ackFlagFinal     byte = 1 << 0
 	ackFlagSolicited byte = 1 << 1
 	ackFlagTail      byte = 1 << 2 // an ackTail JSON payload follows
+	ackFlagDurable   byte = 1 << 3 // a uvarint durable watermark follows races
 )
 
 // ackTail is the JSON tail of a final ack frame: the engine counters
@@ -84,8 +85,8 @@ func (w *binWire) ack(a Ack, final, solicited bool) {
 
 // ackBody encodes an ack frame body into the body scratch. final marks
 // the reply to a close control, solicited any reply to a control (see
-// the ack flag bits); the counters and rule fires ride a JSON tail when
-// present.
+// the ack flag bits); a nonzero durable watermark rides a flagged
+// uvarint, and the counters and rule fires a JSON tail when present.
 func (w *binWire) ackBody(a Ack, final, solicited bool) []byte {
 	var flags byte
 	if final {
@@ -101,9 +102,15 @@ func (w *binWire) ackBody(a Ack, final, solicited bool) []byte {
 			flags |= ackFlagTail
 		}
 	}
+	if a.Durable != 0 {
+		flags |= ackFlagDurable
+	}
 	body := append(w.scratch[:0], flags)
 	body = binary.AppendUvarint(body, a.Applied)
 	body = binary.AppendUvarint(body, a.Races)
+	if a.Durable != 0 {
+		body = binary.AppendUvarint(body, a.Durable)
+	}
 	body = append(body, tail...)
 	w.scratch = body
 	return body
@@ -131,6 +138,12 @@ func decodeAckFrame(body []byte) (ack Ack, solicited bool, err error) {
 	}
 	rest = rest[n:]
 	ack = Ack{Applied: applied, Races: races}
+	if flags&ackFlagDurable != 0 {
+		if ack.Durable, n = binary.Uvarint(rest); n <= 0 {
+			return Ack{}, false, event.ErrCorruptFrame
+		}
+		rest = rest[n:]
+	}
 	if flags&ackFlagTail != 0 {
 		var tail ackTail
 		if err := json.Unmarshal(rest, &tail); err != nil {

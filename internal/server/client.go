@@ -25,8 +25,12 @@ import (
 // rule-fire counts, which the conformance harness compares against an
 // in-process run.
 type Ack struct {
-	Applied   uint64
-	Races     uint64
+	Applied uint64
+	Races   uint64
+	// Durable is the applied count of the newest checkpoint of the
+	// session on the server's disk: a server restart resumes the session
+	// at or past it. Zero when nothing has been written.
+	Durable   uint64
 	Stats     *core.Stats
 	RuleFires []uint64
 	// Serial is the serializability summary from a server running with

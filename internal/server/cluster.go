@@ -88,6 +88,7 @@ func (s *Server) promoteReplicaLocked(id string) *session {
 		s.mu.Lock()
 		return nil
 	}
+	sess.durable.Store(sess.applied.Load()) // the replica file is on disk here
 	s.sessions[id] = sess
 	s.registerSessionMetrics(sess)
 	if s.promotions != nil {
@@ -100,9 +101,10 @@ func (s *Server) promoteReplicaLocked(id string) *session {
 }
 
 // CheckpointSessionBytes serializes a consistent checkpoint of the
-// named session. A live session is checkpointed by its worker between
+// named session. A live session is captured by its worker between
 // batches (zero verdicts lost); a detached one is claimed for the
-// duration so no client can attach mid-snapshot.
+// capture so no client can attach mid-snapshot. Either way the capture
+// is encoded here, not on the worker.
 func (s *Server) CheckpointSessionBytes(id string) (data []byte, applied uint64, err error) {
 	s.mu.Lock()
 	sess, ok := s.sessions[id]
@@ -114,8 +116,9 @@ func (s *Server) CheckpointSessionBytes(id string) (data []byte, applied uint64,
 		s.mu.Unlock()
 		reply := make(chan ckptResult, 1)
 		if sess.tryEnqueue(item{ctl: ctlCkpt, ckpt: reply}) {
-			res := <-reply
-			return res.data, res.applied, res.err
+			snap := (<-reply).snap
+			data, err := snap.encode()
+			return data, snap.hdr.Applied, err
 		}
 		// The connection detached between the check and the enqueue;
 		// fall through to the detached path.
@@ -125,16 +128,15 @@ func (s *Server) CheckpointSessionBytes(id string) (data []byte, applied uint64,
 			return nil, 0, fmt.Errorf("session %q is mid-attach", id)
 		}
 	}
-	// Claim the detached session so no client attaches mid-snapshot.
+	// Claim the detached session so no client attaches mid-capture.
 	sess.attached = true
 	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		sess.attached = false
-		s.mu.Unlock()
-	}()
-	data, err = sessionSnapshotBytes(sess)
-	return data, sess.applied.Load(), err
+	snap := captureSession(sess)
+	s.mu.Lock()
+	sess.attached = false
+	s.mu.Unlock()
+	data, err = snap.encode()
+	return data, snap.hdr.Applied, err
 }
 
 // AdoptSession installs a session from serialized checkpoint bytes —
@@ -151,7 +153,8 @@ func (s *Server) AdoptSession(data []byte) (applied uint64, err error) {
 		s.mu.Unlock()
 		return 0, errors.New("server shutting down")
 	}
-	if old, ok := s.sessions[sess.id]; ok {
+	old, replacing := s.sessions[sess.id]
+	if replacing {
 		if old.attached {
 			s.mu.Unlock()
 			return 0, fmt.Errorf("session %q has a live connection here", sess.id)
@@ -165,6 +168,11 @@ func (s *Server) AdoptSession(data []byte) (applied uint64, err error) {
 	s.sessions[sess.id] = sess
 	s.registerSessionMetrics(sess)
 	s.mu.Unlock()
+	if replacing {
+		// A periodic checkpoint of the replaced session must not land
+		// on disk after the adopted one.
+		s.ckpt.discard(old)
+	}
 	if s.adoptions != nil {
 		s.adoptions.Inc()
 	}
@@ -172,6 +180,8 @@ func (s *Server) AdoptSession(data []byte) (applied uint64, err error) {
 		if err := s.persistCheckpoint(sess.id, data); err != nil {
 			s.cfg.Logger.Warn("persisting adopted checkpoint failed", "component", "server",
 				"session", sess.id, "err", err)
+		} else {
+			sess.durable.Store(sess.applied.Load())
 		}
 	}
 	s.cfg.Logger.Info("session adopted", "component", "server", "session", sess.id,
@@ -181,7 +191,10 @@ func (s *Server) AdoptSession(data []byte) (applied uint64, err error) {
 }
 
 // DropSession removes a detached session and its local checkpoint and
-// replica files — the final step of migrating it elsewhere.
+// replica files — the final step of migrating it elsewhere. A periodic
+// checkpoint of the session still waiting for the writer is discarded,
+// and one being written is waited out, so no file reappears after the
+// drop.
 func (s *Server) DropSession(id string) error {
 	s.mu.Lock()
 	sess, ok := s.sessions[id]
@@ -195,6 +208,7 @@ func (s *Server) DropSession(id string) error {
 	}
 	delete(s.sessions, id)
 	s.mu.Unlock()
+	s.ckpt.discard(sess)
 	s.unregisterSessionMetrics(id)
 	if s.cfg.CheckpointDir != "" {
 		os.Remove(filepath.Join(s.cfg.CheckpointDir, id+".ckpt"))
@@ -209,9 +223,11 @@ func (s *Server) DropSession(id string) error {
 
 // Drain sheds this node's ownership: it starts redirecting attaches
 // (via OnDrain, the cluster node marks itself draining), severs live
-// session connections, waits for their workers to settle, and
-// checkpoints and replicates every session. The returned list is what
-// the coordinator migrates to the remaining nodes.
+// session connections, waits for their workers to settle, flushes the
+// checkpoint writer, and checkpoints and replicates every session. The
+// flush keeps a stale periodic checkpoint from landing after Drain's
+// own. The returned list is what the coordinator migrates to the
+// remaining nodes.
 func (s *Server) Drain() ([]SessionInfo, error) {
 	s.draining.Store(true)
 	if s.cfg.OnDrain != nil {
@@ -245,6 +261,7 @@ func (s *Server) Drain() ([]SessionInfo, error) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	s.ckpt.flush()
 	s.mu.Lock()
 	sessions := make([]*session, 0, len(s.sessions))
 	for _, sess := range s.sessions {
@@ -253,7 +270,7 @@ func (s *Server) Drain() ([]SessionInfo, error) {
 	s.mu.Unlock()
 	var errs []error
 	for _, sess := range sessions {
-		if err := s.checkpointAndReplicate(sess); err != nil {
+		if err := s.writeCheckpoint(captureSession(sess)); err != nil {
 			errs = append(errs, fmt.Errorf("session %s: %w", sess.id, err))
 		}
 	}
@@ -266,11 +283,14 @@ func (s *Server) Drain() ([]SessionInfo, error) {
 }
 
 // Kill tears the server down the way a crash would: listener and
-// connections severed, workers stopped, nothing checkpointed. Chaos
-// tests use it to simulate a node death in-process; the on-disk state
-// is whatever the periodic checkpoints last persisted.
+// connections severed, workers stopped, periodic checkpoints not yet
+// written discarded, nothing else checkpointed. Chaos tests use it to
+// simulate a node death in-process; the on-disk state is whatever the
+// periodic checkpoints last persisted.
 func (s *Server) Kill() {
-	s.shutdownConns()
+	if s.shutdownConns() {
+		s.ckpt.kill()
+	}
 }
 
 // shutdownConns stops accepting, severs every connection, and waits

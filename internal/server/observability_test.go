@@ -152,6 +152,7 @@ func TestStageHistogramsEndToEnd(t *testing.T) {
 		{serverTracer, obs.StageQueueWait},
 		{serverTracer, obs.StageApply},
 		{serverTracer, obs.StageVerdictFlush},
+		{serverTracer, obs.StageCheckpointCapture},
 		{serverTracer, obs.StageCheckpointWrite},
 	} {
 		if n := probe.tr.StageHist(probe.st).Count(); n == 0 {

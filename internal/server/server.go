@@ -143,6 +143,8 @@ type Server struct {
 	conns       map[net.Conn]struct{}
 	quarantined []Quarantined
 
+	ckpt *ckptWriter // periodic checkpoints, off the session workers
+
 	connsTotal    *obs.Counter
 	sessionsTotal *obs.Counter
 	ckptsWritten  *obs.Counter
@@ -173,6 +175,10 @@ type session struct {
 
 	applied atomic.Uint64 // actions applied; also the next global position
 	races   atomic.Uint64
+	// durable is the applied count of the newest checkpoint of this
+	// session on disk: every ack reports it. It is stored only after the
+	// checkpoint's counter bump and flight event.
+	durable atomic.Uint64
 
 	qmu         sync.Mutex
 	queue       chan item // live while attached (read by the queue-depth gauge)
@@ -201,7 +207,7 @@ const (
 	ctlFlush = "flush" // client flush: apply everything sent so far, then ack
 	ctlClose = "close" // client close: apply everything, send the final ack
 	ctlErr   = "err"   // protocol error: report errMsg to the client
-	// ctlCkpt makes the session worker checkpoint the engine between
+	// ctlCkpt makes the session worker capture a checkpoint between
 	// batches and reply on the item's channel. It is how a live session
 	// is checkpointed with zero verdicts lost.
 	ctlCkpt = "ckpt"
@@ -209,9 +215,7 @@ const (
 
 // ckptResult is the session worker's reply to a ctlCkpt item.
 type ckptResult struct {
-	data    []byte
-	applied uint64
-	err     error
+	snap *sessionSnapshot
 }
 
 func (s *session) setQueue(q chan item) {
@@ -323,6 +327,7 @@ func New(addr string, cfg Config) (*Server, error) {
 	if s.cfg.Advertise == "" {
 		s.cfg.Advertise = ln.Addr().String()
 	}
+	s.ckpt = newCkptWriter(s.writePeriodic)
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -722,33 +727,35 @@ func (s *Server) sessionWorker(sess *session, queue chan item, enc *binWire, don
 				// Batched progress ack: the applied watermark rides each
 				// batch flush, so clients track progress without control
 				// round trips.
-				enc.ack(Ack{Applied: n, Races: sess.races.Load()}, false, false)
+				enc.ack(Ack{Applied: n, Races: sess.races.Load(), Durable: sess.durable.Load()}, false, false)
 				flush()
 				s.observeGovernor(sess)
 			}
 			if every := s.cfg.CheckpointEvery; every > 0 && n%uint64(every) == 0 {
 				// The worker is the only goroutine touching the engine,
-				// so it is quiescent here: checkpoint, persist, and hand
-				// the bytes to the replication hook.
-				if err := s.checkpointAndReplicate(sess); err != nil {
-					s.cfg.Logger.Warn("periodic checkpoint failed", "component", "server",
-						"session", sess.id, "err", err)
-				}
+				// so it is quiescent here: capture the state and leave
+				// encoding, persisting and replicating to the writer.
+				start := time.Now()
+				snap := captureSession(sess)
+				s.cfg.Tracer.Observe(obs.StageCheckpointCapture, time.Since(start))
+				s.ckpt.submit(snap)
 			}
 		case ctlCkpt:
-			data, err := sessionSnapshotBytes(sess)
-			it.ckpt <- ckptResult{data: data, applied: sess.applied.Load(), err: err}
+			it.ckpt <- ckptResult{snap: captureSession(sess)}
 		case ctlFlush:
-			enc.ack(Ack{Applied: sess.applied.Load(), Races: sess.races.Load()}, false, true)
+			enc.ack(Ack{Applied: sess.applied.Load(), Races: sess.races.Load(), Durable: sess.durable.Load()}, false, true)
 			flush()
 		case ctlClose:
+			// Settle this session's periodic checkpoint first, so the
+			// final ack follows its counter bump and flight event.
+			s.ckpt.wait(sess)
 			applied, races := sess.applied.Load(), sess.races.Load()
 			s.cfg.Logger.Info("session closed", "component", "server", "session", sess.id,
 				"applied", applied, "races", races)
 			s.flight("close", sess.id, fmt.Sprintf("%d applied, %d races", applied, races))
 			stats := sess.eng.Stats()
 			fires := sess.tel.RuleFires()
-			ack := Ack{Applied: applied, Races: races, Stats: &stats, RuleFires: fires[:]}
+			ack := Ack{Applied: applied, Races: races, Durable: sess.durable.Load(), Stats: &stats, RuleFires: fires[:]}
 			if sess.rt != nil {
 				sum := sess.rt.Summarize()
 				ack.Serial = &sum
@@ -801,13 +808,15 @@ func readLine(br *bufio.Reader) ([]byte, error) {
 }
 
 // Close stops accepting connections, severs live ones, waits for every
-// session worker to drain, and — with a checkpoint directory configured
-// — persists every session so a future instance can resume them. The
-// returned error aggregates checkpoint failures.
+// session worker to drain, writes the periodic checkpoints still
+// pending, and — with a checkpoint directory configured — persists
+// every session so a future instance can resume them. The returned
+// error aggregates checkpoint failures.
 func (s *Server) Close() error {
 	if !s.shutdownConns() {
 		return nil
 	}
+	s.ckpt.close()
 	if s.cfg.CheckpointDir == "" {
 		return nil
 	}
@@ -889,28 +898,49 @@ func (s *Server) autoDumpFlight(reason string) {
 	}
 }
 
-// sessionSnapshotBytes serializes a session checkpoint — the session
-// header line followed by the engine snapshot — into memory. The
-// engine must be quiescent (worker context, or a claimed detached
-// session).
-func sessionSnapshotBytes(sess *session) ([]byte, error) {
-	hdr, err := json.Marshal(sessionHeader{
+// sessionSnapshot is a session checkpoint captured at a quiescent
+// point: the session header and a copy of the detector state. Encoding
+// it reads no live session state, so any goroutine may do it.
+type sessionSnapshot struct {
+	sess *session
+	hdr  sessionHeader
+	eng  *core.Snapshot        // plain sessions
+	rt   *regiontrack.Snapshot // serializability sessions
+}
+
+// captureSession copies a session's checkpoint state. The engine must
+// be quiescent (worker context, or a claimed detached session).
+func captureSession(sess *session) *sessionSnapshot {
+	snap := &sessionSnapshot{sess: sess, hdr: sessionHeader{
 		Format: SessionFormatName, Version: SessionFormatVersion,
 		Session: sess.id, Applied: sess.applied.Load(), Races: sess.races.Load(),
 		Serial: sess.rt != nil,
-	})
+	}}
+	if sess.rt != nil {
+		// The checker snapshot embeds the engine checkpoint, so one body
+		// round-trips both the lockset state and the conflict graph.
+		snap.rt = sess.rt.Capture()
+	} else {
+		snap.eng = sess.eng.Capture()
+	}
+	return snap
+}
+
+// encode serializes the snapshot: the session header line followed by
+// the engine (or checker) checkpoint.
+func (snap *sessionSnapshot) encode() ([]byte, error) {
+	hdr, err := json.Marshal(snap.hdr)
 	if err != nil {
 		return nil, err
 	}
 	var buf bytes.Buffer
 	buf.Write(append(hdr, '\n'))
-	if sess.rt != nil {
-		// The checker snapshot embeds the engine checkpoint, so one body
-		// round-trips both the lockset state and the conflict graph.
-		if err := sess.rt.Checkpoint(&buf); err != nil {
-			return nil, err
-		}
-	} else if err := sess.eng.Checkpoint(&buf); err != nil {
+	if snap.rt != nil {
+		err = snap.rt.Encode(&buf)
+	} else {
+		err = snap.eng.Encode(&buf)
+	}
+	if err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -959,7 +989,7 @@ func syncDir(dir string) error {
 
 // checkpointSession writes dir/<id>.ckpt atomically and durably.
 func (s *Server) checkpointSession(sess *session) error {
-	data, err := sessionSnapshotBytes(sess)
+	data, err := captureSession(sess).encode()
 	if err != nil {
 		return err
 	}
@@ -978,29 +1008,45 @@ func (s *Server) persistCheckpoint(id string, data []byte) error {
 	return nil
 }
 
-// checkpointAndReplicate snapshots a session, persists it when a
-// checkpoint directory is configured, and hands the bytes to the
-// replication hook. Called from the session worker (engine quiescent)
-// and from Drain.
-func (s *Server) checkpointAndReplicate(sess *session) error {
+// writeCheckpoint encodes a captured session checkpoint, persists it
+// when a checkpoint directory is configured, and hands the bytes to the
+// replication hook. Only then does the session's durable watermark
+// advance, so an ack reporting it follows the counter bump and the
+// flight event. Called on the checkpoint writer, and by Drain once the
+// writer is flushed.
+func (s *Server) writeCheckpoint(snap *sessionSnapshot) error {
 	start := time.Now()
-	data, err := sessionSnapshotBytes(sess)
+	data, err := snap.encode()
 	if err != nil {
 		return err
 	}
 	if s.cfg.CheckpointDir != "" {
-		if err := s.persistCheckpoint(sess.id, data); err != nil {
+		if err := s.persistCheckpoint(snap.hdr.Session, data); err != nil {
 			return err
 		}
 	}
 	// Checkpoints are rare (every CheckpointEvery actions), so every one
 	// is observed rather than sampled.
 	s.cfg.Tracer.Observe(obs.StageCheckpointWrite, time.Since(start))
-	s.flight("checkpoint", sess.id, fmt.Sprintf("%d bytes at %d applied", len(data), sess.applied.Load()))
+	applied := snap.hdr.Applied
+	s.flight("checkpoint", snap.hdr.Session, fmt.Sprintf("%d bytes at %d applied", len(data), applied))
 	if s.cfg.OnCheckpoint != nil {
-		s.cfg.OnCheckpoint(sess.id, sess.applied.Load(), data)
+		s.cfg.OnCheckpoint(snap.hdr.Session, applied, data)
+	}
+	if s.cfg.CheckpointDir != "" {
+		snap.sess.durable.Store(applied)
 	}
 	return nil
+}
+
+// writePeriodic is the checkpoint writer's job: write one periodic
+// capture, logging a failure (the session keeps running, and the next
+// periodic checkpoint tries again).
+func (s *Server) writePeriodic(snap *sessionSnapshot) {
+	if err := s.writeCheckpoint(snap); err != nil {
+		s.cfg.Logger.Warn("periodic checkpoint failed", "component", "server",
+			"session", snap.hdr.Session, "err", err)
+	}
 }
 
 // Quarantined describes a checkpoint that could not be restored at
@@ -1078,6 +1124,7 @@ func (s *Server) restoreSessions() error {
 			s.quarantineCheckpoint(path, strings.TrimSuffix(e.Name(), ".ckpt"), err)
 			continue
 		}
+		sess.durable.Store(sess.applied.Load())
 		s.mu.Lock()
 		s.sessions[sess.id] = sess
 		s.registerSessionMetrics(sess)

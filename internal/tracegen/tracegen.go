@@ -243,17 +243,16 @@ func Generate(rng *rand.Rand, cfg Config) *event.Trace {
 					th.held[l]++
 					b.Acquire(t, l)
 				}
-			case 1: // release a held lock
-				for l, n := range th.held {
-					if n > 0 {
-						th.held[l]--
-						if th.held[l] == 0 {
-							delete(th.held, l)
-							delete(lockOwner, l)
-						}
-						b.Release(t, l)
-						break
+			case 1: // release the lowest-addressed held lock
+				// Choosing by address, not by map iteration order, keeps
+				// the trace a function of the seed.
+				if l, ok := lowestHeld(th.held); ok {
+					th.held[l]--
+					if th.held[l] == 0 {
+						delete(th.held, l)
+						delete(lockOwner, l)
 					}
+					b.Release(t, l)
 				}
 			case 2: // volatile write
 				if cfg.Volatiles > 0 {
@@ -342,6 +341,17 @@ func Generate(rng *rand.Rand, cfg Config) *event.Trace {
 		}
 	}
 	return b.Trace()
+}
+
+// lowestHeld returns the lowest lock address in held (entries are
+// deleted when their count reaches zero); ok is false when it is empty.
+func lowestHeld(held map[event.Addr]int) (l event.Addr, ok bool) {
+	for a := range held {
+		if !ok || a < l {
+			l, ok = a, true
+		}
+	}
+	return l, ok
 }
 
 // pickSync chooses a synchronization action kind among the first n:
