@@ -11,7 +11,9 @@
 package goldilocks_bench
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -494,4 +496,66 @@ func BenchmarkRecordReplay(b *testing.B) {
 			b.Fatal("replay raced")
 		}
 	}
+}
+
+// BenchmarkCheckpointCapture times one engine checkpoint, Capture plus
+// Encode to io.Discard, on a service-sized engine (a generated trace over
+// 4096 variables, stepped 16384 actions). "first" captures an engine
+// with nothing to reuse (one just restored from a checkpoint); "repeat"
+// captures it again 4096 actions after a previous capture, as a
+// goldilocksd session worker does, so only the variables those actions
+// changed are encoded again.
+func BenchmarkCheckpointCapture(b *testing.B) {
+	const warm, every = 16384, 4096
+	cfg := tracegen.Default()
+	cfg.Steps = warm + every
+	cfg.MaxThreads = 6
+	cfg.Objects = 1024
+	cfg.Fields = 4
+	tr := tracegen.FromSeedConfig(1, cfg)
+	base := core.NewEngine(core.DefaultOptions())
+	for i := 0; i < warm; i++ {
+		base.Step(tr.At(i))
+	}
+	var snap bytes.Buffer
+	if err := base.Checkpoint(&snap); err != nil {
+		b.Fatal(err)
+	}
+	restore := func() *core.Engine {
+		e, err := core.RestoreEngine(bytes.NewReader(snap.Bytes()), core.RestoreAttach{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return e
+	}
+	b.Run("first", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(snap.Len()))
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			e := restore()
+			b.StartTimer()
+			if err := e.Checkpoint(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("repeat", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(snap.Len()))
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			e := restore()
+			if err := e.Checkpoint(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+			for j := warm; j < tr.Len(); j++ {
+				e.Step(tr.At(j))
+			}
+			b.StartTimer()
+			if err := e.Checkpoint(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

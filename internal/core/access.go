@@ -104,6 +104,7 @@ func (e *Engine) access(t event.Tid, o event.Addr, d event.FieldID, a event.Acti
 	if vs.disabled || vs.quarantined {
 		return nil
 	}
+	vs.ckptClean = false
 	st.accessesChecked.Add(1)
 	v := event.Variable{Obj: o, Field: d}
 

@@ -8,6 +8,8 @@ import (
 	"hash/crc32"
 	"io"
 	"slices"
+	"strconv"
+	"sync"
 
 	"goldilocks/internal/event"
 	"goldilocks/internal/obs"
@@ -33,11 +35,16 @@ import (
 //	{"format":"goldilocks-checkpoint","version":1}
 //	{"engine":{...},"crc":"7f1c0d3a"}
 //
-// Checkpointing is two steps. Capture copies the state and requires
-// quiescence: the caller must ensure no concurrent Step/Read/Write/Sync
-// while it runs (goldilocksd captures from the session's own worker).
-// Encode serializes the copy in one pass and may run on any goroutine
-// while the engine keeps stepping. Restore builds a brand-new engine.
+// Checkpointing is two steps. Capture encodes the payload straight from
+// the live engine and requires quiescence: the caller must ensure no
+// concurrent Step/Read/Write/Sync while it runs (goldilocksd captures
+// from the session's own worker). It re-encodes only the variables
+// whose state changed since the engine's previous capture and copies
+// the others' bytes from that capture. Encode frames the payload with
+// its checksum and may run on any goroutine while the engine keeps
+// stepping. Restore builds a brand-new engine; the ckpt* types below
+// are its decode schema, and Capture writes the same bytes json.Marshal
+// of a ckptPayload would.
 
 // CheckpointFormatName identifies the snapshot format.
 const CheckpointFormatName = "goldilocks-checkpoint"
@@ -179,10 +186,20 @@ type RestoreAttach struct {
 	Injector  *resilience.Injector
 }
 
-// Snapshot is an engine's complete detector state, copied at a
-// quiescent point. It shares no mutable memory with the engine, so it
-// can be encoded on another goroutine while the engine keeps stepping.
-type Snapshot struct{ p ckptPayload }
+// Snapshot is an engine's complete detector state, encoded at a
+// quiescent point: the checkpoint payload, ready to be framed. The
+// engine never writes to a body it has handed out, so a Snapshot can be
+// written on another goroutine while the engine keeps stepping.
+type Snapshot struct {
+	body []byte
+	err  error // from json.Marshal of a fixed-shape part (a NaN option)
+}
+
+// ckptPrefix is the header line and the opening of the body line.
+var ckptPrefix = fmt.Sprintf("{\"format\":%q,\"version\":%d}\n{\"engine\":", CheckpointFormatName, CheckpointFormatVersion)
+
+// ckptSuffixLen is the length of the body line's `,"crc":"xxxxxxxx"}\n`.
+const ckptSuffixLen = len(`,"crc":"00000000"}`) + 1
 
 // Checkpoint serializes the engine's complete detector state to w: a
 // Capture followed by its Encode. The engine must be quiescent: no
@@ -191,109 +208,136 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 	return e.Capture().Encode(w)
 }
 
-// Encode writes the snapshot in the checkpoint format. Each line is
-// written once: the payload is marshalled in a single pass, with the
-// actions embedded as event.JSONAction values, and the checksummed
-// body line is assembled around it rather than marshalled again.
+// Len returns the number of bytes Encode writes.
+func (s *Snapshot) Len() int { return len(ckptPrefix) + len(s.body) + ckptSuffixLen }
+
+// Encode writes the snapshot in the checkpoint format: the header line,
+// then the body line assembled around the already encoded payload with
+// its checksum.
 func (s *Snapshot) Encode(w io.Writer) error {
-	body, err := json.Marshal(&s.p)
-	if err != nil {
+	if s.err != nil {
+		return s.err
+	}
+	if _, err := io.WriteString(w, ckptPrefix); err != nil {
 		return err
 	}
-	hdr, err := json.Marshal(ckptHeader{Format: CheckpointFormatName, Version: CheckpointFormatVersion})
-	if err != nil {
+	if _, err := w.Write(s.body); err != nil {
 		return err
 	}
-	// The body line is exactly json.Marshal(ckptBody{body, crc}): body
-	// is already compact JSON, so it needs no second pass.
-	bw := bufio.NewWriter(w)
-	bw.Write(hdr)
-	bw.WriteString("\n{\"engine\":")
-	bw.Write(body)
-	fmt.Fprintf(bw, ",\"crc\":\"%08x\"}\n", crc32.ChecksumIEEE(body))
-	return bw.Flush()
+	_, err := fmt.Fprintf(w, ",\"crc\":\"%08x\"}\n", crc32.ChecksumIEEE(s.body))
+	return err
 }
 
-// Capture copies the engine's complete detector state. The engine must
-// be quiescent: no concurrent Step/Read/Write/Sync calls.
-func (e *Engine) Capture() *Snapshot {
-	o := e.opts
-	p := ckptPayload{
-		Opts: ckptOptions{
-			SC1: o.SC1, SC2: o.SC2, SC3: o.SC3, SC3MaxSegment: o.SC3MaxSegment,
-			XactSC: o.XactSC, Memoize: o.Memoize, HBCache: o.HBCache,
-			FastPath:         o.FastPath,
-			DisableAfterRace: o.DisableAfterRace,
-			GCThreshold:      o.GCThreshold, GCTrimFraction: o.GCTrimFraction,
-			PartialEager: o.PartialEager, TxnSemantics: o.TxnSemantics,
-			OnError: uint8(o.OnError), MemoryBudget: o.MemoryBudget,
-			VarShards: len(e.varShards), BrokenRule: o.BrokenRule,
-		},
-	}
+// ckptReuse is what a capture keeps for the next one: its body and the
+// span of every variable's encoding in it, sorted by (obj, field). A
+// variable whose state still has ckptClean set, and that is the same
+// state object the span recorded, is copied from the previous body
+// rather than encoded again. Every snapshot is still complete: reuse
+// only saves the encoding work. What is kept is one capture's worth,
+// replaced by the next capture, and never grows in between.
+type ckptReuse struct {
+	mu      sync.Mutex // serializes captures of one engine
+	body    []byte     // owned by the last Snapshot; read here, never written
+	listLen int        // event list length and VarsTracked at that capture
+	nvars   int
+	vars    []ckptSpan
+	spare   []ckptSpan // the table before last, reused as the next one
+}
 
-	// Event list: the retained filled cells are a contiguous seq range
-	// from head to the sentinel (trim only ever drops a prefix).
-	e.list.mu.Lock()
-	head := e.list.head
-	e.list.mu.Unlock()
-	tail := e.list.snapshotTail()
-	p.List.HeadSeq = head.seq
-	p.List.Enqueued = e.list.enqueued.Load()
-	p.List.Collected = e.list.collected.Load()
-	if n := e.list.length.Load(); n > 0 {
-		p.List.Actions = make([]event.JSONAction, 0, n)
+// ckptSpan locates one variable's encoding in a capture's body. While a
+// capture lists its variables, from is the index of the variable's span
+// in the previous table, or -1.
+type ckptSpan struct {
+	obj      event.Addr
+	field    event.FieldID
+	from     int32
+	vs       *varState
+	off, end int
+}
+
+func compareSpans(a, b ckptSpan) int {
+	if c := cmp.Compare(a.obj, b.obj); c != 0 {
+		return c
 	}
-	for c := head; c != tail && c != nil && c.filled; c = c.next {
-		p.List.Actions = append(p.List.Actions, event.ToJSON(c.action))
-	}
+	return cmp.Compare(a.field, b.field)
+}
+
+// ckptEncoder holds a capture's scratch slices, reused across variables.
+type ckptEncoder struct {
+	reads []*info
+	elems []Elem
+	tids  []event.Tid
+}
+
+// Capture encodes the engine's complete detector state. The engine must
+// be quiescent: no concurrent Step/Read/Write/Sync calls. Only the
+// variables changed since the engine's previous capture are encoded;
+// the rest are copied from that capture's body. The payload is written
+// field by field in the order, and with the omissions, json.Marshal of
+// ckptPayload would produce, so the bytes do not depend on the reuse.
+func (e *Engine) Capture() *Snapshot {
+	r := &e.ckpt
+	r.mu.Lock()
+	defer r.mu.Unlock()
+
+	// Pre-size from the previous body plus what the list and the table
+	// grew by since: growing by reallocation would leave several
+	// body-sized garbage buffers per capture.
+	listLen, nvars := e.list.len(), int(e.varsTracked.Load())
+	hint := len(r.body) + len(r.body)/32 + 1024 + 64*max(listLen-r.listLen, 0) + 256*max(nvars-r.nvars, 0)
+	r.listLen, r.nvars = listLen, nvars
+	b := make([]byte, 0, hint)
+	var snap Snapshot
+
+	o := e.opts
+	b = append(b, `{"opts":`...)
+	b = snap.appendMarshal(b, &ckptOptions{
+		SC1: o.SC1, SC2: o.SC2, SC3: o.SC3, SC3MaxSegment: o.SC3MaxSegment,
+		XactSC: o.XactSC, Memoize: o.Memoize, HBCache: o.HBCache,
+		FastPath:         o.FastPath,
+		DisableAfterRace: o.DisableAfterRace,
+		GCThreshold:      o.GCThreshold, GCTrimFraction: o.GCTrimFraction,
+		PartialEager: o.PartialEager, TxnSemantics: o.TxnSemantics,
+		OnError: uint8(o.OnError), MemoryBudget: o.MemoryBudget,
+		VarShards: len(e.varShards), BrokenRule: o.BrokenRule,
+	})
+	b = e.appendList(b)
 
 	// Per-thread lock records.
+	var threads []ckptThread
 	e.locks.Range(func(k, v any) bool {
-		t := k.(event.Tid)
 		tl := v.(*threadLocks)
 		tl.mu.Lock()
-		ct := ckptThread{Tid: t, Stack: slices.Clone(tl.stack)}
+		ct := ckptThread{Tid: k.(event.Tid), Stack: slices.Clone(tl.stack)}
 		for _, a := range ct.Stack {
 			ct.Depth = append(ct.Depth, tl.held[a])
 		}
 		tl.mu.Unlock()
-		p.Threads = append(p.Threads, ct)
+		threads = append(threads, ct)
 		return true
 	})
-	slices.SortFunc(p.Threads, func(a, b ckptThread) int { return cmp.Compare(a.Tid, b.Tid) })
+	if len(threads) > 0 {
+		slices.SortFunc(threads, func(a, b ckptThread) int { return cmp.Compare(a.Tid, b.Tid) })
+		b = snap.appendMarshal(append(b, `,"threads":`...), threads)
+	}
 
 	// Channel conveyor state.
+	var chans []ckptChan
 	e.chanMu.Lock()
 	for c, cs := range e.chans.Snapshot() {
-		p.Chans = append(p.Chans, ckptChan{Obj: c, Cap: cs.Cap, Sends: cs.Sends, Recvs: cs.Recvs, Closed: cs.Closed})
+		chans = append(chans, ckptChan{Obj: c, Cap: cs.Cap, Sends: cs.Sends, Recvs: cs.Recvs, Closed: cs.Closed})
 	}
 	e.chanMu.Unlock()
-	slices.SortFunc(p.Chans, func(a, b ckptChan) int { return cmp.Compare(a.Obj, b.Obj) })
-
-	// Variable table: every tracked state, including info-less ones
-	// (quarantined or alloc-reset variables still occupy a table slot,
-	// which VarsTracked counts).
-	p.Vars = make([]ckptVar, 0, e.varsTracked.Load())
-	for i := range e.varShards {
-		sh := &e.varShards[i]
-		sh.mu.RLock()
-		for obj, fields := range sh.vars {
-			for field, vs := range fields {
-				p.Vars = append(p.Vars, captureVar(obj, field, vs))
-			}
-		}
-		sh.mu.RUnlock()
+	if len(chans) > 0 {
+		slices.SortFunc(chans, func(a, b ckptChan) int { return cmp.Compare(a.Obj, b.Obj) })
+		b = snap.appendMarshal(append(b, `,"chans":`...), chans)
 	}
-	slices.SortFunc(p.Vars, func(a, b ckptVar) int {
-		if c := cmp.Compare(a.Obj, b.Obj); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Field, b.Field)
-	})
+
+	b = e.appendVars(b)
 
 	// Counters: the summed stat stripes plus the off-path atomics.
 	s := e.Stats()
-	p.Counters = ckptCounters{
+	b = snap.appendMarshal(append(b, `,"counters":`...), &ckptCounters{
 		AccessesChecked: s.AccessesChecked, PairChecks: s.PairChecks,
 		SC1Hits: s.SC1Hits, SC2Hits: s.SC2Hits, SC3Hits: s.SC3Hits,
 		XactHits: s.XactHits, HBCacheHits: s.HBCacheHits,
@@ -305,76 +349,266 @@ func (e *Engine) Capture() *Snapshot {
 		Rung: int32(s.GovernorRung), Escalations: s.Escalations,
 		AggressiveGCs: s.AggressiveGCs, CacheSheds: s.CacheSheds,
 		EagerSweeps: s.EagerSweeps, Degraded: e.degraded.Load(),
-	}
+	})
 
 	if e.tel != nil {
 		fires := e.tel.RuleFires()
-		p.RuleFires = fires[:]
-		p.WalkRuleHits = make([]uint64, obs.NumRules+1)
+		b = appendUints(append(b, `,"rule_fires":`...), fires[:])
+		var hits [obs.NumRules + 1]uint64
 		for i := 1; i <= obs.NumRules; i++ {
-			p.WalkRuleHits[i] = e.tel.WalkRuleHits[i].Load()
+			hits[i] = e.tel.WalkRuleHits[i].Load()
 		}
+		b = appendUints(append(b, `,"walk_rule_hits":`...), hits[:])
 	}
-	return &Snapshot{p: p}
+	snap.body = append(b, '}')
+	r.body = snap.body
+	return &snap
 }
 
-// captureVar copies one variable state under its own mutex.
-func captureVar(obj event.Addr, field event.FieldID, vs *varState) ckptVar {
-	vs.mu.Lock()
-	defer vs.mu.Unlock()
-	cv := ckptVar{
-		Obj: obj, Field: field,
-		ReadsAllXact: vs.readsAllXact,
-		Disabled:     vs.disabled,
-		Quarantined:  vs.quarantined,
+// appendMarshal appends json.Marshal(v): the fixed-shape parts of the
+// payload are small, so reflection costs little there. The first error
+// is kept for Encode to return.
+func (s *Snapshot) appendMarshal(b []byte, v any) []byte {
+	raw, err := json.Marshal(v)
+	if s.err == nil {
+		s.err = err
 	}
+	return append(b, raw...)
+}
+
+func appendUints(b []byte, xs []uint64) []byte {
+	b = append(b, '[')
+	for i, x := range xs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendUint(b, x, 10)
+	}
+	return append(b, ']')
+}
+
+// appendList encodes the event list: the retained filled cells are a
+// contiguous seq range from head to the sentinel (trim only ever drops
+// a prefix).
+func (e *Engine) appendList(b []byte) []byte {
+	e.list.mu.Lock()
+	head := e.list.head
+	e.list.mu.Unlock()
+	tail := e.list.snapshotTail()
+	b = append(b, `,"list":{"head_seq":`...)
+	b = strconv.AppendUint(b, head.seq, 10)
+	b = append(b, `,"actions":`...)
+	n := 0
+	for c := head; c != tail && c != nil && c.filled; c = c.next {
+		if n == 0 {
+			b = append(b, '[')
+		} else {
+			b = append(b, ',')
+		}
+		b = event.AppendJSON(b, c.action)
+		n++
+	}
+	switch {
+	case n > 0:
+		b = append(b, ']')
+	case e.list.length.Load() > 0:
+		b = append(b, "[]"...)
+	default:
+		b = append(b, "null"...)
+	}
+	b = append(b, `,"enqueued":`...)
+	b = strconv.AppendUint(b, e.list.enqueued.Load(), 10)
+	b = append(b, `,"collected":`...)
+	b = strconv.AppendUint(b, e.list.collected.Load(), 10)
+	return append(b, '}')
+}
+
+// appendVars encodes the variable table, sorted by (obj, field): every
+// tracked state, including info-less ones (quarantined or alloc-reset
+// variables still occupy a table slot, which VarsTracked counts). Each
+// clean variable still described by its previous span is copied from
+// the previous body instead of encoded again.
+func (e *Engine) appendVars(b []byte) []byte {
+	r := &e.ckpt
+	cur := e.listVars()
+	var enc ckptEncoder
+	for i := range cur {
+		c := &cur[i]
+		if i == 0 {
+			b = append(b, `,"vars":[`...)
+		} else {
+			b = append(b, ',')
+		}
+		c.off = len(b)
+		c.vs.mu.Lock()
+		// A state object belongs to one (obj, field) for its lifetime, so
+		// the same pointer means the same variable.
+		if c.from >= 0 && r.vars[c.from].vs == c.vs && c.vs.ckptClean {
+			b = append(b, r.body[r.vars[c.from].off:r.vars[c.from].end]...)
+		} else {
+			b = enc.appendVar(b, c.obj, c.field, c.vs)
+			c.vs.ckptClean = true
+		}
+		c.vs.mu.Unlock()
+		c.end = len(b)
+	}
+	if len(cur) > 0 {
+		b = append(b, ']')
+	}
+	// The old table's state pointers would pin dropped variables until
+	// the next capture; clear them before keeping it as the spare.
+	clear(r.vars)
+	r.vars, r.spare = cur, r.vars[:0]
+	return b
+}
+
+// listVars returns every linked variable state sorted by (obj, field),
+// each with the index of its span in the previous table (or -1), built
+// in the spare table.
+func (e *Engine) listVars() []ckptSpan {
+	r := &e.ckpt
+	cur := slices.Grow(r.spare[:0], int(e.varsTracked.Load()))
+	for i := range e.varShards {
+		sh := &e.varShards[i]
+		sh.mu.RLock()
+		for obj, fields := range sh.vars {
+			for field, vs := range fields {
+				cur = append(cur, ckptSpan{obj: obj, field: field, vs: vs})
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	slices.SortFunc(cur, compareSpans)
+	// Merge-join against the previous table, if any.
+	prev, j := r.vars, 0
+	for i := range cur {
+		c := &cur[i]
+		for j < len(prev) && compareSpans(prev[j], *c) < 0 {
+			j++
+		}
+		c.from = -1
+		if j < len(prev) && prev[j].vs == c.vs {
+			c.from = int32(j)
+		}
+	}
+	return cur
+}
+
+// appendVar encodes one variable state as a ckptVar; the caller holds
+// vs.mu.
+func (enc *ckptEncoder) appendVar(b []byte, obj event.Addr, field event.FieldID, vs *varState) []byte {
+	b = append(b, `{"o":`...)
+	b = strconv.AppendInt(b, int64(obj), 10)
+	b = append(b, `,"f":`...)
+	b = strconv.AppendInt(b, int64(field), 10)
 	if vs.write != nil {
-		ci := captureInfo(vs.write)
-		cv.Write = &ci
+		b = enc.appendInfo(append(b, `,"w":`...), vs.write)
 	}
 	if len(vs.reads) > 0 {
-		cv.Reads = make([]ckptInfo, 0, len(vs.reads))
+		enc.reads = enc.reads[:0]
 		for _, in := range vs.reads {
-			cv.Reads = append(cv.Reads, captureInfo(in))
+			enc.reads = append(enc.reads, in)
 		}
-		slices.SortFunc(cv.Reads, func(a, b ckptInfo) int { return cmp.Compare(a.Owner, b.Owner) })
+		slices.SortFunc(enc.reads, func(a, b *info) int { return cmp.Compare(a.owner, b.owner) })
+		b = append(b, `,"r":[`...)
+		for i, in := range enc.reads {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = enc.appendInfo(b, in)
+		}
+		b = append(b, ']')
 	}
-	return cv
+	if vs.readsAllXact {
+		b = append(b, `,"rx":true`...)
+	}
+	if vs.disabled {
+		b = append(b, `,"disabled":true`...)
+	}
+	if vs.quarantined {
+		b = append(b, `,"quarantined":true`...)
+	}
+	return append(b, '}')
 }
 
-func captureInfo(in *info) ckptInfo {
-	ci := ckptInfo{
-		Owner: in.owner, Pos: in.pos.seq, OrigSeq: in.origSeq,
-		ALock: in.alock, Xact: in.xact, Action: event.ToJSON(in.action),
+// appendInfo encodes one Info record as a ckptInfo.
+func (enc *ckptEncoder) appendInfo(b []byte, in *info) []byte {
+	b = append(b, `{"t":`...)
+	b = strconv.AppendInt(b, int64(in.owner), 10)
+	b = append(b, `,"pos":`...)
+	b = strconv.AppendUint(b, in.pos.seq, 10)
+	b = append(b, `,"orig":`...)
+	b = strconv.AppendUint(b, in.origSeq, 10)
+	if in.alock != event.NilAddr {
+		b = append(b, `,"alock":`...)
+		b = strconv.AppendInt(b, int64(in.alock), 10)
 	}
-	// An empty lockset stays nil: "ls" has no omitempty, and the format
-	// writes an empty set as null.
-	if elems := in.ls.Elems(); len(elems) > 0 {
-		ci.Lockset = make([]ckptElem, len(elems))
-		for i, el := range elems {
-			ci.Lockset[i] = ckptElem{K: event.FieldID(el.Kind), T: el.Tid, O: el.Obj, F: el.Field}
-		}
+	if in.xact {
+		b = append(b, `,"xact":true`...)
 	}
-	slices.SortFunc(ci.Lockset, func(a, b ckptElem) int {
-		if c := cmp.Compare(a.K, b.K); c != 0 {
-			return c
+	b = event.AppendJSON(append(b, `,"a":`...), in.action)
+
+	// "ls" has no omitempty: the format writes an empty set as null.
+	b = append(b, `,"ls":`...)
+	enc.elems = in.ls.appendElems(enc.elems[:0])
+	if len(enc.elems) == 0 {
+		b = append(b, "null"...)
+	} else {
+		slices.SortFunc(enc.elems, compareElems)
+		for i, el := range enc.elems {
+			if i == 0 {
+				b = append(b, `[{"k":`...)
+			} else {
+				b = append(b, `,{"k":`...)
+			}
+			b = strconv.AppendUint(b, uint64(el.Kind), 10)
+			if el.Tid != event.NoTid {
+				b = append(b, `,"t":`...)
+				b = strconv.AppendInt(b, int64(el.Tid), 10)
+			}
+			if el.Obj != event.NilAddr {
+				b = append(b, `,"o":`...)
+				b = strconv.AppendInt(b, int64(el.Obj), 10)
+			}
+			if el.Field != 0 {
+				b = append(b, `,"f":`...)
+				b = strconv.AppendInt(b, int64(el.Field), 10)
+			}
+			b = append(b, '}')
 		}
-		if c := cmp.Compare(a.T, b.T); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.O, b.O); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.F, b.F)
-	})
+		b = append(b, ']')
+	}
+
 	if len(in.hbAfter) > 0 {
-		ci.HBAfter = make([]event.Tid, 0, len(in.hbAfter))
+		enc.tids = enc.tids[:0]
 		for t := range in.hbAfter {
-			ci.HBAfter = append(ci.HBAfter, t)
+			enc.tids = append(enc.tids, t)
 		}
-		slices.Sort(ci.HBAfter)
+		slices.Sort(enc.tids)
+		for i, t := range enc.tids {
+			if i == 0 {
+				b = append(b, `,"hb":[`...)
+			} else {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(t), 10)
+		}
+		b = append(b, ']')
 	}
-	return ci
+	return append(b, '}')
+}
+
+func compareElems(a, b Elem) int {
+	if c := cmp.Compare(a.Kind, b.Kind); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Tid, b.Tid); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Obj, b.Obj); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Field, b.Field)
 }
 
 // RestoreEngine rebuilds an engine from a checkpoint written by

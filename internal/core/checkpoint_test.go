@@ -3,6 +3,8 @@ package core_test
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -270,6 +272,16 @@ func TestCheckpointDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestCheckpointUnencodableOptions: a NaN option has no JSON form, so
+// the checkpoint fails rather than write a file restore cannot read.
+func TestCheckpointUnencodableOptions(t *testing.T) {
+	opts := core.DefaultOptions()
+	opts.GCTrimFraction = math.NaN()
+	if err := core.NewEngine(opts).Checkpoint(io.Discard); err == nil {
+		t.Fatal("checkpoint with a NaN option succeeded")
+	}
+}
+
 // restoreAttachFor gives a restore the telemetry the checkpointed engine
 // had: rule-fire counts are re-encoded only when telemetry is attached.
 func restoreAttachFor(snap []byte) core.RestoreAttach {
@@ -280,7 +292,7 @@ func restoreAttachFor(snap []byte) core.RestoreAttach {
 }
 
 // reencode restores snap and checkpoints the restored engine again.
-func reencode(t *testing.T, snap []byte) []byte {
+func reencode(t testing.TB, snap []byte) []byte {
 	t.Helper()
 	e, err := core.RestoreEngine(bytes.NewReader(snap), restoreAttachFor(snap))
 	if err != nil {
@@ -306,26 +318,31 @@ func firstDiff(a, b []byte) string {
 // TestCheckpointGoldens pins the checkpoint format to bytes: every
 // testdata/*.ckpt was written by an earlier build of the encoder (one
 // empty engine, and engines with and without telemetry, the fast path,
-// channels, commits, an aggressive collector and a degraded governor),
-// and each must restore and re-encode byte for byte.
+// channels, commits, an aggressive collector, a degraded governor,
+// variables disabled after a race and a variable quarantined by an
+// injected panic), and each must restore and re-encode byte for byte.
 func TestCheckpointGoldens(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("testdata", "*.ckpt"))
 	if err != nil || len(paths) == 0 {
 		t.Fatalf("no golden checkpoints found (%v)", err)
 	}
-	sawFastPath := false
+	covered := map[string]bool{`"fast_path":true`: false, `"disabled":true`: false, `"quarantined":true`: false}
 	for _, path := range paths {
 		want, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sawFastPath = sawFastPath || bytes.Contains(want, []byte(`"fast_path":true`))
+		for field := range covered {
+			covered[field] = covered[field] || bytes.Contains(want, []byte(field))
+		}
 		if got := reencode(t, want); !bytes.Equal(got, want) {
 			t.Errorf("%s: re-encoding differs %s", filepath.Base(path), firstDiff(got, want))
 		}
 	}
-	if !sawFastPath {
-		t.Error("no golden carries the fast_path option")
+	for field, seen := range covered {
+		if !seen {
+			t.Errorf("no golden carries %s", field)
+		}
 	}
 }
 
@@ -363,4 +380,110 @@ func TestCheckpointReencodeIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// ckptConfigNames lists ckptConfigs in a fixed order, so a fuzz input's
+// config index names the same configuration on every run.
+func ckptConfigNames() []string {
+	names := make([]string, 0, len(ckptConfigs()))
+	for name := range ckptConfigs() {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// checkIncremental steps one engine through tr and captures it every
+// stride actions (and at the end). A capture reuses the bytes of every
+// variable left unchanged since the previous one, so each is compared
+// with the first capture of an engine stepped through the same prefix,
+// which has nothing to reuse. Stale reused bytes restore into a
+// consistent engine as often as not, so the re-encode identity alone
+// would miss them; it is checked too.
+func checkIncremental(t testing.TB, cfgName string, tr *event.Trace, stride int) {
+	t.Helper()
+	cfg := ckptConfigs()[cfgName]
+	newEngine := func() *core.Engine {
+		opts := cfg.opts
+		if cfg.tel {
+			opts.Telemetry = obs.NewTelemetry()
+		}
+		return core.NewEngine(opts)
+	}
+	capture := func(e *core.Engine, at int) []byte {
+		var snap bytes.Buffer
+		if err := e.Checkpoint(&snap); err != nil {
+			t.Fatalf("%s stride %d action %d: checkpoint: %v", cfgName, stride, at, err)
+		}
+		return snap.Bytes()
+	}
+	e := newEngine()
+	for i := 0; i <= tr.Len(); i++ {
+		if i%stride == 0 || i == tr.Len() {
+			snap := capture(e, i)
+			fresh := newEngine()
+			for j := 0; j < i; j++ {
+				fresh.Step(tr.At(j))
+			}
+			if want := capture(fresh, i); !bytes.Equal(snap, want) {
+				t.Fatalf("%s stride %d action %d: incremental capture differs from a fresh engine's %s",
+					cfgName, stride, i, firstDiff(snap, want))
+			}
+			if again := reencode(t, snap); !bytes.Equal(snap, again) {
+				t.Fatalf("%s stride %d action %d: restored capture differs %s", cfgName, stride, i, firstDiff(snap, again))
+			}
+		}
+		if i < tr.Len() {
+			e.Step(tr.At(i))
+		}
+	}
+}
+
+// incrementalTrace is the generated trace FuzzCheckpointIncremental and
+// TestCheckpointIncrementalMatchesFresh use for a seed: long enough for
+// variables to go clean and dirty again many times between captures.
+func incrementalTrace(seed int64) *event.Trace {
+	cfg := tracegen.Default()
+	cfg.Steps = 100
+	cfg.Objects = 5
+	if seed%2 == 0 {
+		cfg.Channels = 2
+	}
+	return tracegen.FromSeedConfig(seed, cfg)
+}
+
+// TestCheckpointIncrementalMatchesFresh is the reuse wall: under every
+// checkpoint test configuration, over the round-trip corpus and
+// generated traces, at several capture strides, an engine's repeated
+// captures equal fresh ones. Dropping the invalidation of any state
+// mutation (an access, an Info advanced by the collector or by an eager
+// sweep, a shed happens-before cache) makes some capture here copy
+// stale bytes.
+func TestCheckpointIncrementalMatchesFresh(t *testing.T) {
+	traces := checkpointTraces(t)
+	for seed := int64(1); seed <= 10; seed++ {
+		traces[fmt.Sprintf("tracegen-%d", seed)] = incrementalTrace(seed)
+	}
+	for _, cfgName := range ckptConfigNames() {
+		for name, tr := range traces {
+			for _, stride := range []int{1, 5} {
+				t.Run(fmt.Sprintf("%s/%s/%d", cfgName, name, stride), func(t *testing.T) {
+					checkIncremental(t, cfgName, tr, stride)
+				})
+			}
+		}
+	}
+}
+
+// FuzzCheckpointIncremental checks TestCheckpointIncrementalMatchesFresh's
+// property over generated traces: seed picks the trace, config the
+// checkpoint test configuration and stride the capture interval.
+func FuzzCheckpointIncremental(f *testing.F) {
+	for cfg := uint8(0); cfg < 6; cfg++ {
+		f.Add(int64(cfg)+1, cfg, uint8(1+cfg*5))
+	}
+	names := ckptConfigNames()
+	f.Fuzz(func(t *testing.T, seed int64, config, stride uint8) {
+		checkIncremental(t, names[int(config)%len(names)], incrementalTrace(seed), int(stride%32)+1)
+	})
 }

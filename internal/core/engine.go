@@ -250,6 +250,11 @@ type varState struct {
 	// Quarantine policy: it is never checked again (until its object is
 	// reallocated, which makes it a fresh variable).
 	quarantined bool
+	// ckptClean reports that the state is unchanged since the engine's
+	// last Capture encoded it, so the next capture may copy those bytes.
+	// Every mutation under mu clears it. It fits in the padding after
+	// the flags above: varState stays 32 bytes.
+	ckptClean bool
 }
 
 // varShardCount is the default number of shards the variable table is
@@ -393,6 +398,9 @@ type Engine struct {
 	cacheSheds      atomic.Uint64
 	eagerSweeps     atomic.Uint64
 	degraded        atomic.Bool
+
+	// ckpt is the previous capture, kept for the next one's reuse.
+	ckpt ckptReuse
 }
 
 // NewEngine returns an Engine with the given options.
@@ -728,6 +736,7 @@ func (vs *varState) dropAll() {
 	vs.reads = nil
 	vs.disabled = false
 	vs.quarantined = false
+	vs.ckptClean = false
 }
 
 func (in *info) release() { in.pos.refs.Add(-1) }

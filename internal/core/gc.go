@@ -101,6 +101,7 @@ func (e *Engine) shedCaches() {
 		for _, in := range vs.reads {
 			in.hbAfter = nil
 		}
+		vs.ckptClean = false
 		vs.mu.Unlock()
 	})
 }
@@ -114,14 +115,7 @@ func (e *Engine) shedCaches() {
 func (e *Engine) eagerSweepLocked() {
 	e.eagerSweeps.Add(1)
 	tail := e.list.snapshotTail()
-	e.forEachVarState(func(vs *varState) {
-		vs.mu.Lock()
-		e.advanceInfo(vs.write, tail)
-		for _, in := range vs.reads {
-			e.advanceInfo(in, tail)
-		}
-		vs.mu.Unlock()
-	})
+	e.forEachVarState(func(vs *varState) { e.advanceVar(vs, tail) })
 	e.list.trim(nil)
 }
 
@@ -151,19 +145,27 @@ func (e *Engine) forEachVarState(f func(vs *varState)) {
 // advanceInfosBefore applies partially-eager evaluation: every Info
 // positioned before limit has its lockset brought forward to limit.
 func (e *Engine) advanceInfosBefore(limit *cell) {
-	e.forEachVarState(func(vs *varState) {
-		vs.mu.Lock()
-		e.advanceInfo(vs.write, limit)
-		for _, in := range vs.reads {
-			e.advanceInfo(in, limit)
-		}
-		vs.mu.Unlock()
-	})
+	e.forEachVarState(func(vs *varState) { e.advanceVar(vs, limit) })
 }
 
-func (e *Engine) advanceInfo(in *info, limit *cell) {
+// advanceVar brings every Info of vs positioned before limit forward to
+// limit. A state with nothing to advance keeps its checkpoint encoding.
+func (e *Engine) advanceVar(vs *varState, limit *cell) {
+	vs.mu.Lock()
+	moved := e.advanceInfo(vs.write, limit)
+	for _, in := range vs.reads {
+		moved = e.advanceInfo(in, limit) || moved
+	}
+	if moved {
+		vs.ckptClean = false
+	}
+	vs.mu.Unlock()
+}
+
+// advanceInfo advances in to limit, reporting whether it moved.
+func (e *Engine) advanceInfo(in *info, limit *cell) bool {
 	if in == nil || in.pos.seq >= limit.seq {
-		return
+		return false
 	}
 	n := applyRules(in.ls, in.pos, limit, e.rules(), false, 0, 0)
 	e.stats[0].walkCells.Add(uint64(n)) // collection walks land on stripe 0
@@ -171,6 +173,7 @@ func (e *Engine) advanceInfo(in *info, limit *cell) {
 	limit.refs.Add(1)
 	in.pos = limit
 	e.infosAdvanced.Add(1)
+	return true
 }
 
 // HeldLocks returns the monitors thread t currently holds, for tests and

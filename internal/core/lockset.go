@@ -225,17 +225,17 @@ func (ls *Lockset) Reset(elems ...Elem) {
 }
 
 // Elems returns the elements in an unspecified order.
-func (ls *Lockset) Elems() []Elem {
+func (ls *Lockset) Elems() []Elem { return ls.appendElems(make([]Elem, 0, ls.Len())) }
+
+// appendElems appends the elements to dst in an unspecified order.
+func (ls *Lockset) appendElems(dst []Elem) []Elem {
 	if ls.m != nil {
-		out := make([]Elem, 0, len(ls.m))
 		for e := range ls.m {
-			out = append(out, e)
+			dst = append(dst, e)
 		}
-		return out
+		return dst
 	}
-	out := make([]Elem, len(ls.small))
-	copy(out, ls.small)
-	return out
+	return append(dst, ls.small...)
 }
 
 // Equal reports set equality.

@@ -92,7 +92,7 @@ type ckptGraph struct {
 	ViolationsAll int                 `json:"violations_all,omitempty"`
 }
 
-// Snapshot is a checker's complete state copied at a quiescent point:
+// Snapshot is a checker's complete state taken at a quiescent point:
 // the engine snapshot and the flattened region graph. Like
 // core.Snapshot it shares no mutable memory with the checker, so it can
 // be encoded on another goroutine while the checker keeps stepping.
@@ -100,6 +100,10 @@ type Snapshot struct {
 	eng   *core.Snapshot
 	graph ckptGraph
 }
+
+// SizeHint returns a lower bound on the bytes Encode writes: the engine
+// checkpoint's length, without the header and graph lines around it.
+func (s *Snapshot) SizeHint() int { return s.eng.Len() }
 
 // Capture copies the complete checker state. The caller must ensure no
 // concurrent Step.

@@ -3,12 +3,12 @@ package event
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 )
 
-// JSONAction is the serialized form of an Action. Kind uses the String
-// names so trace files are greppable. A document that embeds it as a
-// field marshals each action to the same bytes MarshalAction writes, in
-// the same pass as the rest of the document (engine checkpoints do).
+// JSONAction is the serialized form of an Action, as decoders read it.
+// Kind uses the String names so trace files are greppable. AppendJSON
+// writes exactly what json.Marshal of this struct would.
 type JSONAction struct {
 	Kind   string     `json:"kind"`
 	Thread Tid        `json:"t"`
@@ -19,25 +19,59 @@ type JSONAction struct {
 	Writes []Variable `json:"writes,omitempty"`
 }
 
-// ToJSON converts an action to its serialized form. The commit read and
-// write sets are shared, not copied.
-func ToJSON(a Action) JSONAction {
-	return JSONAction{
-		Kind:   a.Kind.String(),
-		Thread: a.Thread,
-		Obj:    a.Obj,
-		Field:  a.Field,
-		Peer:   a.Peer,
-		Reads:  a.Reads,
-		Writes: a.Writes,
-	}
-}
-
 // MarshalAction serializes a single action as JSON (greppable kind
 // names, omitted zero fields). It is the action body of every trace
-// file record, of goldilocksd race reports and of engine checkpoints.
+// file record and of goldilocksd race reports; engine checkpoints embed
+// the same bytes through AppendJSON.
 func MarshalAction(a Action) ([]byte, error) {
-	return json.Marshal(ToJSON(a))
+	return AppendJSON(nil, a), nil
+}
+
+// AppendJSON appends to dst the JSON form of a — the bytes json.Marshal
+// of the corresponding JSONAction would produce — in one pass and
+// without reflection.
+func AppendJSON(dst []byte, a Action) []byte {
+	// Kind names are fixed ASCII identifiers (or "Kind(n)"), which
+	// encoding/json quotes without escaping.
+	dst = append(dst, `{"kind":"`...)
+	dst = append(dst, a.Kind.String()...)
+	dst = append(dst, `","t":`...)
+	dst = strconv.AppendInt(dst, int64(a.Thread), 10)
+	if a.Obj != NilAddr {
+		dst = append(dst, `,"o":`...)
+		dst = strconv.AppendInt(dst, int64(a.Obj), 10)
+	}
+	if a.Field != 0 {
+		dst = append(dst, `,"f":`...)
+		dst = strconv.AppendInt(dst, int64(a.Field), 10)
+	}
+	if a.Peer != NoTid {
+		dst = append(dst, `,"peer":`...)
+		dst = strconv.AppendInt(dst, int64(a.Peer), 10)
+	}
+	if len(a.Reads) > 0 {
+		dst = appendJSONVars(append(dst, `,"reads":`...), a.Reads)
+	}
+	if len(a.Writes) > 0 {
+		dst = appendJSONVars(append(dst, `,"writes":`...), a.Writes)
+	}
+	return append(dst, '}')
+}
+
+// appendJSONVars appends vs as encoding/json writes a []Variable.
+func appendJSONVars(dst []byte, vs []Variable) []byte {
+	dst = append(dst, '[')
+	for i, v := range vs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"Obj":`...)
+		dst = strconv.AppendInt(dst, int64(v.Obj), 10)
+		dst = append(dst, `,"Field":`...)
+		dst = strconv.AppendInt(dst, int64(v.Field), 10)
+		dst = append(dst, '}')
+	}
+	return append(dst, ']')
 }
 
 // UnmarshalAction parses an action serialized by MarshalAction.

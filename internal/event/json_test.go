@@ -2,6 +2,7 @@ package event
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -27,6 +28,31 @@ func TestTraceJSONRoundTrip(t *testing.T) {
 	for _, src := range []string{`{"kind":"teleport","t":1}`, `{"kind":"invalid","t":1}`} {
 		if a, err := UnmarshalAction([]byte(src)); err == nil || !strings.Contains(err.Error(), "unknown action kind") {
 			t.Errorf("UnmarshalAction(%s) = %v, %v; want an unknown-kind error", src, a, err)
+		}
+	}
+}
+
+// TestAppendJSONMatchesMarshal: the reflection-free encoder writes
+// exactly what json.Marshal of the JSONAction decoders read writes, zero
+// and negative fields, empty commit sets and an out-of-range kind
+// included.
+func TestAppendJSONMatchesMarshal(t *testing.T) {
+	actions := append(sampleTrace().Actions(),
+		Action{},
+		Action{Kind: KindCommit, Thread: -3, Reads: []Variable{}, Writes: []Variable{{Obj: -7, Field: -1}, {}}},
+		Action{Kind: KindWrite, Thread: 1, Obj: 1 << 40, Field: 1<<31 - 1, Peer: -1},
+		Action{Kind: Kind(200), Thread: 2},
+	)
+	for _, a := range actions {
+		want, err := json.Marshal(JSONAction{
+			Kind: a.Kind.String(), Thread: a.Thread, Obj: a.Obj, Field: a.Field,
+			Peer: a.Peer, Reads: a.Reads, Writes: a.Writes,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendJSON([]byte("x"), a); !bytes.Equal(got[1:], want) || got[0] != 'x' {
+			t.Errorf("AppendJSON(%v) = %s, json.Marshal %s", a, got, want)
 		}
 	}
 }

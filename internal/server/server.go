@@ -899,8 +899,9 @@ func (s *Server) autoDumpFlight(reason string) {
 }
 
 // sessionSnapshot is a session checkpoint captured at a quiescent
-// point: the session header and a copy of the detector state. Encoding
-// it reads no live session state, so any goroutine may do it.
+// point: the session header and the detector state, already encoded by
+// the capture. Assembling it reads no live session state, so any
+// goroutine may do it.
 type sessionSnapshot struct {
 	sess *session
 	hdr  sessionHeader
@@ -908,8 +909,8 @@ type sessionSnapshot struct {
 	rt   *regiontrack.Snapshot // serializability sessions
 }
 
-// captureSession copies a session's checkpoint state. The engine must
-// be quiescent (worker context, or a claimed detached session).
+// captureSession captures a session's checkpoint state. The engine
+// must be quiescent (worker context, or a claimed detached session).
 func captureSession(sess *session) *sessionSnapshot {
 	snap := &sessionSnapshot{sess: sess, hdr: sessionHeader{
 		Format: SessionFormatName, Version: SessionFormatVersion,
@@ -926,19 +927,25 @@ func captureSession(sess *session) *sessionSnapshot {
 	return snap
 }
 
-// encode serializes the snapshot: the session header line followed by
-// the engine (or checker) checkpoint.
+// encode assembles the snapshot: the session header line followed by
+// the engine (or checker) checkpoint, in one buffer sized up front.
 func (snap *sessionSnapshot) encode() ([]byte, error) {
 	hdr, err := json.Marshal(snap.hdr)
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
+	size := len(hdr) + 1
+	if snap.rt != nil {
+		size += snap.rt.SizeHint()
+	} else {
+		size += snap.eng.Len()
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size))
 	buf.Write(append(hdr, '\n'))
 	if snap.rt != nil {
-		err = snap.rt.Encode(&buf)
+		err = snap.rt.Encode(buf)
 	} else {
-		err = snap.eng.Encode(&buf)
+		err = snap.eng.Encode(buf)
 	}
 	if err != nil {
 		return nil, err
