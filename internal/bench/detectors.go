@@ -24,12 +24,8 @@ type DetectorRow struct {
 	Elapsed map[string]time.Duration
 }
 
-// runtimeDetector builds a fresh runtime detector for registry entry e;
-// an entry without a constructor ("none") runs uninstrumented.
+// runtimeDetector builds a fresh runtime detector for registry entry e.
 func runtimeDetector(e detectors.Entry) jrt.Detector {
-	if e.New == nil {
-		return nil
-	}
 	return jrt.Serialize(e.New(core.DefaultOptions(), nil))
 }
 

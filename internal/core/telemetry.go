@@ -9,10 +9,6 @@ import (
 // Telemetry returns the engine's telemetry bundle, nil when disabled.
 func (e *Engine) Telemetry() *obs.Telemetry { return e.tel }
 
-// ShardCount returns the number of variable-table shards, for reporting
-// the engine configuration alongside benchmark results.
-func (e *Engine) ShardCount() int { return len(e.varShards) }
-
 // RegisterMetrics binds the engine's observable state into reg: the
 // work counters of Stats (including the SC1/SC2/SC3 short-circuit hits,
 // separately), the event-list and GC gauges, the resilience counters,

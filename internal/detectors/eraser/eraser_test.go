@@ -3,6 +3,7 @@ package eraser_test
 import (
 	"testing"
 
+	"goldilocks/internal/core"
 	"goldilocks/internal/detect"
 	"goldilocks/internal/detectors/basic"
 	"goldilocks/internal/detectors/eraser"
@@ -94,6 +95,35 @@ func TestEraserFalseAlarmOnOwnershipTransfer(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("no alarm on o.data: %v", rs)
+	}
+}
+
+// TestEraserFalseAlarmOnChannelPipeline: a buffer handed down a
+// two-channel pipeline is race-free, since each send happens-before
+// its recv. Eraser models a channel as a lock that recv acquires and
+// send releases. Each stage receives on one channel and sends on
+// another, so it keeps holding its input channel's pseudo-lock. The
+// stages' locksets never intersect, and Eraser alarms at the last
+// stage's write.
+func TestEraserFalseAlarmOnChannelPipeline(t *testing.T) {
+	tr := event.NewBuilder().
+		ChanMake(1, 30, 1).
+		ChanMake(1, 31, 1).
+		Fork(1, 2).
+		Fork(1, 3).
+		Write(1, 10, 0). // stage 1 fills the buffer
+		ChanSend(1, 30).
+		ChanRecv(2, 30).
+		Write(2, 10, 0). // stage 2 transforms it
+		ChanSend(2, 31).
+		ChanRecv(3, 31).
+		Write(3, 10, 0). // stage 3 consumes it
+		Trace()
+	if rs := detect.RunTrace(core.New(), tr); len(rs) != 0 {
+		t.Fatalf("Goldilocks reported %v on a race-free pipeline", rs)
+	}
+	if rs := detect.RunTrace(eraser.New(), tr); len(rs) == 0 {
+		t.Error("Eraser saw through a channel pipeline; expected a false alarm")
 	}
 }
 
