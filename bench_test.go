@@ -502,11 +502,14 @@ func BenchmarkRecordReplay(b *testing.B) {
 // Encode to io.Discard, on a service-sized engine (a generated trace over
 // 4096 variables, stepped 16384 actions). "first" captures an engine
 // with nothing to reuse (one just restored from a checkpoint); "repeat"
-// captures it again 4096 actions after a previous capture, as a
-// goldilocksd session worker does, so only the variables those actions
-// changed are encoded again.
+// captures it again after a previous capture and the rest of the trace
+// (1181 actions touching 555 variables), as a goldilocksd session
+// worker does, so only the variables those actions changed are encoded
+// again. "sparse" captures again 256 actions (124 variables) after a
+// previous capture: the case where a capture's cost should follow what
+// changed rather than the size of the table.
 func BenchmarkCheckpointCapture(b *testing.B) {
-	const warm, every = 16384, 4096
+	const warm, every, sparse = 16384, 4096, 256
 	cfg := tracegen.Default()
 	cfg.Steps = warm + every
 	cfg.MaxThreads = 6
@@ -540,22 +543,26 @@ func BenchmarkCheckpointCapture(b *testing.B) {
 			}
 		}
 	})
-	b.Run("repeat", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(snap.Len()))
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			e := restore()
-			if err := e.Checkpoint(io.Discard); err != nil {
-				b.Fatal(err)
-			}
-			for j := warm; j < tr.Len(); j++ {
-				e.Step(tr.At(j))
-			}
-			b.StartTimer()
-			if err := e.Checkpoint(io.Discard); err != nil {
-				b.Fatal(err)
+	again := func(steps int) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(snap.Len()))
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				e := restore()
+				if err := e.Checkpoint(io.Discard); err != nil {
+					b.Fatal(err)
+				}
+				for j := warm; j < min(warm+steps, tr.Len()); j++ {
+					e.Step(tr.At(j))
+				}
+				b.StartTimer()
+				if err := e.Checkpoint(io.Discard); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	})
+	}
+	b.Run("repeat", again(every))
+	b.Run("sparse", again(sparse))
 }

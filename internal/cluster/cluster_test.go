@@ -1,8 +1,10 @@
 package cluster_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -15,6 +17,7 @@ import (
 	"goldilocks/internal/obs"
 	"goldilocks/internal/scenarios"
 	"goldilocks/internal/server"
+	"goldilocks/internal/tracegen"
 )
 
 // lateRouter lets a server start before its cluster node exists (the
@@ -333,6 +336,92 @@ func TestRollup(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rollup missing %q\n---\n%s", want, out)
+		}
+	}
+}
+
+// TestCheckpointReplicaAfterBufferReuse holds on to the bytes of every
+// checkpoint the owner hands its replication hook, as the node's
+// asynchronous queue does, while the owner's writer reuses its encode
+// buffer for many later checkpoints. Each earlier checkpoint must then
+// still pass a follower's PutReplica validation and land unchanged.
+func TestCheckpointReplicaAfterBufferReuse(t *testing.T) {
+	type job struct {
+		applied uint64
+		data    []byte
+	}
+	var mu sync.Mutex
+	var jobs []job
+	owner, err := server.New("127.0.0.1:0", server.Config{
+		CheckpointDir: t.TempDir(), CheckpointEvery: 8,
+		OnCheckpoint: func(_ string, applied uint64, data []byte) {
+			mu.Lock()
+			jobs = append(jobs, job{applied, data})
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatalf("owner: %v", err)
+	}
+	defer owner.Close()
+	replicas := t.TempDir()
+	follower, err := server.New("127.0.0.1:0", server.Config{ReplicaDir: replicas})
+	if err != nil {
+		t.Fatalf("follower: %v", err)
+	}
+	defer follower.Close()
+
+	cfg := tracegen.Default()
+	cfg.Steps = 200
+	tr := tracegen.FromSeedConfig(12, cfg)
+	ctx := context.Background()
+	c, err := server.DialContext(ctx, owner.Addr(), "reuse", server.DialConfig{})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	for i := 0; i < tr.Len(); i++ {
+		if err := c.Send(tr.At(i)); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+		if i%8 == 7 {
+			// Wait for each checkpoint to be written, so no capture is
+			// superseded before it reaches the hook.
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				ack, err := c.Flush()
+				if err != nil {
+					t.Fatalf("flush at %d: %v", i, err)
+				}
+				if ack.Durable == uint64(i+1) {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("the checkpoint at %d is not durable after 5s", i+1)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+	if _, err := c.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if want := tr.Len() / 8; len(jobs) < want {
+		t.Fatalf("the hook saw %d checkpoints, want at least %d", len(jobs), want)
+	}
+	for _, j := range jobs {
+		if err := server.PutReplica(ctx, follower.Addr(), "reuse", j.data); err != nil {
+			t.Fatalf("replica of the checkpoint at %d: %v", j.applied, err)
+		}
+		got, err := os.ReadFile(filepath.Join(replicas, "reuse.ckpt"))
+		if err != nil || !bytes.Equal(got, j.data) {
+			t.Fatalf("replica of the checkpoint at %d not stored as sent (err %v)", j.applied, err)
+		}
+		hdr, _, _ := bytes.Cut(got, []byte("\n"))
+		if want := fmt.Sprintf(`"applied":%d,`, j.applied); !bytes.Contains(hdr, []byte(want)) {
+			t.Fatalf("replica header %s, want %s", hdr, want)
 		}
 	}
 }

@@ -104,7 +104,7 @@ func (e *Engine) access(t event.Tid, o event.Addr, d event.FieldID, a event.Acti
 	if vs.disabled || vs.quarantined {
 		return nil
 	}
-	vs.ckptClean = false
+	e.markDirty(o, d, vs)
 	st.accessesChecked.Add(1)
 	v := event.Variable{Obj: o, Field: d}
 
@@ -146,7 +146,7 @@ func (e *Engine) access(t event.Tid, o event.Addr, d event.FieldID, a event.Acti
 		// Quarantine (o, d): drop the variable's state and stop checking
 		// it. (An uninstalled Info owns no list reference, so there is
 		// nothing to unpin.)
-		vs.dropAll()
+		e.dropVar(o, d, vs)
 		vs.quarantined = true
 		e.panicsRecovered.Add(1)
 		e.varsQuarantined.Add(1)

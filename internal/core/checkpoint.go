@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"goldilocks/internal/event"
 	"goldilocks/internal/obs"
@@ -188,11 +189,38 @@ type RestoreAttach struct {
 
 // Snapshot is an engine's complete detector state, encoded at a
 // quiescent point: the checkpoint payload, ready to be framed. The
-// engine never writes to a body it has handed out, so a Snapshot can be
-// written on another goroutine while the engine keeps stepping.
+// engine never writes to a body it has handed out until the snapshot is
+// released, so a Snapshot can be written on another goroutine while the
+// engine keeps stepping.
 type Snapshot struct {
-	body []byte
-	err  error // from json.Marshal of a fixed-shape part (a NaN option)
+	buf *ckptBuf
+	err error // from json.Marshal of a fixed-shape part (a NaN option)
+}
+
+// Release lets the engine recycle the snapshot's body once the engine
+// no longer needs it to copy from. The snapshot must not be used after.
+// A snapshot that is never released is simply garbage collected.
+func (s *Snapshot) Release() {
+	s.buf.unref()
+	s.buf = nil
+}
+
+// ckptBuf is a capture body. Two references share it: the Snapshot
+// handed out, until it is released, and the engine, until a newer
+// capture replaces it as the body to copy from. It goes back to
+// ckptBufs when both have let go.
+type ckptBuf struct {
+	b    []byte
+	refs atomic.Int32
+}
+
+// ckptBufs recycles capture bodies across captures and engines.
+var ckptBufs = sync.Pool{New: func() any { return new(ckptBuf) }}
+
+func (p *ckptBuf) unref() {
+	if p != nil && p.refs.Add(-1) == 0 {
+		ckptBufs.Put(p)
+	}
 }
 
 // ckptPrefix is the header line and the opening of the body line.
@@ -205,11 +233,13 @@ const ckptSuffixLen = len(`,"crc":"00000000"}`) + 1
 // Capture followed by its Encode. The engine must be quiescent: no
 // concurrent Step/Read/Write/Sync calls.
 func (e *Engine) Checkpoint(w io.Writer) error {
-	return e.Capture().Encode(w)
+	s := e.Capture()
+	defer s.Release()
+	return s.Encode(w)
 }
 
 // Len returns the number of bytes Encode writes.
-func (s *Snapshot) Len() int { return len(ckptPrefix) + len(s.body) + ckptSuffixLen }
+func (s *Snapshot) Len() int { return len(ckptPrefix) + len(s.buf.b) + ckptSuffixLen }
 
 // Encode writes the snapshot in the checkpoint format: the header line,
 // then the body line assembled around the already encoded payload with
@@ -221,45 +251,88 @@ func (s *Snapshot) Encode(w io.Writer) error {
 	if _, err := io.WriteString(w, ckptPrefix); err != nil {
 		return err
 	}
-	if _, err := w.Write(s.body); err != nil {
+	if _, err := w.Write(s.buf.b); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, ",\"crc\":\"%08x\"}\n", crc32.ChecksumIEEE(s.body))
+	_, err := fmt.Fprintf(w, ",\"crc\":\"%08x\"}\n", crc32.ChecksumIEEE(s.buf.b))
 	return err
 }
 
-// ckptReuse is what a capture keeps for the next one: its body and the
-// span of every variable's encoding in it, sorted by (obj, field). A
-// variable whose state still has ckptClean set, and that is the same
-// state object the span recorded, is copied from the previous body
-// rather than encoded again. Every snapshot is still complete: reuse
-// only saves the encoding work. What is kept is one capture's worth,
-// replaced by the next capture, and never grows in between.
+// ckptReuse is what a capture keeps for the next one: its body, the
+// span of every variable's encoding in it sorted by (obj, field), and
+// the keys of the variables changed since. A variable changes from
+// clean to dirty at most once between captures (varState.ckptClean),
+// and that change, like the creation of a variable, appends its key to
+// dirty. The next capture encodes only the dirty keys and copies every
+// other span from the previous body. Every snapshot is still complete:
+// reuse only saves the encoding work.
+//
+// What is kept is one capture's body and table, replaced by the next
+// capture, plus a key list bounded by the cap the previous capture set.
+// Past the cap the list is freed and tracking stops, so the next
+// capture lists the whole table as a first capture does.
 type ckptReuse struct {
 	mu      sync.Mutex // serializes captures of one engine
-	body    []byte     // owned by the last Snapshot; read here, never written
+	buf     *ckptBuf   // the last capture's body; read here, never written
 	listLen int        // event list length and VarsTracked at that capture
 	nvars   int
 	vars    []ckptSpan
 	spare   []ckptSpan // the table before last, reused as the next one
+
+	// tracking is set by a capture and cleared when dirty reaches
+	// dirtyCap; while it is clear, no key is noted and dirty is nil.
+	tracking atomic.Bool
+	dirtyMu  sync.Mutex
+	dirty    []event.Variable
+	dirtyCap int
 }
 
-// ckptSpan locates one variable's encoding in a capture's body. While a
-// capture lists its variables, from is the index of the variable's span
-// in the previous table, or -1.
+func compareVars(a, b event.Variable) int {
+	if c := cmp.Compare(a.Obj, b.Obj); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Field, b.Field)
+}
+
+// ckptSpan locates one variable's encoding in a capture's body.
 type ckptSpan struct {
-	obj      event.Addr
-	field    event.FieldID
-	from     int32
-	vs       *varState
+	v        event.Variable
 	off, end int
 }
 
-func compareSpans(a, b ckptSpan) int {
-	if c := cmp.Compare(a.obj, b.obj); c != 0 {
-		return c
+// body returns the last capture's body, or nil.
+func (r *ckptReuse) body() []byte {
+	if r.buf == nil {
+		return nil
 	}
-	return cmp.Compare(a.field, b.field)
+	return r.buf.b
+}
+
+// markDirty clears vs.ckptClean, noting (o, d) if it was set: the
+// variable's bytes in the last capture are stale. The caller holds
+// vs.mu. An engine never captured only pays the branch.
+func (e *Engine) markDirty(o event.Addr, d event.FieldID, vs *varState) {
+	if vs.ckptClean {
+		vs.ckptClean = false
+		e.noteDirty(o, d)
+	}
+}
+
+// noteDirty appends (o, d) to the dirty list while tracking is on. Past
+// the cap it frees the list and stops tracking.
+func (e *Engine) noteDirty(o event.Addr, d event.FieldID) {
+	r := &e.ckpt
+	if !r.tracking.Load() {
+		return
+	}
+	r.dirtyMu.Lock()
+	if len(r.dirty) < r.dirtyCap {
+		r.dirty = append(r.dirty, event.Variable{Obj: o, Field: d})
+	} else {
+		r.dirty, r.dirtyCap = nil, 0
+		r.tracking.Store(false)
+	}
+	r.dirtyMu.Unlock()
 }
 
 // ckptEncoder holds a capture's scratch slices, reused across variables.
@@ -283,10 +356,13 @@ func (e *Engine) Capture() *Snapshot {
 	// Pre-size from the previous body plus what the list and the table
 	// grew by since: growing by reallocation would leave several
 	// body-sized garbage buffers per capture.
+	prev := len(r.body())
 	listLen, nvars := e.list.len(), int(e.varsTracked.Load())
-	hint := len(r.body) + len(r.body)/32 + 1024 + 64*max(listLen-r.listLen, 0) + 256*max(nvars-r.nvars, 0)
+	hint := prev + prev/32 + 1024 + 64*max(listLen-r.listLen, 0) + 256*max(nvars-r.nvars, 0)
 	r.listLen, r.nvars = listLen, nvars
-	b := make([]byte, 0, hint)
+	buf := ckptBufs.Get().(*ckptBuf)
+	buf.refs.Store(2) // the snapshot's and the engine's
+	b := slices.Grow(buf.b[:0], hint)
 	var snap Snapshot
 
 	o := e.opts
@@ -360,8 +436,9 @@ func (e *Engine) Capture() *Snapshot {
 		}
 		b = appendUints(append(b, `,"walk_rule_hits":`...), hits[:])
 	}
-	snap.body = append(b, '}')
-	r.body = snap.body
+	buf.b = append(b, '}')
+	r.buf.unref()
+	r.buf, snap.buf = buf, buf
 	return &snap
 }
 
@@ -424,74 +501,116 @@ func (e *Engine) appendList(b []byte) []byte {
 }
 
 // appendVars encodes the variable table, sorted by (obj, field): every
-// tracked state, including info-less ones (quarantined or alloc-reset
-// variables still occupy a table slot, which VarsTracked counts). Each
-// clean variable still described by its previous span is copied from
-// the previous body instead of encoded again.
+// state linked in the table, including info-less quarantined ones.
+// (Alloc unlinks the states it drops, so those are not written.) One
+// merge loop walks the listed keys and the previous capture's spans:
+// a listed key is encoded from its state, or left out if the variable
+// no longer exists, and a span that is not listed is copied from the
+// previous body. A first capture lists every key and has no spans.
 func (e *Engine) appendVars(b []byte) []byte {
 	r := &e.ckpt
-	cur := e.listVars()
+	keys, prev := e.listKeys()
+	body := r.body()
+	cur := slices.Grow(r.spare[:0], max(len(prev), len(keys)))
 	var enc ckptEncoder
-	for i := range cur {
-		c := &cur[i]
-		if i == 0 {
-			b = append(b, `,"vars":[`...)
-		} else {
-			b = append(b, ',')
+	for i, j := 0, 0; i < len(keys) || j < len(prev); {
+		c := -1 // keys[i] against prev[j]: <0 the key comes first, >0 the span, 0 both
+		if j < len(prev) {
+			c = 1
+			if i < len(keys) {
+				c = compareVars(keys[i], prev[j].v)
+			}
 		}
-		c.off = len(b)
-		c.vs.mu.Lock()
-		// A state object belongs to one (obj, field) for its lifetime, so
-		// the same pointer means the same variable.
-		if c.from >= 0 && r.vars[c.from].vs == c.vs && c.vs.ckptClean {
-			b = append(b, r.body[r.vars[c.from].off:r.vars[c.from].end]...)
-		} else {
-			b = enc.appendVar(b, c.obj, c.field, c.vs)
-			c.vs.ckptClean = true
+		if c > 0 {
+			p := prev[j]
+			j++
+			b = appendVarsSep(b, len(cur))
+			off := len(b)
+			b = append(b, body[p.off:p.end]...)
+			cur = append(cur, ckptSpan{v: p.v, off: off, end: len(b)})
+			continue
 		}
-		c.vs.mu.Unlock()
-		c.end = len(b)
+		v := keys[i]
+		i++
+		if c == 0 {
+			j++ // listed, so the previous span is stale
+		}
+		vs := e.lookupState(v.Obj, v.Field)
+		if vs == nil {
+			continue // dropped since the previous capture
+		}
+		b = appendVarsSep(b, len(cur))
+		off := len(b)
+		vs.mu.Lock()
+		b = enc.appendVar(b, v.Obj, v.Field, vs)
+		vs.ckptClean = true
+		vs.mu.Unlock()
+		cur = append(cur, ckptSpan{v: v, off: off, end: len(b)})
 	}
 	if len(cur) > 0 {
 		b = append(b, ']')
 	}
-	// The old table's state pointers would pin dropped variables until
-	// the next capture; clear them before keeping it as the spare.
-	clear(r.vars)
 	r.vars, r.spare = cur, r.vars[:0]
+
+	// Re-arm the dirty list for the next capture, reusing this one's
+	// keys unless they outgrew the new cap.
+	r.dirtyMu.Lock()
+	r.dirtyCap = 2*len(cur) + 1024
+	if cap(keys) > 2*r.dirtyCap {
+		keys = nil
+	}
+	r.dirty = keys[:0]
+	r.tracking.Store(true)
+	r.dirtyMu.Unlock()
 	return b
 }
 
-// listVars returns every linked variable state sorted by (obj, field),
-// each with the index of its span in the previous table (or -1), built
-// in the spare table.
-func (e *Engine) listVars() []ckptSpan {
+// appendVarsSep opens the vars array before its first entry and
+// separates the others.
+func appendVarsSep(b []byte, n int) []byte {
+	if n == 0 {
+		return append(b, `,"vars":[`...)
+	}
+	return append(b, ',')
+}
+
+// listKeys returns the keys to encode, sorted and distinct, and the
+// previous capture's spans. While tracking, those are the dirty keys;
+// otherwise (a first capture, a restored engine, an overflowed list)
+// every linked key is listed and there are no spans.
+func (e *Engine) listKeys() ([]event.Variable, []ckptSpan) {
 	r := &e.ckpt
-	cur := slices.Grow(r.spare[:0], int(e.varsTracked.Load()))
+	r.dirtyMu.Lock()
+	keys, tracking := r.dirty, r.tracking.Load()
+	r.dirty, r.dirtyCap = nil, 0
+	r.tracking.Store(false)
+	r.dirtyMu.Unlock()
+	if tracking {
+		slices.SortFunc(keys, compareVars)
+		return slices.Compact(keys), r.vars
+	}
+	n := 0
+	for i := range e.varShards {
+		sh := &e.varShards[i]
+		sh.mu.RLock()
+		for _, fields := range sh.vars {
+			n += len(fields)
+		}
+		sh.mu.RUnlock()
+	}
+	keys = make([]event.Variable, 0, n)
 	for i := range e.varShards {
 		sh := &e.varShards[i]
 		sh.mu.RLock()
 		for obj, fields := range sh.vars {
-			for field, vs := range fields {
-				cur = append(cur, ckptSpan{obj: obj, field: field, vs: vs})
+			for field := range fields {
+				keys = append(keys, event.Variable{Obj: obj, Field: field})
 			}
 		}
 		sh.mu.RUnlock()
 	}
-	slices.SortFunc(cur, compareSpans)
-	// Merge-join against the previous table, if any.
-	prev, j := r.vars, 0
-	for i := range cur {
-		c := &cur[i]
-		for j < len(prev) && compareSpans(prev[j], *c) < 0 {
-			j++
-		}
-		c.from = -1
-		if j < len(prev) && prev[j].vs == c.vs {
-			c.from = int32(j)
-		}
-	}
-	return cur
+	slices.SortFunc(keys, compareVars)
+	return keys, nil
 }
 
 // appendVar encodes one variable state as a ckptVar; the caller holds

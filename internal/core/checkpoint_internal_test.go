@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -31,9 +32,10 @@ func encoded(t *testing.T, s *Snapshot) []byte {
 }
 
 // freshCapture captures e with nothing to reuse: every variable is
-// encoded from its state.
+// listed and encoded from its state.
 func freshCapture(t *testing.T, e *Engine) []byte {
-	e.ckpt.vars = nil
+	e.ckpt.tracking.Store(false)
+	e.ckpt.dirty = nil
 	return encoded(t, e.Capture())
 }
 
@@ -42,15 +44,16 @@ func varTable(b []byte) []byte {
 	return b[bytes.Index(b, []byte(`,"vars":[`)):bytes.Index(b, []byte(`,"counters":`))]
 }
 
-// firstVar returns some tracked state with a write Info.
-func firstVar(e *Engine) *varState {
+// firstVar returns some tracked variable with a write Info.
+func firstVar(e *Engine) (event.Variable, *varState) {
+	var v event.Variable
 	var found *varState
-	e.forEachVarState(func(vs *varState) {
+	e.forEachVarState(func(o event.Addr, d event.FieldID, vs *varState) {
 		if found == nil && vs.write != nil {
-			found = vs
+			v, found = event.Variable{Obj: o, Field: d}, vs
 		}
 	})
-	return found
+	return v, found
 }
 
 // TestCheckpointInvalidation calls each engine operation that mutates
@@ -87,10 +90,19 @@ func TestCheckpointInvalidation(t *testing.T) {
 		// Reallocating an object with state is not a valid trace step,
 		// but the engine must still unlink the object's variables.
 		"alloc": func(e *Engine) { e.Alloc(1, 50) },
+		// The same variable, dropped and created again.
+		"alloc-recreate": func(e *Engine) {
+			e.Alloc(1, 50)
+			e.Step(event.Action{Kind: event.KindWrite, Thread: 1, Obj: 50, Field: 0})
+		},
+		// A variable the trace never touched.
+		"create": func(e *Engine) {
+			e.Step(event.Action{Kind: event.KindWrite, Thread: 1, Obj: 999, Field: 3})
+		},
 		"drop": func(e *Engine) {
-			vs := firstVar(e)
+			v, vs := firstVar(e)
 			vs.mu.Lock()
-			vs.dropAll()
+			e.dropVar(v.Obj, v.Field, vs)
 			vs.mu.Unlock()
 		},
 	}
@@ -116,18 +128,27 @@ func TestCheckpointInvalidation(t *testing.T) {
 // TestCheckpointReuseStateBounded captures an engine once and then steps
 // it through a long trace full of allocations without another capture,
 // as a session with no periodic checkpoints does after one admin pull.
-// Nothing the reuse keeps may change or grow in between: it is one
-// capture's body and table, replaced only by the next capture.
+// What the reuse keeps is one capture's body and table, replaced only
+// by the next capture, plus a dirty key list whose size the previous
+// capture fixed: past its cap the list is freed and tracking stops, and
+// the next capture lists the whole table. An engine never captured
+// keeps no list at all.
 func TestCheckpointReuseStateBounded(t *testing.T) {
 	cfg := tracegen.Default()
 	cfg.Steps = 200
 	e := NewEngine(DefaultOptions())
+	never := NewEngine(DefaultOptions())
 	tr := tracegen.FromSeedConfig(5, cfg)
 	for i := 0; i < tr.Len(); i++ {
 		e.Step(tr.At(i))
+		never.Step(tr.At(i))
 	}
 	e.Capture()
-	body, vars, spare := len(e.ckpt.body), len(e.ckpt.vars), cap(e.ckpt.spare)
+	r := &e.ckpt
+	body, vars, spare, dirtyCap := len(r.buf.b), len(r.vars), cap(r.spare), r.dirtyCap
+	if want := 2*vars + 1024; dirtyCap != want {
+		t.Fatalf("dirty list cap %d after a capture of %d variables, want %d", dirtyCap, vars, want)
+	}
 	cfg.Steps = 20000
 	long := tracegen.FromSeedConfig(6, cfg)
 	allocs := 0
@@ -136,12 +157,67 @@ func TestCheckpointReuseStateBounded(t *testing.T) {
 			allocs++
 		}
 		e.Step(long.At(i))
+		never.Step(long.At(i))
 	}
 	if allocs == 0 {
 		t.Fatal("the trace has no allocations; the check is vacuous")
 	}
-	if len(e.ckpt.body) != body || len(e.ckpt.vars) != vars || cap(e.ckpt.spare) != spare {
+	if len(r.buf.b) != body || len(r.vars) != vars || cap(r.spare) != spare {
 		t.Fatalf("reuse state changed without a capture: body %d->%d, vars %d->%d, spare cap %d->%d",
-			body, len(e.ckpt.body), vars, len(e.ckpt.vars), spare, cap(e.ckpt.spare))
+			body, len(r.buf.b), vars, len(r.vars), spare, cap(r.spare))
+	}
+	if r.tracking.Load() {
+		if len(r.dirty) > dirtyCap {
+			t.Fatalf("dirty list holds %d keys, over its cap %d", len(r.dirty), dirtyCap)
+		}
+	} else if r.dirty != nil {
+		t.Fatalf("tracking stopped but the dirty list still holds %d keys", len(r.dirty))
+	}
+	got := encoded(t, e.Capture())
+	if want := freshCapture(t, e); !bytes.Equal(got, want) {
+		t.Fatalf("capture after the long run differs from a fresh one:\n got %s\nwant %s", got, want)
+	}
+	if never.ckpt.dirty != nil || never.ckpt.tracking.Load() {
+		t.Fatalf("an engine never captured tracks dirty keys (%d listed)", len(never.ckpt.dirty))
+	}
+}
+
+// TestCheckpointDirtyNotesConcurrent steps one engine from 8 goroutines
+// between two captures, on variables they share and on variables each
+// creates, with collections advancing Infos underneath: every note
+// lands in the dirty list, so the second capture equals a fresh one.
+// Run it under -race.
+func TestCheckpointDirtyNotesConcurrent(t *testing.T) {
+	opts := DefaultOptions()
+	opts.GCThreshold = 64
+	e := NewEngine(opts)
+	const workers, objs = 8, 512
+	for o := event.Addr(1); o <= objs; o++ {
+		e.Step(event.Action{Kind: event.KindWrite, Thread: 1, Obj: o, Field: 0})
+	}
+	e.Capture()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(tid event.Tid) {
+			defer wg.Done()
+			lock := event.Addr(1000 + tid)
+			for i := 0; i < 100; i++ {
+				shared := event.Addr(1 + (int(tid)*37+i)%objs)
+				fresh := event.Addr(10000 + int(tid)*1000 + i)
+				e.Step(event.Action{Kind: event.KindAcquire, Thread: tid, Obj: lock})
+				e.Step(event.Action{Kind: event.KindRead, Thread: tid, Obj: shared, Field: 0})
+				e.Step(event.Action{Kind: event.KindWrite, Thread: tid, Obj: fresh, Field: event.FieldID(i % 3)})
+				e.Step(event.Action{Kind: event.KindRelease, Thread: tid, Obj: lock})
+			}
+		}(event.Tid(2 + w))
+	}
+	wg.Wait()
+	if !e.ckpt.tracking.Load() {
+		t.Fatal("the dirty list overflowed; the check is vacuous")
+	}
+	got := encoded(t, e.Capture())
+	if want := freshCapture(t, e); !bytes.Equal(got, want) {
+		t.Fatalf("capture after concurrent steps differs from a fresh one:\n got %s\nwant %s", got, want)
 	}
 }

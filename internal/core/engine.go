@@ -146,7 +146,7 @@ type Stats struct {
 	FullWalks       uint64 // pair checks that needed a full traversal
 	WalkCells       uint64 // cells visited across all traversals
 	Races           uint64
-	VarsTracked     uint64 // distinct variables that received state
+	VarsTracked     uint64 // variable states created, counting each re-creation after an Alloc
 	EventsEnqueued  uint64
 	CellsCollected  uint64
 	Collections     uint64
@@ -252,8 +252,9 @@ type varState struct {
 	quarantined bool
 	// ckptClean reports that the state is unchanged since the engine's
 	// last Capture encoded it, so the next capture may copy those bytes.
-	// Every mutation under mu clears it. It fits in the padding after
-	// the flags above: varState stays 32 bytes.
+	// Every mutation under mu clears it through Engine.markDirty, which
+	// notes the variable's key on the first clear. It fits in the
+	// padding after the flags above: varState stays 32 bytes.
 	ckptClean bool
 }
 
@@ -661,9 +662,9 @@ func (e *Engine) Alloc(_ event.Tid, o event.Addr) {
 		fields := sh.vars[o]
 		delete(sh.vars, o)
 		sh.mu.Unlock()
-		for _, vs := range fields {
+		for d, vs := range fields {
 			vs.mu.Lock()
-			vs.dropAll()
+			e.dropVar(o, d, vs)
 			vs.mu.Unlock()
 		}
 	}
@@ -708,6 +709,9 @@ func (e *Engine) stateOfHash(o event.Addr, d event.FieldID, h uint64) *varState 
 		vs = &varState{}
 		fields[d] = vs
 		e.varsTracked.Add(1)
+		if e.ckpt.tracking.Load() {
+			e.noteDirty(o, d)
+		}
 	}
 	return vs
 }
@@ -725,6 +729,12 @@ func (e *Engine) lookupState(o event.Addr, d event.FieldID) *varState {
 	return fields[d]
 }
 
+// dropVar drops the state of variable (o, d); the caller holds vs.mu.
+func (e *Engine) dropVar(o event.Addr, d event.FieldID, vs *varState) {
+	vs.dropAll()
+	e.markDirty(o, d, vs)
+}
+
 func (vs *varState) dropAll() {
 	if vs.write != nil {
 		vs.write.release()
@@ -736,7 +746,6 @@ func (vs *varState) dropAll() {
 	vs.reads = nil
 	vs.disabled = false
 	vs.quarantined = false
-	vs.ckptClean = false
 }
 
 func (in *info) release() { in.pos.refs.Add(-1) }

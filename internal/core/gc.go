@@ -93,7 +93,7 @@ func (e *Engine) escalateLocked(to resilience.DegradationRung) {
 // checks, never precision.
 func (e *Engine) shedCaches() {
 	e.cacheSheds.Add(1)
-	e.forEachVarState(func(vs *varState) {
+	e.forEachVarState(func(o event.Addr, d event.FieldID, vs *varState) {
 		vs.mu.Lock()
 		if vs.write != nil {
 			vs.write.hbAfter = nil
@@ -101,7 +101,7 @@ func (e *Engine) shedCaches() {
 		for _, in := range vs.reads {
 			in.hbAfter = nil
 		}
-		vs.ckptClean = false
+		e.markDirty(o, d, vs)
 		vs.mu.Unlock()
 	})
 }
@@ -115,7 +115,7 @@ func (e *Engine) shedCaches() {
 func (e *Engine) eagerSweepLocked() {
 	e.eagerSweeps.Add(1)
 	tail := e.list.snapshotTail()
-	e.forEachVarState(func(vs *varState) { e.advanceVar(vs, tail) })
+	e.forEachVarState(func(o event.Addr, d event.FieldID, vs *varState) { e.advanceVar(o, d, vs, tail) })
 	e.list.trim(nil)
 }
 
@@ -124,20 +124,24 @@ func (e *Engine) eagerSweepLocked() {
 // read lock and processed after it is released, so a sweep never holds
 // more than one shard lock and never blocks accesses to the other 63
 // shards.
-func (e *Engine) forEachVarState(f func(vs *varState)) {
-	var states []*varState
+func (e *Engine) forEachVarState(f func(o event.Addr, d event.FieldID, vs *varState)) {
+	type keyed struct {
+		v  event.Variable
+		vs *varState
+	}
+	var states []keyed
 	for i := range e.varShards {
 		sh := &e.varShards[i]
 		sh.mu.RLock()
 		states = states[:0]
-		for _, fields := range sh.vars {
-			for _, vs := range fields {
-				states = append(states, vs)
+		for o, fields := range sh.vars {
+			for d, vs := range fields {
+				states = append(states, keyed{event.Variable{Obj: o, Field: d}, vs})
 			}
 		}
 		sh.mu.RUnlock()
-		for _, vs := range states {
-			f(vs)
+		for _, s := range states {
+			f(s.v.Obj, s.v.Field, s.vs)
 		}
 	}
 }
@@ -145,19 +149,20 @@ func (e *Engine) forEachVarState(f func(vs *varState)) {
 // advanceInfosBefore applies partially-eager evaluation: every Info
 // positioned before limit has its lockset brought forward to limit.
 func (e *Engine) advanceInfosBefore(limit *cell) {
-	e.forEachVarState(func(vs *varState) { e.advanceVar(vs, limit) })
+	e.forEachVarState(func(o event.Addr, d event.FieldID, vs *varState) { e.advanceVar(o, d, vs, limit) })
 }
 
-// advanceVar brings every Info of vs positioned before limit forward to
-// limit. A state with nothing to advance keeps its checkpoint encoding.
-func (e *Engine) advanceVar(vs *varState, limit *cell) {
+// advanceVar brings every Info of variable (o, d) positioned before
+// limit forward to limit. A state with nothing to advance keeps its
+// checkpoint encoding.
+func (e *Engine) advanceVar(o event.Addr, d event.FieldID, vs *varState, limit *cell) {
 	vs.mu.Lock()
 	moved := e.advanceInfo(vs.write, limit)
 	for _, in := range vs.reads {
 		moved = e.advanceInfo(in, limit) || moved
 	}
 	if moved {
-		vs.ckptClean = false
+		e.markDirty(o, d, vs)
 	}
 	vs.mu.Unlock()
 }

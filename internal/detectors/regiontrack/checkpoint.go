@@ -105,6 +105,10 @@ type Snapshot struct {
 // checkpoint's length, without the header and graph lines around it.
 func (s *Snapshot) SizeHint() int { return s.eng.Len() }
 
+// Release lets the engine recycle the snapshot's engine body; the
+// snapshot must not be used after.
+func (s *Snapshot) Release() { s.eng.Release() }
+
 // Capture copies the complete checker state. The caller must ensure no
 // concurrent Step.
 func (c *Checker) Capture() *Snapshot {
@@ -114,7 +118,9 @@ func (c *Checker) Capture() *Snapshot {
 // Checkpoint serializes the complete checker state to w: a Capture
 // followed by its Encode. The caller must ensure no concurrent Step.
 func (c *Checker) Checkpoint(w io.Writer) error {
-	return c.Capture().Encode(w)
+	s := c.Capture()
+	defer s.Release()
+	return s.Encode(w)
 }
 
 // Encode writes the snapshot in the checker checkpoint format. The

@@ -8,9 +8,13 @@ import "sync"
 // submits it; the writer encodes, persists and replicates it off the
 // verdict path. The writer keeps only the newest pending capture per
 // session: an older one would be overwritten on disk before anything
-// could restore from it.
+// could restore from it, and is released when replaced.
 type ckptWriter struct {
-	write func(*sessionSnapshot) // Server.writePeriodic
+	// write is Server.writePeriodic. It encodes into buf, the writer's
+	// scratch buffer, and returns the storage to keep for the next
+	// write; only the writer goroutine touches buf.
+	write func(snap *sessionSnapshot, buf []byte) []byte
+	buf   []byte
 
 	mu      sync.Mutex
 	cond    *sync.Cond // broadcast on submit, on each finished write, on stop
@@ -27,7 +31,7 @@ type ckptWriter struct {
 	hold chan struct{}
 }
 
-func newCkptWriter(write func(*sessionSnapshot)) *ckptWriter {
+func newCkptWriter(write func(*sessionSnapshot, []byte) []byte) *ckptWriter {
 	w := &ckptWriter{
 		write:   write,
 		pending: make(map[*session]*sessionSnapshot),
@@ -67,7 +71,9 @@ func (w *ckptWriter) run() {
 			}
 		}
 		if write {
-			w.write(snap)
+			w.buf = w.write(snap, w.buf)
+		} else {
+			snap.release()
 		}
 
 		w.mu.Lock()
@@ -76,16 +82,19 @@ func (w *ckptWriter) run() {
 	}
 }
 
-// submit hands a capture to the writer, replacing any capture of the
-// same session still waiting. After stop it is dropped: only session
-// workers submit, and they have all exited by then.
+// submit hands a capture to the writer, replacing (and releasing) any
+// capture of the same session still waiting. After stop it is dropped:
+// only session workers submit, and they have all exited by then.
 func (w *ckptWriter) submit(snap *sessionSnapshot) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.stopped {
+		snap.release()
 		return
 	}
-	if _, ok := w.pending[snap.sess]; !ok {
+	if old, ok := w.pending[snap.sess]; ok {
+		old.release()
+	} else {
 		w.order = append(w.order, snap.sess)
 	}
 	w.pending[snap.sess] = snap
@@ -105,7 +114,8 @@ func (w *ckptWriter) wait(sess *session) {
 func (w *ckptWriter) discard(sess *session) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.pending[sess] != nil {
+	if snap := w.pending[sess]; snap != nil {
+		snap.release()
 		delete(w.pending, sess)
 		for i, s := range w.order {
 			if s == sess {
@@ -144,6 +154,9 @@ func (w *ckptWriter) close() {
 func (w *ckptWriter) kill() {
 	w.mu.Lock()
 	w.stopped = true
+	for _, snap := range w.pending {
+		snap.release()
+	}
 	clear(w.pending)
 	w.order = nil
 	close(w.killed)

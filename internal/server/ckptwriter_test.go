@@ -20,6 +20,7 @@ import (
 
 	"goldilocks/internal/core"
 	"goldilocks/internal/event"
+	"goldilocks/internal/obs"
 	"goldilocks/internal/tracegen"
 )
 
@@ -321,5 +322,92 @@ func TestSessionCheckpointGolden(t *testing.T) {
 			i++
 		}
 		t.Fatalf("re-encoding differs from the golden at byte %d of %d", i, len(want))
+	}
+}
+
+// TestCheckpointBufferReuse recycles capture bodies and the writer's
+// encode buffer while captures are superseded: the writer is held on
+// the capture at 8 while those at 16 and 24 are replaced by newer ones
+// (their bodies go back for reuse), then the session runs on through
+// more periodic checkpoints. Every checkpoint written, as persisted and
+// as handed to the replication hook, must restore and re-encode byte
+// for byte and hold the state of an engine stepped through the same
+// prefix.
+func TestCheckpointBufferReuse(t *testing.T) {
+	dir := t.TempDir()
+	tr := writerTrace(t)
+	type written struct {
+		applied uint64
+		data    []byte
+	}
+	var mu sync.Mutex
+	var hooked []written
+	srv, err := New("127.0.0.1:0", Config{
+		CheckpointDir: dir, CheckpointEvery: 8,
+		OnCheckpoint: func(_ string, applied uint64, data []byte) {
+			mu.Lock()
+			hooked = append(hooked, written{applied, data})
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatalf("server: %v", err)
+	}
+	defer srv.Close()
+	release := holdWriter(srv)
+	defer release()
+
+	st := dialStreamer(t, srv, "r", tr)
+	st.sendTo(8)
+	waitUntil(t, "the writer holds the capture at 8", func() bool { return writing(srv, "r") })
+	st.sendTo(16)
+	st.sendTo(24)
+	st.sendTo(32) // replaces 24, which replaced 16
+	release()
+	srv.ckpt.flush()
+	path := filepath.Join(dir, "r.ckpt")
+	var files []written
+	for n := 40; n <= tr.Len(); n += 8 {
+		st.sendTo(n)
+		srv.ckpt.flush()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("reading the checkpoint at %d: %v", n, err)
+		}
+		files = append(files, written{checkpointApplied(t, path), data})
+	}
+	st.c.Abandon()
+
+	mu.Lock()
+	defer mu.Unlock()
+	var applied []uint64
+	for _, w := range hooked {
+		applied = append(applied, w.applied)
+	}
+	if len(applied) < 4 || applied[0] != 8 || applied[1] != 32 {
+		t.Fatalf("hook saw checkpoints at %v, want 8, 32 and later ones", applied)
+	}
+	for _, w := range append(hooked, files...) {
+		sess, err := loadSession(bufio.NewReader(bytes.NewReader(w.data)))
+		if err != nil {
+			t.Fatalf("checkpoint at %d: %v", w.applied, err)
+		}
+		again, err := captureSession(sess).encode()
+		if err != nil || !bytes.Equal(again, w.data) {
+			t.Fatalf("checkpoint at %d does not re-encode byte for byte (err %v)", w.applied, err)
+		}
+		opts := core.DefaultOptions()
+		opts.Telemetry = obs.NewTelemetry()
+		ref := core.NewEngine(opts)
+		for i := 0; i < int(w.applied); i++ {
+			ref.Step(tr.At(i))
+		}
+		var want bytes.Buffer
+		if err := ref.Checkpoint(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasSuffix(w.data, want.Bytes()) {
+			t.Fatalf("checkpoint at %d holds another state than the trace prefix", w.applied)
+		}
 	}
 }

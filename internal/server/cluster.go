@@ -270,7 +270,7 @@ func (s *Server) Drain() ([]SessionInfo, error) {
 	s.mu.Unlock()
 	var errs []error
 	for _, sess := range sessions {
-		if err := s.writeCheckpoint(captureSession(sess)); err != nil {
+		if _, err := s.writeCheckpoint(captureSession(sess), nil); err != nil {
 			errs = append(errs, fmt.Errorf("session %s: %w", sess.id, err))
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -927,9 +928,15 @@ func captureSession(sess *session) *sessionSnapshot {
 	return snap
 }
 
-// encode assembles the snapshot: the session header line followed by
-// the engine (or checker) checkpoint, in one buffer sized up front.
-func (snap *sessionSnapshot) encode() ([]byte, error) {
+// encode assembles the snapshot in a new buffer; see encodeInto.
+func (snap *sessionSnapshot) encode() ([]byte, error) { return snap.encodeInto(nil) }
+
+// encodeInto assembles the snapshot in buf's storage, grown once to the
+// size needed: the session header line followed by the engine (or
+// checker) checkpoint. A snapshot is encoded once: encodeInto releases
+// the captured body back to the engine.
+func (snap *sessionSnapshot) encodeInto(buf []byte) ([]byte, error) {
+	defer snap.release()
 	hdr, err := json.Marshal(snap.hdr)
 	if err != nil {
 		return nil, err
@@ -940,17 +947,27 @@ func (snap *sessionSnapshot) encode() ([]byte, error) {
 	} else {
 		size += snap.eng.Len()
 	}
-	buf := bytes.NewBuffer(make([]byte, 0, size))
-	buf.Write(append(hdr, '\n'))
+	bb := bytes.NewBuffer(slices.Grow(buf[:0], size))
+	bb.Write(append(hdr, '\n'))
 	if snap.rt != nil {
-		err = snap.rt.Encode(buf)
+		err = snap.rt.Encode(bb)
 	} else {
-		err = snap.eng.Encode(buf)
+		err = snap.eng.Encode(bb)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return bb.Bytes(), nil
+}
+
+// release hands the captured body back to the engine for reuse once
+// the snapshot is encoded or dropped; only the header is usable after.
+func (snap *sessionSnapshot) release() {
+	if snap.rt != nil {
+		snap.rt.Release()
+	} else {
+		snap.eng.Release()
+	}
 }
 
 // writeDurable writes dir/<name> atomically and durably: temp file,
@@ -1015,21 +1032,24 @@ func (s *Server) persistCheckpoint(id string, data []byte) error {
 	return nil
 }
 
-// writeCheckpoint encodes a captured session checkpoint, persists it
-// when a checkpoint directory is configured, and hands the bytes to the
+// writeCheckpoint encodes a captured session checkpoint into buf's
+// storage, persists the bytes when a checkpoint directory is
+// configured, and hands a copy to the
 // replication hook. Only then does the session's durable watermark
 // advance, so an ack reporting it follows the counter bump and the
-// flight event. Called on the checkpoint writer, and by Drain once the
-// writer is flushed.
-func (s *Server) writeCheckpoint(snap *sessionSnapshot) error {
+// flight event. It returns the encoded bytes, whose storage the caller
+// may reuse for the next write. Called on the checkpoint writer with
+// its scratch buffer, and by Drain, with none, once the writer is
+// flushed.
+func (s *Server) writeCheckpoint(snap *sessionSnapshot, buf []byte) ([]byte, error) {
 	start := time.Now()
-	data, err := snap.encode()
+	data, err := snap.encodeInto(buf)
 	if err != nil {
-		return err
+		return buf, err
 	}
 	if s.cfg.CheckpointDir != "" {
 		if err := s.persistCheckpoint(snap.hdr.Session, data); err != nil {
-			return err
+			return data, err
 		}
 	}
 	// Checkpoints are rare (every CheckpointEvery actions), so every one
@@ -1038,22 +1058,27 @@ func (s *Server) writeCheckpoint(snap *sessionSnapshot) error {
 	applied := snap.hdr.Applied
 	s.flight("checkpoint", snap.hdr.Session, fmt.Sprintf("%d bytes at %d applied", len(data), applied))
 	if s.cfg.OnCheckpoint != nil {
-		s.cfg.OnCheckpoint(snap.hdr.Session, applied, data)
+		// The hook owns what it receives (the cluster node queues it for
+		// replication), and data is reused by the next write.
+		s.cfg.OnCheckpoint(snap.hdr.Session, applied, bytes.Clone(data))
 	}
 	if s.cfg.CheckpointDir != "" {
 		snap.sess.durable.Store(applied)
 	}
-	return nil
+	return data, nil
 }
 
 // writePeriodic is the checkpoint writer's job: write one periodic
-// capture, logging a failure (the session keeps running, and the next
-// periodic checkpoint tries again).
-func (s *Server) writePeriodic(snap *sessionSnapshot) {
-	if err := s.writeCheckpoint(snap); err != nil {
+// capture into buf's storage, logging a failure (the session keeps
+// running, and the next periodic checkpoint tries again). It returns
+// the storage to reuse.
+func (s *Server) writePeriodic(snap *sessionSnapshot, buf []byte) []byte {
+	buf, err := s.writeCheckpoint(snap, buf)
+	if err != nil {
 		s.cfg.Logger.Warn("periodic checkpoint failed", "component", "server",
 			"session", snap.hdr.Session, "err", err)
 	}
+	return buf
 }
 
 // Quarantined describes a checkpoint that could not be restored at
