@@ -274,7 +274,10 @@ func run(ctx context.Context, path string, c runConfig) (int, error) {
 		}
 	}
 
-	cfg := jrt.Config{}
+	// One trace-level detector (a backend, the guarded backend, or the
+	// remote session) reaches the runtime through jrt.Serialize, or
+	// jrt.Record when the run is recorded.
+	var det detect.Detector
 	var engine *core.Engine
 	var guard *jrt.Guarded
 	var remote *remoteSession
@@ -287,7 +290,7 @@ func run(ctx context.Context, path string, c runConfig) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		cfg.Detector = remote
+		det = remote
 		fmt.Fprintf(os.Stderr, "goldilocks: streaming to %s (session %s)\n", c.remote, sessionID)
 	}
 	switch {
@@ -306,20 +309,20 @@ func run(ctx context.Context, path string, c runConfig) (int, error) {
 		opts.MemoryBudget = c.budget
 		// The goldilocks engine recovers its own panics; the other
 		// backends get the runtime's guard.
-		cfg.Detector = jrt.Serialize(e.New(opts, tel))
-		if engine, _ = cfg.Detector.(*core.Engine); engine == nil {
-			guard = jrt.Guard(cfg.Detector, errPolicy)
-			cfg.Detector = guard
+		det = e.New(opts, tel)
+		if engine, _ = det.(*core.Engine); engine == nil {
+			guard = jrt.Guard(det, errPolicy)
+			det = guard
 		}
 	}
+	cfg := jrt.Config{}
 	var recorder *jrt.Recorder
-	if c.record != "" || c.serial {
-		inner := cfg.Detector
-		if inner == nil {
-			inner = nopDetector{}
-		}
-		recorder = jrt.Record(inner)
+	switch {
+	case c.record != "" || c.serial:
+		recorder = jrt.Record(det)
 		cfg.Detector = recorder
+	case det != nil:
+		cfg.Detector = jrt.Serialize(det)
 	}
 	switch c.policy {
 	case "throw":
@@ -415,11 +418,15 @@ func run(ctx context.Context, path string, c runConfig) (int, error) {
 			fmt.Fprintf(os.Stderr, "resilience: %d panics recovered, %d vars quarantined\n", panics, quarantined)
 		}
 	}
-	if recorder != nil && c.record != "" {
-		if err := writeRecording(c.record, recorder.Trace()); err != nil {
+	var recording *event.Trace
+	if recorder != nil {
+		recording = recorder.Trace()
+	}
+	if c.record != "" {
+		if err := writeRecording(c.record, recording); err != nil {
 			return 0, err
 		}
-		fmt.Fprintf(os.Stderr, "recorded %d actions to %s\n", recorder.Trace().Len(), c.record)
+		fmt.Fprintf(os.Stderr, "recorded %d actions to %s\n", recording.Len(), c.record)
 	}
 	violations := 0
 	if c.serial {
@@ -428,7 +435,7 @@ func run(ctx context.Context, path string, c runConfig) (int, error) {
 		// atomicity with monitors and transactions alike.
 		opts := regiontrack.DefaultOptions()
 		opts.LockRegions = true
-		_, sum := regiontrack.Check(recorder.Trace(), opts)
+		_, sum := regiontrack.Check(recording, opts)
 		for _, v := range sum.Violations {
 			fmt.Fprintf(os.Stderr, "serializability violation at action %d: region %d -> region %d closes cycle %v (threads %v)\n",
 				v.Pos, v.From, v.To, v.Cycle, v.Threads)
@@ -527,18 +534,3 @@ func writeRecording(path string, tr *event.Trace) error {
 	defer f.Close()
 	return event.WriteTrace(f, tr)
 }
-
-// nopDetector lets -record work with -detector none.
-type nopDetector struct{}
-
-func (nopDetector) Sync(event.Action) {}
-func (nopDetector) Read(event.Tid, event.Addr, event.FieldID) *detect.Race {
-	return nil
-}
-func (nopDetector) Write(event.Tid, event.Addr, event.FieldID) *detect.Race {
-	return nil
-}
-func (nopDetector) Commit(event.Tid, []event.Variable, []event.Variable) []detect.Race {
-	return nil
-}
-func (nopDetector) Alloc(event.Tid, event.Addr) {}

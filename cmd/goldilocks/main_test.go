@@ -264,6 +264,45 @@ func TestRecordStreamFormat(t *testing.T) {
 	}
 }
 
+// TestRecordEveryBackendReplays: -record works for every runtime backend
+// (the guarded ones are recorded outside their guard) and for none, and
+// replaying each recording through the same backend gives the live
+// run's race count.
+func TestRecordEveryBackendReplays(t *testing.T) {
+	dir := t.TempDir()
+	for name, src := range map[string]string{"clean": cleanSrc, "racy": racySrc} {
+		path := writeProgram(t, src)
+		for _, e := range append(detectors.Runtime(), detectors.Entry{Name: "none"}) {
+			c := cfg()
+			c.detector, c.policy = e.Name, "log"
+			c.record = filepath.Join(dir, name+"-"+e.Name+".jsonl")
+			n, err := run(context.Background(), path, c)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, e.Name, err)
+			}
+			f, err := os.Open(c.record)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, dropped, err := event.ReadTrace(f)
+			f.Close()
+			if err != nil || dropped != 0 || tr.Len() == 0 {
+				t.Fatalf("%s/%s: recording unreadable: %d actions, %d dropped, %v", name, e.Name, tr.Len(), dropped, err)
+			}
+			replayed := 0
+			if e.New != nil {
+				replayed = len(detect.RunTrace(e.New(core.DefaultOptions(), nil), tr))
+			}
+			if name == "racy" && e.New != nil && n == 0 {
+				t.Errorf("racy/%s: live run reported no race", e.Name)
+			}
+			if replayed != n {
+				t.Errorf("%s/%s: live run reported %d races, replay %d", name, e.Name, n, replayed)
+			}
+		}
+	}
+}
+
 func TestExploreFlag(t *testing.T) {
 	racy := writeProgram(t, racySrc)
 	n, err := exploreSchedules(racy, 100, 0, 0)

@@ -2,8 +2,14 @@ package main
 
 import (
 	"context"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"goldilocks/internal/core"
+	"goldilocks/internal/detect"
+	"goldilocks/internal/event"
 	"goldilocks/internal/resilience"
 	"goldilocks/internal/server"
 )
@@ -42,6 +48,59 @@ func TestRunRemoteParity(t *testing.T) {
 		}
 		if lc, rc := exitFor(nLocal, nil), exitFor(nRemote, nil); lc != rc {
 			t.Errorf("%s: local exit %d, remote exit %d", name, lc, rc)
+		}
+	}
+}
+
+// TestRunRemoteFreeScheduler streams from goroutine threads: under
+// -sched free several threads send through the adapter's one mutex at
+// once, with and without -record. The racy program's race is
+// interleaving-independent, so each run reports exactly one; a recorded
+// run's trace replays to the same verdict.
+func TestRunRemoteFreeScheduler(t *testing.T) {
+	srv, err := server.New("127.0.0.1:0", server.Config{})
+	if err != nil {
+		t.Fatalf("starting server: %v", err)
+	}
+	defer srv.Close()
+
+	dir := t.TempDir()
+	for name, src := range map[string]string{"clean": cleanSrc, "racy": racySrc} {
+		path := writeProgram(t, src)
+		want := 0
+		if name == "racy" {
+			want = 1
+		}
+		for _, record := range []bool{false, true} {
+			c := cfg()
+			c.sched, c.policy = "free", "log"
+			c.remote = srv.Addr()
+			c.session = fmt.Sprintf("cli-free-%s-%v", name, record)
+			if record {
+				c.record = filepath.Join(dir, name+".jsonl")
+			}
+			n, err := run(context.Background(), path, c)
+			if err != nil {
+				t.Fatalf("%s (record %v): remote run: %v", name, record, err)
+			}
+			if n != want {
+				t.Errorf("%s (record %v): %d races, want %d", name, record, n, want)
+			}
+			if !record {
+				continue
+			}
+			f, err := os.Open(c.record)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, _, err := event.ReadTrace(f)
+			f.Close()
+			if err != nil {
+				t.Fatalf("%s: recording unreadable: %v", name, err)
+			}
+			if got := len(detect.RunTrace(core.New(), tr)); got != n {
+				t.Errorf("%s: remote run reported %d races, replay of its recording %d", name, n, got)
+			}
 		}
 	}
 }

@@ -254,18 +254,19 @@ func TestChanDeadlockReported(t *testing.T) {
 // corruption report; the Guard barrier recovers it and the detector
 // keeps serving.
 func TestGuardQuarantinesBadChanEvent(t *testing.T) {
-	g := jrt.Guard(jrt.Serialize(hb.NewDetector()), resilience.Quarantine)
-	g.Sync(event.ChanSend(1, 99)) // never made: corruption panic inside
+	g := jrt.Guard(hb.NewDetector(), resilience.Quarantine)
+	d := jrt.Serialize(g)
+	d.Sync(event.ChanSend(1, 99)) // never made: corruption panic inside
 	panics, _ := g.GuardStats()
 	if panics != 1 {
 		t.Fatalf("GuardStats panics = %d, want 1", panics)
 	}
 	// The detector still works: an unsynchronized write pair still races.
-	g.Alloc(1, 5)
-	if r := g.Write(1, 5, 0); r != nil {
+	d.Alloc(1, 5)
+	if r := d.Write(1, 5, 0); r != nil {
 		t.Fatalf("first write raced: %v", r)
 	}
-	if r := g.Write(2, 5, 0); r == nil {
+	if r := d.Write(2, 5, 0); r == nil {
 		t.Fatal("race missed after recovered channel-event panic")
 	}
 }

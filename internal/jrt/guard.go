@@ -1,7 +1,7 @@
 package jrt
 
 import (
-	"sync"
+	"maps"
 	"sync/atomic"
 
 	"goldilocks/internal/detect"
@@ -9,17 +9,17 @@ import (
 	"goldilocks/internal/resilience"
 )
 
-// Guarded wraps any runtime Detector with the panic-isolation barrier
+// Guarded wraps a trace-level detector with the panic-isolation barrier
 // the optimized engine has built in: a panicking check quarantines the
 // offending variable (it is never checked again) instead of crashing
 // the monitored program. Use it for the serialized detectors
-// (vectorclock, eraser, basic) — *core.Engine enforces the same policy
-// internally and does not need wrapping.
+// (vectorclock, eraser, basic) as Serialize(Guard(det, policy)) —
+// *core.Engine enforces the same policy internally and does not need
+// wrapping. Like any detect.Detector it assumes a single caller; the
+// Serialize adapter's mutex provides that.
 type Guarded struct {
-	inner  Detector
-	policy resilience.ErrorPolicy
-
-	mu          sync.Mutex
+	inner       detect.Detector
+	policy      resilience.ErrorPolicy
 	quarantined map[event.Variable]bool
 
 	panics      atomic.Uint64
@@ -27,9 +27,12 @@ type Guarded struct {
 }
 
 // Guard wraps det with panic isolation under the given policy.
-func Guard(det Detector, policy resilience.ErrorPolicy) *Guarded {
+func Guard(det detect.Detector, policy resilience.ErrorPolicy) *Guarded {
 	return &Guarded{inner: det, policy: policy, quarantined: make(map[event.Variable]bool)}
 }
+
+// Name implements detect.Detector.
+func (g *Guarded) Name() string { return g.inner.Name() }
 
 // GuardStats returns the number of panics recovered and variables
 // quarantined so far.
@@ -37,100 +40,48 @@ func (g *Guarded) GuardStats() (panics, quarantined uint64) {
 	return g.panics.Load(), g.varsDropped.Load()
 }
 
-// handle processes a recovered panic value: it quarantines vars and
-// counts. Abort re-raises. (recover itself must be called directly in
-// the deferred function, so callers pass the recovered value in.)
-func (g *Guarded) handle(r any, vars ...event.Variable) {
-	if g.policy == resilience.Abort {
-		panic(r)
+// Step implements detect.Detector. A read or write of a quarantined
+// variable is skipped. A panic in the inner detector is recovered (Abort
+// re-raises) and blamed on the action's variables: a read or write
+// quarantines its variable; a commit cannot be attributed to a single
+// variable, so its whole read and write set is quarantined —
+// conservative, but a commit is one detector step; a sync action has no
+// variable to blame and is only counted. Allocation makes the object's
+// fields fresh variables, so their quarantine is lifted (mirroring the
+// engine's rule-8 reset).
+func (g *Guarded) Step(a event.Action) (races []detect.Race) {
+	switch a.Kind {
+	case event.KindRead, event.KindWrite:
+		if g.quarantined[a.Variable()] {
+			return nil
+		}
+	case event.KindAlloc:
+		maps.DeleteFunc(g.quarantined, func(v event.Variable, _ bool) bool { return v.Obj == a.Obj })
 	}
-	g.panics.Add(1)
-	g.mu.Lock()
+	defer func() {
+		if r := recover(); r != nil {
+			if g.policy == resilience.Abort {
+				panic(r)
+			}
+			g.panics.Add(1)
+			switch a.Kind {
+			case event.KindRead, event.KindWrite:
+				g.quarantine(a.Variable())
+			case event.KindCommit:
+				g.quarantine(a.Reads...)
+				g.quarantine(a.Writes...)
+			}
+			races = nil
+		}
+	}()
+	return g.inner.Step(a)
+}
+
+func (g *Guarded) quarantine(vars ...event.Variable) {
 	for _, v := range vars {
 		if !g.quarantined[v] {
 			g.quarantined[v] = true
 			g.varsDropped.Add(1)
 		}
 	}
-	g.mu.Unlock()
-}
-
-func (g *Guarded) isQuarantined(v event.Variable) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.quarantined[v]
-}
-
-// Sync implements Detector. A panic here has no variable to blame; it
-// is recovered and counted, and the event is dropped.
-func (g *Guarded) Sync(a event.Action) {
-	defer func() {
-		if r := recover(); r != nil {
-			g.handle(r)
-		}
-	}()
-	g.inner.Sync(a)
-}
-
-// Read implements Detector.
-func (g *Guarded) Read(t event.Tid, o event.Addr, f event.FieldID) (race *detect.Race) {
-	v := event.Variable{Obj: o, Field: f}
-	if g.isQuarantined(v) {
-		return nil
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			g.handle(r, v)
-			race = nil
-		}
-	}()
-	return g.inner.Read(t, o, f)
-}
-
-// Write implements Detector.
-func (g *Guarded) Write(t event.Tid, o event.Addr, f event.FieldID) (race *detect.Race) {
-	v := event.Variable{Obj: o, Field: f}
-	if g.isQuarantined(v) {
-		return nil
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			g.handle(r, v)
-			race = nil
-		}
-	}()
-	return g.inner.Write(t, o, f)
-}
-
-// Commit implements Detector. A panic cannot be attributed to a single
-// variable, so the whole read and write set is quarantined —
-// conservative, but a commit is one detector step.
-func (g *Guarded) Commit(t event.Tid, reads, writes []event.Variable) (races []detect.Race) {
-	defer func() {
-		if r := recover(); r != nil {
-			vars := append(append([]event.Variable(nil), reads...), writes...)
-			g.handle(r, vars...)
-			races = nil
-		}
-	}()
-	return g.inner.Commit(t, reads, writes)
-}
-
-// Alloc implements Detector. Allocation makes the object's fields fresh
-// variables, so their quarantine is lifted (mirroring the engine's
-// rule-8 reset).
-func (g *Guarded) Alloc(t event.Tid, o event.Addr) {
-	g.mu.Lock()
-	for v := range g.quarantined {
-		if v.Obj == o {
-			delete(g.quarantined, v)
-		}
-	}
-	g.mu.Unlock()
-	defer func() {
-		if r := recover(); r != nil {
-			g.handle(r)
-		}
-	}()
-	g.inner.Alloc(t, o)
 }

@@ -11,40 +11,38 @@ import (
 	"goldilocks/internal/resilience"
 )
 
-// faultyDetector panics on accesses to one designated variable and
-// delegates everything else to a wrapped serialized detector.
+// faultyDetector panics on accesses to one designated variable (and, if
+// badCommit is set, on every commit) and delegates everything else to a
+// wrapped trace-level detector. steps counts the actions that reach it.
 type faultyDetector struct {
-	jrt.Detector
-	bad event.Variable
+	detect.Detector
+	bad       event.Variable
+	badCommit bool
+	steps     int
 }
 
-func (f *faultyDetector) Read(t event.Tid, o event.Addr, fl event.FieldID) *detect.Race {
-	if (event.Variable{Obj: o, Field: fl}) == f.bad {
+func (f *faultyDetector) Step(a event.Action) []detect.Race {
+	f.steps++
+	if a.Kind.IsData() && a.Variable() == f.bad || a.Kind == event.KindCommit && f.badCommit {
 		panic("synthetic detector bug")
 	}
-	return f.Detector.Read(t, o, fl)
-}
-
-func (f *faultyDetector) Write(t event.Tid, o event.Addr, fl event.FieldID) *detect.Race {
-	if (event.Variable{Obj: o, Field: fl}) == f.bad {
-		panic("synthetic detector bug")
-	}
-	return f.Detector.Write(t, o, fl)
+	return f.Detector.Step(a)
 }
 
 // TestGuardQuarantinesVariable: a panicking check on one variable is
 // contained; other variables keep being checked (a seeded race on a
 // different variable is still caught).
 func TestGuardQuarantinesVariable(t *testing.T) {
-	inner := &faultyDetector{Detector: jrt.Serialize(hb.NewDetector())}
+	inner := &faultyDetector{Detector: hb.NewDetector()}
 	g := jrt.Guard(inner, resilience.Quarantine)
+	d := jrt.Serialize(g)
 
 	// Accesses to the bad variable return no race and do not crash.
 	inner.bad = event.Variable{Obj: 7, Field: 0}
-	if r := g.Write(1, 7, 0); r != nil {
+	if r := d.Write(1, 7, 0); r != nil {
 		t.Fatalf("quarantined write returned race %v", r)
 	}
-	if r := g.Read(2, 7, 0); r != nil {
+	if r := d.Read(2, 7, 0); r != nil {
 		t.Fatalf("quarantined read returned race %v", r)
 	}
 	panics, quarantined := g.GuardStats()
@@ -54,43 +52,72 @@ func TestGuardQuarantinesVariable(t *testing.T) {
 
 	// A racy pair on a healthy variable is still detected: T1 writes,
 	// T2 writes with no synchronization between them.
-	g.Alloc(1, 9)
-	if r := g.Write(1, 9, 0); r != nil {
+	d.Alloc(1, 9)
+	if r := d.Write(1, 9, 0); r != nil {
 		t.Fatalf("first write raced: %v", r)
 	}
-	if r := g.Write(2, 9, 0); r == nil {
+	if r := d.Write(2, 9, 0); r == nil {
 		t.Fatal("race on healthy variable missed after quarantine")
 	}
 }
 
 // TestGuardAbortPropagates: under the Abort policy the panic escapes.
 func TestGuardAbortPropagates(t *testing.T) {
-	inner := &faultyDetector{Detector: jrt.Serialize(hb.NewDetector()), bad: event.Variable{Obj: 1, Field: 0}}
-	g := jrt.Guard(inner, resilience.Abort)
+	inner := &faultyDetector{Detector: hb.NewDetector(), bad: event.Variable{Obj: 1, Field: 0}}
+	d := jrt.Serialize(jrt.Guard(inner, resilience.Abort))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Abort policy swallowed the panic")
 		}
 	}()
-	g.Read(1, 1, 0)
+	d.Read(1, 1, 0)
 }
 
 // TestGuardAllocLiftsQuarantine: reallocation makes the fields fresh
 // variables again.
 func TestGuardAllocLiftsQuarantine(t *testing.T) {
-	inner := &faultyDetector{Detector: jrt.Serialize(hb.NewDetector()), bad: event.Variable{Obj: 5, Field: 2}}
+	inner := &faultyDetector{Detector: hb.NewDetector(), bad: event.Variable{Obj: 5, Field: 2}}
 	g := jrt.Guard(inner, resilience.Quarantine)
-	g.Read(1, 5, 2) // panics inside, quarantined
+	d := jrt.Serialize(g)
+	d.Read(1, 5, 2) // panics inside, quarantined
 	if _, q := g.GuardStats(); q != 1 {
 		t.Fatal("variable not quarantined")
 	}
 	inner.bad = event.Variable{} // bug "fixed" for the fresh object
-	g.Alloc(1, 5)
-	if r := g.Write(1, 5, 2); r != nil {
+	d.Alloc(1, 5)
+	if r := d.Write(1, 5, 2); r != nil {
 		t.Fatalf("post-alloc write returned race %v", r)
 	}
-	if r := g.Write(2, 5, 2); r == nil {
+	if r := d.Write(2, 5, 2); r == nil {
 		t.Fatal("race on reallocated variable missed: quarantine not lifted")
+	}
+}
+
+// TestGuardCommitQuarantinesReadWriteSet: a panicking commit cannot be
+// blamed on one variable, so its whole read and write set is
+// quarantined; a later plain access to one of them never reaches the
+// inner detector.
+func TestGuardCommitQuarantinesReadWriteSet(t *testing.T) {
+	inner := &faultyDetector{Detector: hb.NewDetector(), badCommit: true}
+	g := jrt.Guard(inner, resilience.Quarantine)
+	d := jrt.Serialize(g)
+	a, b, c := event.Variable{Obj: 3, Field: 0}, event.Variable{Obj: 3, Field: 1}, event.Variable{Obj: 4, Field: 0}
+	if rs := d.Commit(1, []event.Variable{a, b}, []event.Variable{b, c}); rs != nil {
+		t.Fatalf("panicking commit returned races %v", rs)
+	}
+	if panics, quarantined := g.GuardStats(); panics != 1 || quarantined != 3 {
+		t.Fatalf("GuardStats = (%d, %d), want 1 panic and 3 distinct variables", panics, quarantined)
+	}
+	before := inner.steps
+	if r := d.Write(2, c.Obj, c.Field); r != nil {
+		t.Fatalf("write to a quarantined variable returned race %v", r)
+	}
+	if inner.steps != before {
+		t.Error("write to a variable quarantined by a commit reached the inner detector")
+	}
+	d.Write(2, 9, 0) // a healthy variable is still checked
+	if inner.steps != before+1 {
+		t.Error("write to a healthy variable skipped the inner detector")
 	}
 }
 

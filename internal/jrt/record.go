@@ -7,27 +7,30 @@ import (
 	"goldilocks/internal/event"
 )
 
-// Recorder wraps a runtime Detector and records the linearization of
-// actions it observes, in the order the inner detector observes them.
-// The recorded trace can be replayed through any offline detector or
-// the happens-before oracle — the bridge between live monitored
-// executions and trace-level analysis (and the repository's strongest
-// end-to-end check: a live run's races must equal the oracle's verdict
-// on its own recording).
+// Recorder is the Serialize adapter: it puts a single-threaded
+// detect.Detector behind one mutex so it can serve as a runtime
+// Detector. With recording switched on (Record) it also keeps the
+// linearization of actions the detector observes, in the order it
+// observes them. The recorded trace can be replayed through any offline
+// detector or the happens-before oracle — the bridge between live
+// monitored executions and trace-level analysis (and the repository's
+// strongest end-to-end check: a live run's races must equal the
+// oracle's verdict on its own recording).
 //
-// The recorder serializes every detector call through one mutex, so the
-// recorded order is exactly the linearization the inner detector
-// observed (recording trades detector concurrency for fidelity, which
-// is the right trade for a debugging/replay facility).
+// Recording puts even *core.Engine behind the mutex, so the recorded
+// order is exactly the linearization the detector observed (recording
+// trades detector concurrency for fidelity, which is the right trade for
+// a debugging/replay facility).
 type Recorder struct {
-	inner Detector
-
 	mu      sync.Mutex
+	d       detect.Detector // nil: record without detecting
+	record  bool
 	actions []event.Action
 }
 
-// Record wraps det with recording. Pass the result as Config.Detector.
-func Record(det Detector) *Recorder { return &Recorder{inner: det} }
+// Record wraps det with serialization and recording. Pass the result as
+// Config.Detector. A nil det records without detecting.
+func Record(det detect.Detector) *Recorder { return &Recorder{d: det, record: true} }
 
 // Trace returns the recorded linearization so far.
 func (r *Recorder) Trace() *event.Trace {
@@ -38,45 +41,14 @@ func (r *Recorder) Trace() *event.Trace {
 	return event.NewTrace(actions)
 }
 
-// Sync implements Detector.
-func (r *Recorder) Sync(a event.Action) {
+func (r *Recorder) step(a event.Action) (races []detect.Race) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.inner.Sync(a)
-	r.actions = append(r.actions, a)
-}
-
-// Read implements Detector.
-func (r *Recorder) Read(t event.Tid, o event.Addr, f event.FieldID) *detect.Race {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	race := r.inner.Read(t, o, f)
-	r.actions = append(r.actions, event.Read(t, o, f))
-	return race
-}
-
-// Write implements Detector.
-func (r *Recorder) Write(t event.Tid, o event.Addr, f event.FieldID) *detect.Race {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	race := r.inner.Write(t, o, f)
-	r.actions = append(r.actions, event.Write(t, o, f))
-	return race
-}
-
-// Commit implements Detector.
-func (r *Recorder) Commit(t event.Tid, reads, writes []event.Variable) []detect.Race {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	races := r.inner.Commit(t, reads, writes)
-	r.actions = append(r.actions, event.Commit(t, reads, writes))
+	if r.d != nil {
+		races = r.d.Step(a)
+	}
+	if r.record {
+		r.actions = append(r.actions, a)
+	}
 	return races
-}
-
-// Alloc implements Detector.
-func (r *Recorder) Alloc(t event.Tid, o event.Addr) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.inner.Alloc(t, o)
-	r.actions = append(r.actions, event.Alloc(t, o))
 }

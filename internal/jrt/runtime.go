@@ -32,48 +32,39 @@ var _ Detector = (*core.Engine)(nil)
 
 // Serialize wraps a single-threaded detect.Detector (the vector-clock
 // detector, Eraser, ...) behind a mutex so it can serve as a runtime
-// detector. The serialization also fixes the linearization the detector
-// observes. A detector that already implements Detector (*core.Engine)
-// is returned unchanged.
+// detector: a Recorder with recording switched off. The serialization
+// also fixes the linearization the detector observes. A detector that
+// already implements Detector (*core.Engine) is returned unchanged.
 func Serialize(d detect.Detector) Detector {
 	if rd, ok := d.(Detector); ok {
 		return rd
 	}
-	return &serialized{d: d}
+	return &Recorder{d: d}
 }
 
-type serialized struct {
-	mu sync.Mutex
-	d  detect.Detector
-}
+// Sync, Read, Write, Commit and Alloc implement Detector: each steps the
+// wrapped detector with the matching action.
+func (r *Recorder) Sync(a event.Action) { r.step(a) }
 
-func (s *serialized) step(a event.Action) []detect.Race {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.d.Step(a)
-}
-
-func (s *serialized) Sync(a event.Action) { s.step(a) }
-
-func (s *serialized) Read(t event.Tid, o event.Addr, f event.FieldID) *detect.Race {
-	if rs := s.step(event.Read(t, o, f)); len(rs) > 0 {
+func (r *Recorder) Read(t event.Tid, o event.Addr, f event.FieldID) *detect.Race {
+	if rs := r.step(event.Read(t, o, f)); len(rs) > 0 {
 		return &rs[0]
 	}
 	return nil
 }
 
-func (s *serialized) Write(t event.Tid, o event.Addr, f event.FieldID) *detect.Race {
-	if rs := s.step(event.Write(t, o, f)); len(rs) > 0 {
+func (r *Recorder) Write(t event.Tid, o event.Addr, f event.FieldID) *detect.Race {
+	if rs := r.step(event.Write(t, o, f)); len(rs) > 0 {
 		return &rs[0]
 	}
 	return nil
 }
 
-func (s *serialized) Commit(t event.Tid, reads, writes []event.Variable) []detect.Race {
-	return s.step(event.Commit(t, reads, writes))
+func (r *Recorder) Commit(t event.Tid, reads, writes []event.Variable) []detect.Race {
+	return r.step(event.Commit(t, reads, writes))
 }
 
-func (s *serialized) Alloc(t event.Tid, o event.Addr) { s.step(event.Alloc(t, o)) }
+func (r *Recorder) Alloc(t event.Tid, o event.Addr) { r.step(event.Alloc(t, o)) }
 
 // RacePolicy selects what the runtime does when the detector reports a
 // race at an access.

@@ -1,11 +1,9 @@
 package stm_test
 
 import (
-	"sync"
 	"testing"
 
 	"goldilocks/internal/core"
-	"goldilocks/internal/detect"
 	"goldilocks/internal/event"
 	"goldilocks/internal/jrt"
 	"goldilocks/internal/stm"
@@ -20,18 +18,15 @@ func newRuntime(seed int64, policy jrt.RacePolicy) *jrt.Runtime {
 	})
 }
 
-// recordingDetector wraps an engine and records commit actions.
-type recordingDetector struct {
-	*core.Engine
-	mu      sync.Mutex
-	commits []event.Action
-}
-
-func (d *recordingDetector) Commit(t event.Tid, reads, writes []event.Variable) []detect.Race {
-	d.mu.Lock()
-	d.commits = append(d.commits, event.Commit(t, reads, writes))
-	d.mu.Unlock()
-	return d.Engine.Commit(t, reads, writes)
+// commitsOf returns the commit actions in rec's recording.
+func commitsOf(rec *jrt.Recorder) []event.Action {
+	var out []event.Action
+	for _, a := range rec.Trace().Actions() {
+		if a.Kind == event.KindCommit {
+			out = append(out, a)
+		}
+	}
+	return out
 }
 
 func TestAtomicReadWrite(t *testing.T) {
@@ -63,8 +58,8 @@ func TestAtomicReadWrite(t *testing.T) {
 }
 
 func TestCommitReportsReadWriteSets(t *testing.T) {
-	det := &recordingDetector{Engine: core.New()}
-	rt := jrt.NewRuntime(jrt.Config{Detector: det, Mode: jrt.Deterministic, Seed: 1})
+	rec := jrt.Record(core.New())
+	rt := jrt.NewRuntime(jrt.Config{Detector: rec, Mode: jrt.Deterministic, Seed: 1})
 	tm := stm.New()
 	var av, bv event.Variable
 	rt.Run(func(th *jrt.Thread) {
@@ -80,10 +75,11 @@ func TestCommitReportsReadWriteSets(t *testing.T) {
 			tx.GetField(b, "bal") // b.bal: pure read
 		})
 	})
-	if len(det.commits) != 1 {
-		t.Fatalf("commits seen = %d", len(det.commits))
+	commits := commitsOf(rec)
+	if len(commits) != 1 {
+		t.Fatalf("commits seen = %d", len(commits))
 	}
-	cm := det.commits[0]
+	cm := commits[0]
 	if len(cm.Writes) != 1 || cm.Writes[0] != av {
 		t.Errorf("write set = %v, want [%v]", cm.Writes, av)
 	}
@@ -402,8 +398,8 @@ func TestTxReadYourOwnWrites(t *testing.T) {
 }
 
 func TestTxPureReadCommitsEmptyWriteSet(t *testing.T) {
-	det := &recordingDetector{Engine: core.New()}
-	rt := jrt.NewRuntime(jrt.Config{Detector: det, Mode: jrt.Deterministic, Seed: 1})
+	rec := jrt.Record(core.New())
+	rt := jrt.NewRuntime(jrt.Config{Detector: rec, Mode: jrt.Deterministic, Seed: 1})
 	tm := stm.New()
 	rt.Run(func(th *jrt.Thread) {
 		c := rt.DefineClass("Acct", jrt.FieldDecl{Name: "bal"})
@@ -411,10 +407,11 @@ func TestTxPureReadCommitsEmptyWriteSet(t *testing.T) {
 		th.SetField(a, "bal", 1)
 		tm.Atomic(th, func(tx *stm.Tx) { tx.GetField(a, "bal") })
 	})
-	if len(det.commits) != 1 {
-		t.Fatalf("commits = %d", len(det.commits))
+	commits := commitsOf(rec)
+	if len(commits) != 1 {
+		t.Fatalf("commits = %d", len(commits))
 	}
-	if len(det.commits[0].Writes) != 0 || len(det.commits[0].Reads) != 1 {
-		t.Errorf("commit sets: R=%v W=%v", det.commits[0].Reads, det.commits[0].Writes)
+	if len(commits[0].Writes) != 0 || len(commits[0].Reads) != 1 {
+		t.Errorf("commit sets: R=%v W=%v", commits[0].Reads, commits[0].Writes)
 	}
 }
