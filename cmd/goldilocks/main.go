@@ -407,8 +407,8 @@ func run(ctx context.Context, path string, c runConfig) (int, error) {
 			rs.TotalAccesses, rs.CheckedAccesses, rs.VarsCreated, rs.SyncOps, rs.RacesThrown)
 		if engine != nil {
 			es := engine.Stats()
-			fmt.Fprintf(os.Stderr, "goldilocks: %d pair checks, short-circuit %.1f%%, %d full walks over %d cells, %d collections\n",
-				es.PairChecks, 100*es.ShortCircuitRate(), es.FullWalks, es.WalkCells, es.Collections)
+			fmt.Fprintf(os.Stderr, "goldilocks: %d pair checks, short-circuit %.1f%%, %d full walks over %d cells, %d collections, %d vars tracked, %d vars freed\n",
+				es.PairChecks, 100*es.ShortCircuitRate(), es.FullWalks, es.WalkCells, es.Collections, es.VarsTracked, es.VarsFreed)
 			fmt.Fprintf(os.Stderr, "resilience: %d panics recovered, %d vars quarantined, rung %v (%d escalations), %d aggressive GCs, %d cache sheds, %d eager sweeps, %d degraded checks\n",
 				es.PanicsRecovered, es.VarsQuarantined, es.GovernorRung, es.Escalations,
 				es.AggressiveGCs, es.CacheSheds, es.EagerSweeps, es.DegradedChecks)

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -322,5 +323,60 @@ func TestExploreFlag(t *testing.T) {
 	}
 	if n != 0 {
 		t.Errorf("exploration found %d racy schedules of a race-free program", n)
+	}
+}
+
+// TestStatsReportVarsFreed: -stats and -stats-json report the engine's
+// VarsFreed next to VarsTracked. Whether any object has been collected
+// by the end of the run depends on the Go collector, so only the
+// presence of the counter is checked here; internal/jrt tests its value.
+func TestStatsReportVarsFreed(t *testing.T) {
+	path := writeProgram(t, `
+class Main {
+	void main() {
+		for (int i = 0; i < 50; i = i + 1) {
+			int[] a = new int[20];
+			a[0] = i;
+		}
+	}
+}
+`)
+	dir := t.TempDir()
+	errPath, jsonPath := filepath.Join(dir, "stderr"), filepath.Join(dir, "stats.json")
+	errFile, err := os.Create(errPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = errFile
+	c := cfg()
+	c.stats, c.statsJSON = true, jsonPath
+	_, runErr := run(context.Background(), path, c)
+	os.Stderr = stderr
+	errFile.Close()
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	text, err := os.ReadFile(errPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(text, []byte(" vars tracked, ")) || !bytes.Contains(text, []byte(" vars freed")) {
+		t.Errorf("-stats output lacks the tracked/freed counts:\n%s", text)
+	}
+	doc, err := os.ReadFile(jsonPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parsed struct {
+		Engine map[string]any `json:"engine"`
+	}
+	if err := json.Unmarshal(doc, &parsed); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"VarsTracked", "VarsFreed"} {
+		if _, ok := parsed.Engine[k]; !ok {
+			t.Errorf("-stats-json engine section lacks %s", k)
+		}
 	}
 }

@@ -152,6 +152,7 @@ type ckptCounters struct {
 	Races           uint64 `json:"races,omitempty"`
 	DegradedChecks  uint64 `json:"degraded_checks,omitempty"`
 	VarsTracked     uint64 `json:"vars_tracked,omitempty"`
+	VarsFreed       uint64 `json:"vars_freed,omitempty"`
 	Collections     uint64 `json:"collections,omitempty"`
 	InfosAdvanced   uint64 `json:"infos_advanced,omitempty"`
 	PanicsRecovered uint64 `json:"panics_recovered,omitempty"`
@@ -419,7 +420,7 @@ func (e *Engine) Capture() *Snapshot {
 		XactHits: s.XactHits, HBCacheHits: s.HBCacheHits,
 		FastPathHits: s.FastPathHits,
 		FullWalks:    s.FullWalks, WalkCells: s.WalkCells, Races: s.Races,
-		DegradedChecks: s.DegradedChecks, VarsTracked: s.VarsTracked,
+		DegradedChecks: s.DegradedChecks, VarsTracked: s.VarsTracked, VarsFreed: s.VarsFreed,
 		Collections: s.Collections, InfosAdvanced: s.InfosAdvanced,
 		PanicsRecovered: s.PanicsRecovered, VarsQuarantined: s.VarsQuarantined,
 		Rung: int32(s.GovernorRung), Escalations: s.Escalations,
@@ -905,6 +906,7 @@ func restore(p *ckptPayload, attach RestoreAttach) (*Engine, error) {
 	st.races.Store(c.Races)
 	st.degradedChecks.Store(c.DegradedChecks)
 	e.varsTracked.Store(c.VarsTracked)
+	e.varsFreed.Store(c.VarsFreed)
 	e.collections.Store(c.Collections)
 	e.infosAdvanced.Store(c.InfosAdvanced)
 	e.panicsRecovered.Store(c.PanicsRecovered)

@@ -147,6 +147,7 @@ type Stats struct {
 	WalkCells       uint64 // cells visited across all traversals
 	Races           uint64
 	VarsTracked     uint64 // variable states created, counting each re-creation after an Alloc
+	VarsFreed       uint64 // variable states dropped because their object died (Free)
 	EventsEnqueued  uint64
 	CellsCollected  uint64
 	Collections     uint64
@@ -385,6 +386,7 @@ type Engine struct {
 	stats [varShardCount]statStripe
 
 	varsTracked   atomic.Uint64
+	varsFreed     atomic.Uint64
 	collections   atomic.Uint64
 	infosAdvanced atomic.Uint64
 
@@ -402,6 +404,10 @@ type Engine struct {
 
 	// ckpt is the previous capture, kept for the next one's reuse.
 	ckpt ckptReuse
+
+	// dead holds the objects reported dead by Free, not yet dropped. It
+	// is a pointer so that Freer can hand it out without the engine.
+	dead *deadQueue
 }
 
 // NewEngine returns an Engine with the given options.
@@ -418,6 +424,7 @@ func NewEngine(opts Options) *Engine {
 		chans:     event.NewChanTracker(),
 		varShards: make([]varShard, nshards),
 		shardMask: uint64(nshards - 1),
+		dead:      &deadQueue{},
 	}
 	for i := range e.varShards {
 		e.varShards[i].vars = make(map[event.Addr]map[event.FieldID]*varState)
@@ -439,6 +446,7 @@ func (e *Engine) Name() string { return "goldilocks" }
 func (e *Engine) Stats() Stats {
 	s := Stats{
 		VarsTracked:    e.varsTracked.Load(),
+		VarsFreed:      e.varsFreed.Load(),
 		EventsEnqueued: e.list.enqueued.Load(),
 		CellsCollected: e.list.collected.Load(),
 		Collections:    e.collections.Load(),
@@ -652,22 +660,97 @@ func (e *Engine) holds(t event.Tid, o event.Addr) bool {
 // of all of o's fields by dropping their state. The fields of one
 // object hash to different shards, so every shard is visited; Alloc is
 // off the access hot path, so the 64 lock acquisitions are acceptable.
+// The same pass drops the variables of the objects reported dead since
+// the previous Alloc (Free).
 func (e *Engine) Alloc(_ event.Tid, o event.Addr) {
 	if e.tel != nil {
 		e.tel.Fire(obs.RuleAlloc)
 	}
+	dead := e.dead.take()
+	type deadObj struct {
+		o      event.Addr
+		fields map[event.FieldID]*varState
+	}
+	var found []deadObj // the dead objects with state in this shard
+	freed := 0
 	for i := range e.varShards {
 		sh := &e.varShards[i]
+		found = found[:0]
 		sh.mu.Lock()
 		fields := sh.vars[o]
 		delete(sh.vars, o)
+		for _, d := range dead {
+			if fs, ok := sh.vars[d]; ok {
+				delete(sh.vars, d)
+				found = append(found, deadObj{d, fs})
+			}
+		}
 		sh.mu.Unlock()
-		for d, vs := range fields {
-			vs.mu.Lock()
-			e.dropVar(o, d, vs)
-			vs.mu.Unlock()
+		e.dropFields(o, fields)
+		for _, d := range found {
+			freed += e.dropFields(d.o, d.fields)
 		}
 	}
+	if freed > 0 {
+		e.varsFreed.Add(uint64(freed))
+	}
+}
+
+// dropFields drops the state of the given fields of o, already removed
+// from the table, and returns how many there were.
+func (e *Engine) dropFields(o event.Addr, fields map[event.FieldID]*varState) int {
+	for d, vs := range fields {
+		vs.mu.Lock()
+		e.dropVar(o, d, vs)
+		vs.mu.Unlock()
+	}
+	return len(fields)
+}
+
+// Free reports that object o has died: the program holds no reference
+// to it, so it is never accessed again, and its address is never
+// allocated again. Free only queues the address, so it may be called
+// from any goroutine, concurrently with every other entry point. The
+// next Alloc drops o's variables, on its caller's goroutine, and counts
+// them in Stats.VarsFreed.
+//
+// A drop cannot change a verdict. A variable's state only decides
+// whether a later access to that variable races, and o has no later
+// access. Nor does the drop touch the event list or any other
+// variable: the dropped Infos release their list positions, which only
+// lets collection trim cells that no live Info needs. A free is not an
+// action either: it is recorded in no trace and fires no rule, so
+// replaying a trace, which never frees, reaches the same verdicts as
+// the live run that freed. It is the counterpart of rule 8: an alloc
+// resets an object's state at its birth, a free discards it at its
+// death.
+func (e *Engine) Free(o event.Addr) { e.dead.push(o) }
+
+// Freer returns Free bound to the engine's dead-object queue alone.
+// Holding it, as a runtime cleanup on every allocated object does,
+// keeps the queue alive but not the engine.
+func (e *Engine) Freer() func(event.Addr) { return e.dead.push }
+
+// deadQueue collects the addresses passed to Free until the next Alloc
+// takes them.
+type deadQueue struct {
+	mu    sync.Mutex
+	addrs []event.Addr
+}
+
+func (q *deadQueue) push(o event.Addr) {
+	q.mu.Lock()
+	q.addrs = append(q.addrs, o)
+	q.mu.Unlock()
+}
+
+// take empties the queue and returns what it held.
+func (q *deadQueue) take() []event.Addr {
+	q.mu.Lock()
+	addrs := q.addrs
+	q.addrs = nil
+	q.mu.Unlock()
+	return addrs
 }
 
 // stateOf returns (creating if needed) the state for variable (o, d).

@@ -30,6 +30,7 @@ func (e *Engine) RegisterMetrics(reg *obs.Registry) {
 	stat("walk_cells_total", func(s Stats) float64 { return float64(s.WalkCells) })
 	stat("races_total", func(s Stats) float64 { return float64(s.Races) })
 	stat("vars_tracked", func(s Stats) float64 { return float64(s.VarsTracked) })
+	stat("vars_freed_total", func(s Stats) float64 { return float64(s.VarsFreed) })
 	stat("events_enqueued_total", func(s Stats) float64 { return float64(s.EventsEnqueued) })
 	stat("cells_collected_total", func(s Stats) float64 { return float64(s.CellsCollected) })
 	stat("collections_total", func(s Stats) float64 { return float64(s.Collections) })

@@ -118,6 +118,12 @@ type Runtime struct {
 	policy RacePolicy
 	sched  scheduler
 
+	// free, when the detector is a *core.Engine, is its Freer: every
+	// allocated object gets a cleanup that passes its address to it
+	// once the object is unreachable, so the engine can drop the dead
+	// object's variables (core.Engine.Free).
+	free func(event.Addr)
+
 	classMu sync.Mutex
 	classes map[string]*Class
 
@@ -149,6 +155,9 @@ func NewRuntime(cfg Config) *Runtime {
 		classes:       make(map[string]*Class),
 		disableArrays: cfg.DisableArrayAfterRace,
 		disabledObjs:  make(map[event.Addr]bool),
+	}
+	if e, ok := cfg.Detector.(*core.Engine); ok {
+		rt.free = e.Freer()
 	}
 	switch cfg.Mode {
 	case Free:

@@ -144,12 +144,8 @@ func (t *Thread) New(c *Class) *Object {
 		slots:    make([]atomic.Pointer[Value], len(c.Fields)),
 		arrayLen: -1,
 	}
-	o.mon.notified = make(map[*Thread]bool)
 	t.rt.varsCreated.Add(uint64(dataFieldCount(c)))
-	t.rt.sched.yield(t)
-	if t.rt.det != nil {
-		t.rt.det.Alloc(t.id, o.addr)
-	}
+	t.alloc(o)
 	return o
 }
 
@@ -165,13 +161,26 @@ func (t *Thread) NewArray(n int) *Object {
 		slots:    make([]atomic.Pointer[Value], n),
 		arrayLen: n,
 	}
-	o.mon.notified = make(map[*Thread]bool)
 	t.rt.varsCreated.Add(uint64(n))
+	t.alloc(o)
+	return o
+}
+
+// alloc reports the new object o to the detector. Addresses are never
+// reused, so once o is unreachable its variables are never accessed
+// again: a cleanup then tells the engine it may drop them. The cleanup
+// runs on the Go runtime's cleanup goroutine and only queues the
+// address; the engine drops it during a later Alloc, on a monitored
+// thread.
+func (t *Thread) alloc(o *Object) {
+	o.mon.notified = make(map[*Thread]bool)
 	t.rt.sched.yield(t)
 	if t.rt.det != nil {
 		t.rt.det.Alloc(t.id, o.addr)
 	}
-	return o
+	if t.rt.free != nil {
+		runtime.AddCleanup(o, t.rt.free, o.addr)
+	}
 }
 
 func dataFieldCount(c *Class) int {
