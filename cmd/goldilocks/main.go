@@ -18,7 +18,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -449,7 +448,7 @@ func run(ctx context.Context, path string, c runConfig) (int, error) {
 		violations = sum.ViolationTotal
 	}
 	if c.statsJSON != "" {
-		if err := writeStatsJSON(c.statsJSON, statsDoc(reg, tel, engine, rt, races)); err != nil {
+		if err := detect.WriteStatsJSON(c.statsJSON, statsDoc(reg, tel, engine, rt, races)); err != nil {
 			return 0, err
 		}
 	}
@@ -470,29 +469,13 @@ func run(ctx context.Context, path string, c runConfig) (int, error) {
 	return len(races) + violations, nil
 }
 
-// raceDoc is one race in the -stats-json document.
-type raceDoc struct {
-	Var        string          `json:"var"`
-	Access     string          `json:"access"`
-	Pos        int             `json:"pos"`
-	Prev       string          `json:"prev,omitempty"`
-	Provenance *obs.Provenance `json:"provenance,omitempty"`
-}
-
 // statsDoc assembles the composite -stats-json document: the metric
 // registry snapshot, the races with their provenance, and the raw
 // runtime/engine counters.
 func statsDoc(reg *obs.Registry, tel *obs.Telemetry, engine *core.Engine, rt *jrt.Runtime, races []detect.Race) map[string]any {
-	rds := make([]raceDoc, len(races))
-	for i, r := range races {
-		rds[i] = raceDoc{Var: r.Var.String(), Access: r.Access.String(), Pos: r.Pos, Provenance: r.Prov}
-		if r.HasPrev {
-			rds[i].Prev = r.Prev.String()
-		}
-	}
 	doc := map[string]any{
 		"metrics": reg.JSONValue(),
-		"races":   rds,
+		"races":   detect.Records(races),
 		"runtime": rt.Stats(),
 	}
 	if engine != nil {
@@ -506,22 +489,6 @@ func statsDoc(reg *obs.Registry, tel *obs.Telemetry, engine *core.Engine, rt *jr
 		doc["trace"] = map[string]any{"transitions": transitions, "dropped": dropped}
 	}
 	return doc
-}
-
-// writeStatsJSON writes the document to path ("-" is stdout).
-func writeStatsJSON(path string, doc map[string]any) error {
-	w := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
 }
 
 // writeRecording writes the trace in the checksummed JSONL trace file

@@ -380,3 +380,44 @@ class Main {
 		}
 	}
 }
+
+// TestStatsJSONRaceRecords pins the race records of the -stats-json
+// document, byte for byte, on a racy program. cmd/racereplay writes the
+// same records (detect.Records) and pins its own.
+func TestStatsJSONRaceRecords(t *testing.T) {
+	path := writeProgram(t, racySrc)
+	jsonPath := filepath.Join(t.TempDir(), "stats.json")
+	c := cfg()
+	c.policy, c.statsJSON = "log", jsonPath
+	if _, err := run(context.Background(), path, c); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := os.ReadFile(jsonPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parsed struct {
+		Races json.RawMessage `json:"races"`
+	}
+	if err := json.Unmarshal(doc, &parsed); err != nil {
+		t.Fatal(err)
+	}
+	const want = `[
+    {
+      "var": "o2.f0",
+      "access": "T2:write(o2.f0)",
+      "pos": 0,
+      "prev": "T1:write(o2.f0)",
+      "provenance": {
+        "var": "o2.f0",
+        "prev": "T1:write(o2.f0)",
+        "thread": "T2",
+        "base": "{T1}",
+        "final": "{T1}"
+      }
+    }
+  ]`
+	if got := string(parsed.Races); got != want {
+		t.Errorf("-stats-json races:\n%s\nwant:\n%s", got, want)
+	}
+}

@@ -18,7 +18,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -137,20 +136,11 @@ func replaySerializability(path string, lockRegions bool, out *os.File) (int, er
 	return sum.ViolationTotal, nil
 }
 
-// replayRaceDoc is one race in the -stats-json document.
-type replayRaceDoc struct {
-	Var        string          `json:"var"`
-	Access     string          `json:"access"`
-	Pos        int             `json:"pos"`
-	Prev       string          `json:"prev,omitempty"`
-	Provenance *obs.Provenance `json:"provenance,omitempty"`
-}
-
 // replayStats is the per-detector entry of the -stats-json document.
 type replayStats struct {
-	Detector  string            `json:"detector"`
-	RuleFires map[string]uint64 `json:"rule_fires,omitempty"`
-	Races     []replayRaceDoc   `json:"races"`
+	Detector  string              `json:"detector"`
+	RuleFires map[string]uint64   `json:"rule_fires,omitempty"`
+	Races     []detect.RaceRecord `json:"races"`
 }
 
 // replay loads a trace and reports races; it returns the number of
@@ -201,7 +191,7 @@ func replay(path, detName string, useOracle bool, statsJSON string, out *os.File
 		total = len(races)
 	}
 	if statsJSON != "" {
-		if err := writeReplayStats(statsJSON, stats); err != nil {
+		if err := detect.WriteStatsJSON(statsJSON, map[string]any{"detectors": stats}); err != nil {
 			return 0, err
 		}
 	}
@@ -212,13 +202,7 @@ func replay(path, detName string, useOracle bool, statsJSON string, out *os.File
 // rule-fire map is omitted for detectors without telemetry support
 // (vector clock, Eraser, basic), which get a nil tel.
 func replayStatsFor(name string, tel *obs.Telemetry, races []detect.Race) replayStats {
-	st := replayStats{Detector: name, Races: make([]replayRaceDoc, len(races))}
-	for i, r := range races {
-		st.Races[i] = replayRaceDoc{Var: r.Var.String(), Access: r.Access.String(), Pos: r.Pos, Provenance: r.Prov}
-		if r.HasPrev {
-			st.Races[i].Prev = r.Prev.String()
-		}
-	}
+	st := replayStats{Detector: name, Races: detect.Records(races)}
 	if tel != nil {
 		fires := tel.RuleFires()
 		st.RuleFires = make(map[string]uint64, obs.NumRules)
@@ -227,20 +211,4 @@ func replayStatsFor(name string, tel *obs.Telemetry, races []detect.Race) replay
 		}
 	}
 	return st
-}
-
-// writeReplayStats writes the document to path ("-" is stdout).
-func writeReplayStats(path string, stats []replayStats) error {
-	w := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(map[string]any{"detectors": stats})
 }

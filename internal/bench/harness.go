@@ -43,10 +43,6 @@ type RunOptions struct {
 	// use the free scheduler.
 	Deterministic bool
 	Seed          int64
-	// EngineOptions overrides the detector configuration (ablations);
-	// nil means the paper configuration (DefaultOptions +
-	// DisableAfterRace).
-	EngineOptions *core.Options
 	// Out receives program output; nil discards it.
 	Out io.Writer
 }
@@ -92,11 +88,9 @@ func Run(w Workload, opts RunOptions) (Metrics, error) {
 	}
 	var engine *core.Engine
 	if opts.Mode != Uninstrumented {
+		// The paper configuration: DefaultOptions plus DisableAfterRace.
 		eopts := core.DefaultOptions()
 		eopts.DisableAfterRace = true
-		if opts.EngineOptions != nil {
-			eopts = *opts.EngineOptions
-		}
 		engine = core.NewEngine(eopts)
 		cfg.Detector = engine
 	}

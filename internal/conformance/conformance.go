@@ -40,7 +40,7 @@ import (
 // invariant disagreed on which trace, and how.
 type Divergence struct {
 	// Backend names the disagreeing matrix entry ("goldilocks",
-	// "goldilocks-concurrent", "variant:shards-1", "oracle-vs-spec", ...).
+	// "goldilocks-concurrent", "variant:gcOff", "oracle-vs-spec", ...).
 	Backend string
 	// Detail is a human-readable got/want description.
 	Detail string
@@ -71,10 +71,16 @@ type Result struct {
 }
 
 // Variants returns the metamorphic engine configurations that must be
-// verdict-equivalent to the spec engine on every trace. Each entry
-// stresses a different representation choice; all of them preserve
-// precision by design, so any divergence is a bug. The fast path off
-// is not among them: FastPathParity compares it with the fast path on.
+// verdict-equivalent to the spec engine on every trace; with
+// DefaultOptions they are the one list of engine configurations the
+// core and conformance tests run. Each entry stresses a different
+// representation choice; all of them preserve precision by design, so
+// any divergence is a bug. noShortCircuit also turns the epoch fast
+// path off, so every access takes the lockset walk; onlyXactSC keeps
+// it on with SC1-SC3 off, where it can take only a variable's first
+// access.
+// FastPathParity compares the fast path on and off on everything
+// observable, not just verdicts.
 func Variants() map[string]core.Options {
 	d := core.DefaultOptions()
 
@@ -82,23 +88,27 @@ func Variants() map[string]core.Options {
 	gcOff.GCThreshold = 0
 	gcOff.PartialEager = false
 
-	gcAggressive := d
-	gcAggressive.GCThreshold = 8
-	gcAggressive.GCTrimFraction = 0.5
+	aggressiveGC := d
+	aggressiveGC.GCThreshold = 8
+	aggressiveGC.GCTrimFraction = 0.5
 
-	oneShard := d
-	oneShard.VarShards = 1
+	gcNoEager := aggressiveGC
+	gcNoEager.PartialEager = false
 
 	noSC := d
 	noSC.SC1, noSC.SC2, noSC.SC3, noSC.XactSC = false, false, false, false
-	noSC.Memoize, noSC.HBCache = false, false
 	noSC.FastPath = false
 
+	onlyXactSC := noSC
+	onlyXactSC.XactSC = true
+	onlyXactSC.FastPath = true
+
 	return map[string]core.Options{
-		"gc-off":        gcOff,
-		"gc-aggressive": gcAggressive,
-		"shards-1":      oneShard,
-		"no-shortcircs": noSC,
+		"gcOff":          gcOff,
+		"aggressiveGC":   aggressiveGC,
+		"gcNoEager":      gcNoEager,
+		"noShortCircuit": noSC,
+		"onlyXactSC":     onlyXactSC,
 	}
 }
 

@@ -97,7 +97,7 @@ func (e *Engine) Commit(t event.Tid, reads, writes []event.Variable) []detect.Ra
 // program's point of view. Under Abort the panic propagates unchanged.
 func (e *Engine) access(t event.Tid, o event.Addr, d event.FieldID, a event.Action, isWrite, xact bool, ls *Lockset) (race *detect.Race) {
 	h := varHash(o, d)
-	st := &e.stats[h&(varShardCount-1)]
+	st := &e.stats[h&shardIndex]
 	vs := e.stateOfHash(o, d, h)
 	vs.mu.Lock()
 	defer vs.mu.Unlock()
@@ -381,7 +381,7 @@ func (e *Engine) checkHB(prev *info, t event.Tid, xact bool, end *cell, st *stat
 	}
 	// Transitivity cache: an edge to t established once holds for every
 	// later access by t (happens-before composes with program order).
-	if e.opts.HBCache && prev.hbAfter != nil {
+	if prev.hbAfter != nil {
 		if _, ok := prev.hbAfter[t]; ok {
 			st.hbCacheHits.Add(1)
 			return true
@@ -393,7 +393,7 @@ func (e *Engine) checkHB(prev *info, t event.Tid, xact bool, end *cell, st *stat
 	// t's published lock snapshot without any shared lock.
 	if e.opts.SC2 && prev.alock != event.NilAddr && e.holds(t, prev.alock) {
 		st.sc2Hits.Add(1)
-		e.cacheHB(prev, t)
+		prev.cacheHB(t)
 		return true
 	}
 	// Rung 3 of the degradation ladder: the event list is frozen, so a
@@ -413,7 +413,7 @@ func (e *Engine) checkHB(prev *info, t event.Tid, xact bool, end *cell, st *stat
 	// (its lockset is a subset), so repeating it over a long stale
 	// segment costs more than one full walk that advances the Info.
 	walked := 0 // cells visited across this check's traversals, for WalkDepth
-	if e.opts.SC3 && (e.opts.SC3MaxSegment == 0 || end.seq-prev.pos.seq <= uint64(e.opts.SC3MaxSegment)) {
+	if e.opts.SC3 && end.seq-prev.pos.seq <= sc3MaxSegment {
 		ls := prev.ls.Clone()
 		found, viaTL, _, n := walkUntil(ls, prev.pos, end, e.rules(), true, prev.owner, t, acceptTL, onFire)
 		st.walkCells.Add(uint64(n))
@@ -423,7 +423,7 @@ func (e *Engine) checkHB(prev *info, t event.Tid, xact bool, end *cell, st *stat
 				e.tel.WalkDepth.Observe(uint64(n))
 			}
 			if !viaTL {
-				e.cacheHB(prev, t)
+				prev.cacheHB(t)
 			}
 			return true
 		}
@@ -433,7 +433,7 @@ func (e *Engine) checkHB(prev *info, t event.Tid, xact bool, end *cell, st *stat
 	// the lockset of the variable at the current access. Locksets only
 	// grow along the walk, so the traversal stops as soon as the
 	// verdict is decided; only a walk that reaches the end computes the
-	// complete lockset and can be memoized.
+	// complete lockset, and it is memoized.
 	st.fullWalks.Add(1)
 	ls := prev.ls.Clone()
 	found, viaTL, stopped, n := walkUntil(ls, prev.pos, end, e.rules(), false, prev.owner, t, acceptTL, onFire)
@@ -441,7 +441,7 @@ func (e *Engine) checkHB(prev *info, t event.Tid, xact bool, end *cell, st *stat
 	if e.tel != nil {
 		e.tel.WalkDepth.Observe(uint64(walked + n))
 	}
-	if e.opts.Memoize && stopped == end {
+	if stopped == end {
 		// The computed lockset is the variable's lockset at position
 		// end; remember it so the next check resumes from here.
 		prev.pos.refs.Add(-1)
@@ -450,7 +450,7 @@ func (e *Engine) checkHB(prev *info, t event.Tid, xact bool, end *cell, st *stat
 		prev.ls = ls
 	}
 	if found && !viaTL {
-		e.cacheHB(prev, t)
+		prev.cacheHB(t)
 	}
 	return found
 }
@@ -506,16 +506,13 @@ func walkUntil(ls *Lockset, from, end *cell, rs ruleSet, filtered bool, t1, t2 e
 	return false, false, c, n
 }
 
-// cacheHB records that prev's access happens-before everything thread t
+// cacheHB records that in's access happens-before everything thread t
 // does from now on.
-func (e *Engine) cacheHB(prev *info, t event.Tid) {
-	if !e.opts.HBCache {
-		return
+func (in *info) cacheHB(t event.Tid) {
+	if in.hbAfter == nil {
+		in.hbAfter = make(map[event.Tid]struct{}, 4)
 	}
-	if prev.hbAfter == nil {
-		prev.hbAfter = make(map[event.Tid]struct{}, 4)
-	}
-	prev.hbAfter[t] = struct{}{}
+	in.hbAfter[t] = struct{}{}
 }
 
 // applyRules applies the Goldilocks lockset update rules (Figure 5,

@@ -64,7 +64,13 @@ type ckptBody struct {
 }
 
 // ckptOptions is Options minus the non-serializable attachments
-// (Telemetry, Injector), which the restoring process supplies fresh.
+// (Telemetry, Injector), which the restoring process supplies fresh,
+// plus four fields for techniques that have no option: SC3MaxSegment,
+// Memoize, HBCache and VarShards. Capture writes their constants
+// (sc3MaxSegment, true, true, varShardCount), the values every
+// checkpoint written with default options already carries. Restore
+// ignores them: a checkpoint that carries other values restores into
+// the same verdicts.
 type ckptOptions struct {
 	SC1              bool               `json:"sc1,omitempty"`
 	SC2              bool               `json:"sc2,omitempty"`
@@ -369,14 +375,14 @@ func (e *Engine) Capture() *Snapshot {
 	o := e.opts
 	b = append(b, `{"opts":`...)
 	b = snap.appendMarshal(b, &ckptOptions{
-		SC1: o.SC1, SC2: o.SC2, SC3: o.SC3, SC3MaxSegment: o.SC3MaxSegment,
-		XactSC: o.XactSC, Memoize: o.Memoize, HBCache: o.HBCache,
+		SC1: o.SC1, SC2: o.SC2, SC3: o.SC3, SC3MaxSegment: sc3MaxSegment,
+		XactSC: o.XactSC, Memoize: true, HBCache: true,
 		FastPath:         o.FastPath,
 		DisableAfterRace: o.DisableAfterRace,
 		GCThreshold:      o.GCThreshold, GCTrimFraction: o.GCTrimFraction,
 		PartialEager: o.PartialEager, TxnSemantics: o.TxnSemantics,
 		OnError: uint8(o.OnError), MemoryBudget: o.MemoryBudget,
-		VarShards: len(e.varShards), BrokenRule: o.BrokenRule,
+		VarShards: varShardCount, BrokenRule: o.BrokenRule,
 	})
 	b = e.appendList(b)
 
@@ -796,15 +802,14 @@ func readCkptLine(br *bufio.Reader) ([]byte, error) {
 func restore(p *ckptPayload, attach RestoreAttach) (*Engine, error) {
 	co := p.Opts
 	opts := Options{
-		SC1: co.SC1, SC2: co.SC2, SC3: co.SC3, SC3MaxSegment: co.SC3MaxSegment,
-		XactSC: co.XactSC, Memoize: co.Memoize, HBCache: co.HBCache,
+		SC1: co.SC1, SC2: co.SC2, SC3: co.SC3, XactSC: co.XactSC,
 		FastPath:         co.FastPath,
 		DisableAfterRace: co.DisableAfterRace,
 		GCThreshold:      co.GCThreshold, GCTrimFraction: co.GCTrimFraction,
 		PartialEager: co.PartialEager, TxnSemantics: co.TxnSemantics,
 		OnError: resilience.ErrorPolicy(co.OnError), MemoryBudget: co.MemoryBudget,
-		VarShards: co.VarShards, BrokenRule: co.BrokenRule,
-		Telemetry: attach.Telemetry, Injector: attach.Injector,
+		BrokenRule: co.BrokenRule,
+		Telemetry:  attach.Telemetry, Injector: attach.Injector,
 	}
 	e := NewEngine(opts)
 
@@ -880,7 +885,7 @@ func restore(p *ckptPayload, attach RestoreAttach) (*Engine, error) {
 				vs.reads[ci.Owner] = in
 			}
 		}
-		sh := &e.varShards[varHash(cv.Obj, cv.Field)&e.shardMask]
+		sh := &e.varShards[varHash(cv.Obj, cv.Field)&shardIndex]
 		fields, ok := sh.vars[cv.Obj]
 		if !ok {
 			fields = make(map[event.FieldID]*varState)

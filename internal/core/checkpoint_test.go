@@ -34,9 +34,7 @@ func sortedKeys(races []detect.Race) []string {
 }
 
 // checkpointTraces returns the round-trip corpus: the Section 2
-// scenarios plus every counterexample trace in the conformance corpus
-// (loaded directly from testdata — the core tests cannot import
-// internal/conformance, which imports core).
+// scenarios plus every counterexample trace in the conformance corpus.
 func checkpointTraces(t *testing.T) map[string]*event.Trace {
 	t.Helper()
 	out := make(map[string]*event.Trace)
@@ -343,6 +341,53 @@ func TestCheckpointGoldens(t *testing.T) {
 		if !seen {
 			t.Errorf("no golden carries %s", field)
 		}
+	}
+}
+
+// TestCheckpointRetiredOptions restores a checkpoint written by an
+// earlier build, whose Options still had SC3MaxSegment, Memoize,
+// HBCache and VarShards, from an engine with all four off (0, false,
+// false, 1 shard) stepped through the first half of
+// tracegen.FromSeed(17). Those settings never changed a verdict, so
+// restore ignores them: the restored engine must report the races of an
+// uninterrupted run on the second half, and a re-encode writes the fixed
+// values. The file sits outside testdata/*.ckpt because it does not
+// re-encode byte for byte.
+func TestCheckpointRetiredOptions(t *testing.T) {
+	snap, err := os.ReadFile(filepath.Join("testdata", "restore-only", "retired-knobs.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(snap, []byte(`"var_shards":1}`)) || bytes.Contains(snap, []byte(`"memoize"`)) {
+		t.Fatal("restore-only checkpoint does not carry the retired settings")
+	}
+	tr := tracegen.FromSeed(17)
+	cut := tr.Len() / 2
+	var want []detect.Race
+	for _, r := range runGlobal(core.New(), tr, 0) {
+		if r.Pos >= cut {
+			want = append(want, r)
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("no races after the cut: the check is vacuous")
+	}
+	e, err := core.RestoreEngine(bytes.NewReader(snap), core.RestoreAttach{})
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if got := sortedKeys(runGlobal(e, tr, cut)); !equalStrings(got, sortedKeys(want)) {
+		t.Errorf("restored run races %v, uninterrupted %v", got, sortedKeys(want))
+	}
+
+	again := reencode(t, snap)
+	for _, field := range []string{`"sc3_max_segment":512,`, `"memoize":true,"hb_cache":true,`, `"var_shards":64}`} {
+		if !bytes.Contains(again, []byte(field)) {
+			t.Errorf("re-encoding lacks %s", field)
+		}
+	}
+	if twice := reencode(t, again); !bytes.Equal(twice, again) {
+		t.Errorf("second re-encoding differs %s", firstDiff(twice, again))
 	}
 }
 

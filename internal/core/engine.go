@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -14,7 +13,12 @@ import (
 // Options configures the optimized Engine. The zero value is not useful;
 // start from DefaultOptions. Each toggle corresponds to an
 // implementation technique of Section 5, so ablation benchmarks can
-// measure its contribution.
+// measure its contribution. The techniques that are always on have no
+// toggle: a full walk that reaches the end memoizes its lockset, the
+// happens-before transitivity cache records every edge a check proves
+// (until the memory governor sheds it), SC3 walks at most
+// sc3MaxSegment cells, and the variable table has varShardCount
+// shards.
 type Options struct {
 	// SC1 enables the same-thread short-circuit check.
 	SC1 bool
@@ -23,26 +27,12 @@ type Options struct {
 	// now).
 	SC2 bool
 	// SC3 enables the two-thread filtered traversal before a full
-	// lockset computation.
+	// lockset computation, over event-list segments of at most 512
+	// cells (sc3MaxSegment).
 	SC3 bool
-	// SC3MaxSegment caps the event-list segment length SC3 will
-	// traverse; longer checks go straight to the full (memoized) walk,
-	// whose result advances the Info so the long segment is never
-	// rescanned. Zero means no cap.
-	SC3MaxSegment int
 	// XactSC enables the transactions short-circuit: two transactional
 	// accesses never race.
 	XactSC bool
-	// Memoize stores the lockset computed by a full traversal back into
-	// the Info record and advances its position, so the next check
-	// resumes where this one stopped.
-	Memoize bool
-	// HBCache records, on each Info, the threads already proven to be
-	// ordered after its access. Happens-before is transitive through
-	// program order, so once an edge to thread t is established every
-	// later access by t is ordered too; repeated mixed
-	// plain/transactional checks then cost O(1).
-	HBCache bool
 	// FastPath enables the FastTrack-style epoch check in front of the
 	// lockset machinery: a plain access whose variable is still owned by
 	// the accessing thread (same last writer, no foreign readers for a
@@ -86,12 +76,6 @@ type Options struct {
 	// short-circuit-only checking) instead of letting the process OOM.
 	// Zero disables the governor.
 	MemoryBudget int
-	// VarShards is the number of stripes the variable table is split
-	// into. Zero means the default (64); other values are rounded up to
-	// the next power of two. Shard count is a pure scalability knob —
-	// verdicts must not depend on it, which the conformance matrix
-	// checks by running every trace at 1 shard and at the default.
-	VarShards int
 	// BrokenRule, when 1..12, disables that lockset update rule (the
 	// nine Figure 5 rules plus the channel rules 10–12) in this engine —
 	// an intentionally unsound configuration that MUST diverge from
@@ -121,10 +105,7 @@ func DefaultOptions() Options {
 		SC1:            true,
 		SC2:            true,
 		SC3:            true,
-		SC3MaxSegment:  512,
 		XactSC:         true,
-		Memoize:        true,
-		HBCache:        true,
 		FastPath:       true,
 		GCThreshold:    1 << 20,
 		GCTrimFraction: 0.10,
@@ -165,8 +146,9 @@ type Stats struct {
 }
 
 // ShortCircuitRate returns the fraction of pair checks resolved by a
-// short-circuit (including the transactions check), in [0, 1]; it is the
-// "short-circuit checks (%)" statistic of Table 1. Like every ratio
+// short-circuit (SC1, SC2, SC3, the transactions check or the
+// happens-before cache), in [0, 1]; it is the "short-circuit checks
+// (%)" statistic of Table 1. Like every ratio
 // helper on Stats it returns 0, not NaN, when the denominator is zero
 // (an engine that checked nothing).
 func (s Stats) ShortCircuitRate() float64 {
@@ -259,12 +241,20 @@ type varState struct {
 	ckptClean bool
 }
 
-// varShardCount is the default number of shards the variable table is
-// split into (Options.VarShards overrides it), and the fixed number of
-// hot-counter stat stripes. It must be a power of two; 64 keeps shard
+// varShardCount is the number of shards the variable table is split
+// into, and of hot-counter stat stripes; a variable's hash masked by
+// shardIndex picks both. It must be a power of two; 64 keeps shard
 // contention negligible up to far more cores than commodity hardware
 // has while costing ~3 KiB of empty maps per engine.
 const varShardCount = 64
+
+// shardIndex masks a variable hash to its shard and stat stripe.
+const shardIndex = varShardCount - 1
+
+// sc3MaxSegment caps the event-list segment length SC3 will traverse;
+// longer checks go straight to the full walk, whose memoized result
+// advances the Info so the long segment is never rescanned.
+const sc3MaxSegment = 512
 
 // varShard is one stripe of the variable table. The shard RWMutex only
 // guards the map structure; each varState carries its own mutex (the
@@ -276,8 +266,7 @@ type varShard struct {
 }
 
 // varHash hashes (o, d); the low bits index both the variable shard
-// (masked by the engine's shard count) and the stat stripe (always
-// varShardCount stripes). Fibonacci-style mixing with an xor-fold keeps
+// and the stat stripe. Fibonacci-style mixing with an xor-fold keeps
 // sequentially allocated addresses (the common case: the runtime hands
 // out consecutive Addrs) from clustering.
 func varHash(o event.Addr, d event.FieldID) uint64 {
@@ -360,10 +349,7 @@ type Engine struct {
 	tel     *obs.Telemetry
 	walkObs walkObserver
 
-	// varShards has Options.VarShards entries (a power of two, default
-	// varShardCount); shardMask is len(varShards)-1.
-	varShards []varShard
-	shardMask uint64
+	varShards [varShardCount]varShard
 
 	locks sync.Map // event.Tid -> *threadLocks
 
@@ -412,19 +398,12 @@ type Engine struct {
 
 // NewEngine returns an Engine with the given options.
 func NewEngine(opts Options) *Engine {
-	nshards := opts.VarShards
-	if nshards <= 0 {
-		nshards = varShardCount
-	}
-	nshards = 1 << bits.Len(uint(nshards-1)) // round up to a power of two
 	e := &Engine{
-		opts:      opts,
-		list:      newSyncList(),
-		tel:       opts.Telemetry,
-		chans:     event.NewChanTracker(),
-		varShards: make([]varShard, nshards),
-		shardMask: uint64(nshards - 1),
-		dead:      &deadQueue{},
+		opts:  opts,
+		list:  newSyncList(),
+		tel:   opts.Telemetry,
+		chans: event.NewChanTracker(),
+		dead:  &deadQueue{},
 	}
 	for i := range e.varShards {
 		e.varShards[i].vars = make(map[event.Addr]map[event.FieldID]*varState)
@@ -761,7 +740,7 @@ func (e *Engine) stateOf(o event.Addr, d event.FieldID) *varState {
 // stateOfHash is stateOf with the variable hash already computed (the
 // access path also needs it for the stat stripe).
 func (e *Engine) stateOfHash(o event.Addr, d event.FieldID, h uint64) *varState {
-	sh := &e.varShards[h&e.shardMask]
+	sh := &e.varShards[h&shardIndex]
 	if e.tel == nil {
 		sh.mu.RLock()
 	} else if !sh.mu.TryRLock() {
@@ -802,7 +781,7 @@ func (e *Engine) stateOfHash(o event.Addr, d event.FieldID, h uint64) *varState 
 // lookupState returns the state for (o, d) if it exists, without
 // creating it.
 func (e *Engine) lookupState(o event.Addr, d event.FieldID) *varState {
-	sh := &e.varShards[varHash(o, d)&e.shardMask]
+	sh := &e.varShards[varHash(o, d)&shardIndex]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	fields, ok := sh.vars[o]

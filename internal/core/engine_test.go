@@ -5,46 +5,26 @@ import (
 	"sync"
 	"testing"
 
+	"goldilocks/internal/conformance"
 	"goldilocks/internal/core"
 	"goldilocks/internal/detect"
 	"goldilocks/internal/event"
 	"goldilocks/internal/scenarios"
 )
 
-// engineConfigs enumerates option combinations the engine must be
-// correct under: every short-circuit and optimization can be disabled
-// without changing verdicts.
-func engineConfigs() map[string]core.Options {
-	all := core.DefaultOptions()
-	noSC := all
-	noSC.SC1, noSC.SC2, noSC.SC3, noSC.XactSC = false, false, false, false
-	noMemo := all
-	noMemo.Memoize = false
-	aggressiveGC := all
-	aggressiveGC.GCThreshold = 4
-	aggressiveGC.GCTrimFraction = 0.5
-	noEager := aggressiveGC
-	noEager.PartialEager = false
-	onlyXact := noSC
-	onlyXact.XactSC = true
-	noCache := all
-	noCache.HBCache = false
-	noCache.SC3MaxSegment = 0
-	return map[string]core.Options{
-		"default":        all,
-		"noShortCircuit": noSC,
-		"noHBCache":      noCache,
-		"noMemoize":      noMemo,
-		"aggressiveGC":   aggressiveGC,
-		"gcNoEager":      noEager,
-		"onlyXactSC":     onlyXact,
-	}
+// configurations returns the engine configurations every verdict test
+// runs: the default plus the conformance matrix's variants, each of
+// which must leave verdicts unchanged.
+func configurations() map[string]core.Options {
+	configs := conformance.Variants()
+	configs["default"] = core.DefaultOptions()
+	return configs
 }
 
 // TestEngineScenarios checks verdicts on every paper scenario under
 // every option configuration.
 func TestEngineScenarios(t *testing.T) {
-	for name, opts := range engineConfigs() {
+	for name, opts := range configurations() {
 		for _, sc := range scenarios.All() {
 			t.Run(name+"/"+sc.Name, func(t *testing.T) {
 				r := detect.FirstRace(core.NewEngine(opts), sc.Trace)
@@ -151,26 +131,13 @@ func TestEngineMemoization(t *testing.T) {
 	}
 	opts := core.DefaultOptions()
 	opts.SC2, opts.SC3 = false, false
-	opts.HBCache = false
-
-	memoized := core.NewEngine(opts)
-	if rs := detect.RunTrace(memoized, build()); len(rs) == 0 {
+	e := core.NewEngine(opts)
+	if rs := detect.RunTrace(e, build()); len(rs) == 0 {
 		t.Fatal("expected races")
-	}
-
-	opts.Memoize = false
-	plain := core.NewEngine(opts)
-	if rs := detect.RunTrace(plain, build()); len(rs) == 0 {
-		t.Fatal("expected races")
-	}
-
-	m, p := memoized.Stats().WalkCells, plain.Stats().WalkCells
-	if m >= p {
-		t.Errorf("memoized walk = %d cells, plain = %d; memoization should reduce traversal", m, p)
 	}
 	// Memoized traversal is linear in list length: each cell is visited
 	// at most once per info chain.
-	if m > 100 {
+	if m := e.Stats().WalkCells; m > 100 {
 		t.Errorf("memoized walk = %d cells, expected linear (<= 100)", m)
 	}
 }
@@ -444,40 +411,34 @@ func TestEngineHBCache(t *testing.T) {
 }
 
 // TestEngineSC3SegmentCap: a failed check must traverse its whole
-// segment; with SC3 uncapped it does so twice (the filtered walk, then
-// the full walk), while the cap sends long segments straight to the
-// full walk. Racy reads force failed checks.
+// segment. Up to the 512-cell cap it does so twice (the filtered SC3
+// walk, then the full walk); past the cap the check goes straight to
+// the full walk and visits the segment once. Racy reads force failed
+// checks, and memoization makes each check start where the last one
+// stopped.
 func TestEngineSC3SegmentCap(t *testing.T) {
-	build := func() *event.Trace {
+	const reads = 3
+	walkCells := func(segment int) uint64 {
 		b := event.NewBuilder()
 		b.Fork(1, 2)
 		b.Write(1, 10, 0)
-		for i := 0; i < 10; i++ {
-			for j := 0; j < 50; j++ {
+		for i := 0; i < reads; i++ {
+			for j := 0; j < segment; j++ {
 				b.VolatileWrite(1, 1, 0) // noise
 			}
 			b.Read(2, 10, 0) // races: no handshake anywhere
 		}
-		return b.Trace()
+		e := core.New()
+		if rs := detect.RunTrace(e, b.Trace()); len(rs) != reads {
+			t.Fatalf("segment %d: %d races, want %d", segment, len(rs), reads)
+		}
+		return e.Stats().WalkCells
 	}
-	capped := core.DefaultOptions()
-	capped.HBCache = false
-	capped.SC3MaxSegment = 16
-	e1 := core.NewEngine(capped)
-	if rs := detect.RunTrace(e1, build()); len(rs) == 0 {
-		t.Fatal("expected races")
+	if got, want := walkCells(512), uint64(reads*2*512); got != want {
+		t.Errorf("512-cell segments: walked %d cells, want %d (SC3 and full walk each)", got, want)
 	}
-	uncapped := capped
-	uncapped.SC3MaxSegment = 0
-	e2 := core.NewEngine(uncapped)
-	if rs := detect.RunTrace(e2, build()); len(rs) == 0 {
-		t.Fatal("expected races")
-	}
-	c1, c2 := e1.Stats().WalkCells, e2.Stats().WalkCells
-	// The uncapped configuration pays roughly double (filtered + full
-	// traversal per failed check).
-	if c1*3 >= c2*2 {
-		t.Errorf("capped SC3 walked %d cells, uncapped %d; cap should roughly halve failed-check work", c1, c2)
+	if got, want := walkCells(513), uint64(reads*513); got != want {
+		t.Errorf("513-cell segments: walked %d cells, want %d (full walk only)", got, want)
 	}
 }
 

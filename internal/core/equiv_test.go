@@ -49,7 +49,7 @@ func agreesWithOracle(r *detect.Race, pos int, vars map[string]bool, racy bool) 
 // the first extended race completes — same position, same variable — and
 // report nothing on race-free traces.
 func TestTheorem1Property(t *testing.T) {
-	configs := engineConfigs()
+	configs := configurations()
 	check := func(seed int64) bool {
 		tr := tracegen.FromSeed(seed)
 		if err := tr.Validate(); err != nil {
@@ -107,7 +107,7 @@ func TestTheorem1DenseTransactions(t *testing.T) {
 // the first race — after a race the lockset semantics intentionally
 // reset ownership rather than keep the full relation.)
 func TestSpecEngineFullRunEquivalence(t *testing.T) {
-	configs := engineConfigs()
+	configs := configurations()
 	for seed := int64(0); seed < 400; seed++ {
 		tr := tracegen.FromSeed(seed)
 		specRaces := raceKeys(detect.RunTrace(core.NewSpecEngine(), tr))
@@ -269,17 +269,7 @@ func TestEquivalenceStatsAfterRefactor(t *testing.T) {
 // eagerly maintained one. This pins the whole representation (event
 // list, lazy walks, memoization, GC advances), not just race reports.
 func TestLocksetLevelEquivalence(t *testing.T) {
-	configs := map[string]core.Options{}
-	d := core.DefaultOptions()
-	configs["default"] = d
-	gc := d
-	gc.GCThreshold = 8
-	gc.GCTrimFraction = 0.5
-	configs["aggressiveGC"] = gc
-	noMemo := d
-	noMemo.Memoize = false
-	configs["noMemoize"] = noMemo
-
+	configs := configurations()
 	for seed := int64(0); seed < 150; seed++ {
 		tr := tracegen.FromSeed(seed)
 		for name, opts := range configs {
