@@ -476,6 +476,46 @@ class Main {
 	}
 }
 
+// preemptAlways switches threads at every scheduling point with two or
+// more candidates, and counts the switches.
+type preemptAlways struct{ switches int }
+
+func (c *preemptAlways) Choose(n int) int { return c.ChoosePreempt(n, false) }
+
+func (c *preemptAlways) ChoosePreempt(n int, currentRunnable bool) int {
+	if currentRunnable && n > 1 {
+		c.switches++
+		return 1
+	}
+	return 0
+}
+
+// BenchmarkDetSchedule measures a deterministic-mode thread switch: two
+// threads ping-pong at unchecked reads, so every scheduling point hands
+// the turn to the other thread. One op is one read; ns/switch divides
+// the time by the switches made.
+func BenchmarkDetSchedule(b *testing.B) {
+	b.ReportAllocs()
+	c := &preemptAlways{}
+	rt := jrt.NewRuntime(jrt.Config{Mode: jrt.Deterministic, Chooser: c})
+	b.ResetTimer()
+	rt.Run(func(th *jrt.Thread) {
+		o := th.New(rt.DefineClass("P", jrt.FieldDecl{Name: "x"}))
+		loop := func(th *jrt.Thread, n int) {
+			for i := 0; i < n; i++ {
+				th.GetUnchecked(o, 0)
+			}
+		}
+		u := th.Spawn(func(u *jrt.Thread) { loop(u, b.N/2) })
+		loop(th, b.N-b.N/2)
+		th.Join(u)
+	})
+	b.StopTimer()
+	if c.switches > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(c.switches), "ns/switch")
+	}
+}
+
 // BenchmarkRecordReplay measures the recording detector's overhead and
 // the offline replay cost on a workload run.
 func BenchmarkRecordReplay(b *testing.B) {

@@ -106,7 +106,7 @@ func main() {
 		exploreP = flag.Int("explore-bound", 0, "preemption bound for -explore (0: unbounded)")
 		exploreT = flag.Duration("explore-timeout", 0, "wall-clock budget for -explore (0: unbounded)")
 
-		statsJSON  = flag.String("stats-json", "", "write the machine-readable stats document (metrics, races with provenance, runtime counters) to this file; - for stdout")
+		statsJSON  = flag.String("stats-json", "", "write the machine-readable stats document (metrics, races with provenance, runtime counters) to this file; - for stdout (a race's pos is its index in the run's detector order, as racereplay reports it on the -record trace; 0 under -sched free with the goldilocks detector, which sees no total order)")
 		metrics    = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address during the run (e.g. localhost:6060; insecure, bind to localhost)")
 		linger     = flag.Duration("metrics-linger", 0, "keep the -metrics-addr endpoint up this long after the run (for external scrapers)")
 		traceLocks = flag.String("trace-locksets", "", "record lockset transitions for these comma-separated variables (e.g. o10.f0), or \"all\"")

@@ -5,8 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"testing"
 
 	"goldilocks/internal/core"
@@ -381,6 +384,112 @@ class Main {
 	}
 }
 
+// runCaptured runs path under c with os.Stderr redirected and returns
+// the "race:" lines' variables and positions from stderr and the race
+// records of the -stats-json document.
+func runCaptured(t *testing.T, path string, c runConfig) (stderr []string, records []detect.RaceRecord) {
+	t.Helper()
+	dir := t.TempDir()
+	errPath := filepath.Join(dir, "stderr")
+	c.statsJSON = filepath.Join(dir, "stats.json")
+	errFile, err := os.Create(errPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stderr
+	os.Stderr = errFile
+	_, runErr := run(context.Background(), path, c)
+	os.Stderr = saved
+	errFile.Close()
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	text, err := os.ReadFile(errPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range regexp.MustCompile(`(?m)^race: race on (\S+) at action (\d+) `).FindAllStringSubmatch(string(text), -1) {
+		stderr = append(stderr, m[1]+"@"+m[2])
+	}
+	doc, err := os.ReadFile(c.statsJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parsed struct {
+		Races []detect.RaceRecord `json:"races"`
+	}
+	if err := json.Unmarshal(doc, &parsed); err != nil {
+		t.Fatal(err)
+	}
+	return stderr, parsed.Races
+}
+
+// TestRacePositionsMatchReplay: under the deterministic scheduler the
+// runtime's races carry the index of their action in the run's order
+// of detector actions, so stderr and -stats-json report the positions
+// that racereplay (detect.RunTrace over the goldilocks engine) reports
+// on the run's recording, with the engine attached directly as well as
+// behind the recorder.
+func TestRacePositionsMatchReplay(t *testing.T) {
+	path := writeProgram(t, `
+class D { int v; int w; }
+class Main {
+	D d;
+	void racer() { d.v = 1; d.w = 1; }
+	void main() {
+		d = new D();
+		thread t = spawn this.racer();
+		d.w = 2;
+		d.v = 2;
+		join(t);
+	}
+}
+`)
+	dir := t.TempDir()
+	for seed := int64(1); seed <= 5; seed++ {
+		c := cfg()
+		c.policy, c.seed = "log", seed
+		c.record = filepath.Join(dir, "rec.jsonl")
+		recStderr, recRecords := runCaptured(t, path, c)
+		f, err := os.Open(c.record)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, _, err := event.ReadTrace(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for _, r := range detect.RunTrace(core.New(), tr) {
+			want = append(want, fmt.Sprintf("%v@%d", r.Var, r.Pos))
+		}
+		if len(want) == 0 {
+			t.Fatalf("seed %d: the recording replays race-free", seed)
+		}
+		c.record = ""
+		directStderr, directRecords := runCaptured(t, path, c)
+		for name, got := range map[string][]string{
+			"recorded stderr":   recStderr,
+			"recorded stats":    positions(recRecords),
+			"unrecorded stderr": directStderr,
+			"unrecorded stats":  positions(directRecords),
+		} {
+			if !slices.Equal(got, want) {
+				t.Errorf("seed %d, %s: races at %v, replay at %v", seed, name, got, want)
+			}
+		}
+	}
+}
+
+func positions(records []detect.RaceRecord) []string {
+	var out []string
+	for _, r := range records {
+		out = append(out, fmt.Sprintf("%s@%d", r.Var, r.Pos))
+	}
+	return out
+}
+
 // TestStatsJSONRaceRecords pins the race records of the -stats-json
 // document, byte for byte, on a racy program. cmd/racereplay writes the
 // same records (detect.Records) and pins its own.
@@ -406,7 +515,7 @@ func TestStatsJSONRaceRecords(t *testing.T) {
     {
       "var": "o2.f0",
       "access": "T2:write(o2.f0)",
-      "pos": 0,
+      "pos": 7,
       "prev": "T1:write(o2.f0)",
       "provenance": {
         "var": "o2.f0",

@@ -637,10 +637,12 @@ func (e *Engine) holds(t event.Tid, o event.Addr) bool {
 
 // Alloc records the allocation of object o: rule 8 resets the locksets
 // of all of o's fields by dropping their state. The fields of one
-// object hash to different shards, so every shard is visited; Alloc is
-// off the access hot path, so the 64 lock acquisitions are acceptable.
-// The same pass drops the variables of the objects reported dead since
-// the previous Alloc (Free).
+// object hash to different shards, so every shard is visited. The same
+// pass drops the variables of the objects reported dead since the
+// previous Alloc (Free). A shard is checked under its read lock and
+// write-locked only when it holds state of o or of a dead object: an
+// address the runtime has never handed out has no state, so most
+// allocations take no write lock and stall no reader.
 func (e *Engine) Alloc(_ event.Tid, o event.Addr) {
 	if e.tel != nil {
 		e.tel.Fire(obs.RuleAlloc)
@@ -654,6 +656,9 @@ func (e *Engine) Alloc(_ event.Tid, o event.Addr) {
 	freed := 0
 	for i := range e.varShards {
 		sh := &e.varShards[i]
+		if !sh.holdsAny(o, dead) {
+			continue
+		}
 		found = found[:0]
 		sh.mu.Lock()
 		fields := sh.vars[o]
@@ -673,6 +678,22 @@ func (e *Engine) Alloc(_ event.Tid, o event.Addr) {
 	if freed > 0 {
 		e.varsFreed.Add(uint64(freed))
 	}
+}
+
+// holdsAny reports, under the read lock, whether the shard holds state
+// of o or of any of dead.
+func (sh *varShard) holdsAny(o event.Addr, dead []event.Addr) bool {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	if _, ok := sh.vars[o]; ok {
+		return true
+	}
+	for _, d := range dead {
+		if _, ok := sh.vars[d]; ok {
+			return true
+		}
+	}
+	return false
 }
 
 // dropFields drops the state of the given fields of o, already removed

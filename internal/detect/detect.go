@@ -19,7 +19,13 @@ import (
 
 // Race describes a data race detected at an access. Pos is the index in
 // the linearization of the access that completed the race (the access a
-// DataRaceException would interrupt); Prev describes the earlier
+// DataRaceException would interrupt). A race found by the runtime (jrt)
+// carries it whenever the run has a total order of detector actions:
+// under the deterministic scheduler, or through jrt.Record or
+// jrt.Serialize's adapter. It is then the index at which a replay of
+// the run's recording reports the race. Under the free scheduler with
+// the engine attached directly no such order exists, and Pos is 0.
+// Prev describes the earlier
 // conflicting access when the detector knows it (the lockset baselines
 // do not track it and leave Prev zero). Prov, when the detector supports
 // it (both Goldilocks engines do), explains the verdict: the

@@ -17,6 +17,10 @@ import (
 // strongest end-to-end check: a live run's races must equal the
 // oracle's verdict on its own recording).
 //
+// The mutex gives the actions a total order whatever the scheduler, and
+// a race's Pos is the index of its action in that order: on a recording,
+// the index at which an offline replay reports the race.
+//
 // Recording puts even *core.Engine behind the mutex, so the recorded
 // order is exactly the linearization the detector observed (recording
 // trades detector concurrency for fidelity, which is the right trade for
@@ -26,6 +30,7 @@ type Recorder struct {
 	d       detect.Detector // nil: record without detecting
 	record  bool
 	actions []event.Action
+	steps   int // actions stepped so far: the next action's index
 }
 
 // Record wraps det with serialization and recording. Pass the result as
@@ -46,7 +51,11 @@ func (r *Recorder) step(a event.Action) (races []detect.Race) {
 	defer r.mu.Unlock()
 	if r.d != nil {
 		races = r.d.Step(a)
+		for i := range races {
+			races[i].Pos = r.steps
+		}
 	}
+	r.steps++
 	if r.record {
 		r.actions = append(r.actions, a)
 	}

@@ -66,6 +66,53 @@ func (r *Recorder) Commit(t event.Tid, reads, writes []event.Variable) []detect.
 
 func (r *Recorder) Alloc(t event.Tid, o event.Addr) { r.step(event.Alloc(t, o)) }
 
+// positioned numbers the actions a detector receives. In deterministic
+// mode one thread runs at a time, so the detector's calls form a total
+// order, and the count gives each race its Pos: the index of its action
+// in that order, which is where racereplay reports the race on the
+// run's recording. A Recorder numbers its own steps, so it needs no
+// wrapper; under the free scheduler a detector attached directly sees
+// no total order, and its races keep Pos 0.
+type positioned struct {
+	Detector
+	n int
+}
+
+func (d *positioned) Sync(a event.Action) {
+	d.n++
+	d.Detector.Sync(a)
+}
+
+func (d *positioned) Alloc(t event.Tid, o event.Addr) {
+	d.n++
+	d.Detector.Alloc(t, o)
+}
+
+func (d *positioned) Read(t event.Tid, o event.Addr, f event.FieldID) *detect.Race {
+	return d.at(d.Detector.Read(t, o, f))
+}
+
+func (d *positioned) Write(t event.Tid, o event.Addr, f event.FieldID) *detect.Race {
+	return d.at(d.Detector.Write(t, o, f))
+}
+
+func (d *positioned) Commit(t event.Tid, reads, writes []event.Variable) []detect.Race {
+	races := d.Detector.Commit(t, reads, writes)
+	for i := range races {
+		races[i].Pos = d.n
+	}
+	d.n++
+	return races
+}
+
+func (d *positioned) at(r *detect.Race) *detect.Race {
+	if r != nil {
+		r.Pos = d.n
+	}
+	d.n++
+	return r
+}
+
 // RacePolicy selects what the runtime does when the detector reports a
 // race at an access.
 type RacePolicy uint8
@@ -163,6 +210,9 @@ func NewRuntime(cfg Config) *Runtime {
 	case Free:
 		rt.sched = newFreeSched()
 	default:
+		if _, rec := cfg.Detector.(*Recorder); cfg.Detector != nil && !rec {
+			rt.det = &positioned{Detector: cfg.Detector}
+		}
 		if cfg.Chooser != nil {
 			rt.sched = newDetSchedChooser(cfg.Chooser)
 		} else {
@@ -209,35 +259,18 @@ func (rt *Runtime) Class(name string) *Class {
 
 // Run executes main as the initial thread and returns after every thread
 // spawned (transitively) has terminated. It returns the list of races
-// observed (thrown or logged).
+// observed (thrown or logged). In deterministic mode the calling
+// goroutine drives the run: every thread, main included, is a coroutine
+// that it resumes in turn. A host panic in any thread propagates out of
+// Run; in free mode only the main thread's does, as spawned threads are
+// goroutines.
 //
 // A deterministic-scheduler deadlock does not crash the process: Run
 // returns the races observed so far and Failure() carries the
 // structured resilience.Report (blocked threads, held locks, elapsed).
 func (rt *Runtime) Run(main func(t *Thread)) []detect.Race {
 	t := rt.newThread()
-	if ds, ok := rt.sched.(*detSched); ok {
-		ds.register(t, true)
-	}
-	// In free mode the main thread is the calling goroutine; the wait
-	// group tracks only spawned threads, which is exactly what waitAll
-	// must wait for after main returns.
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if rep, ok := r.(*resilience.Report); ok {
-					rt.noteFailure(rep)
-					return
-				}
-				panic(r)
-			}
-		}()
-		defer rt.sched.mainDone(t)
-		if drx := t.Try(func() { main(t) }); drx != nil {
-			rt.noteUncaught(drx)
-		}
-	}()
-	rt.sched.waitAll()
+	rt.sched.run(t, rt.threadBody(t, main))
 	rt.raceMu.Lock()
 	defer rt.raceMu.Unlock()
 	out := make([]detect.Race, len(rt.races))

@@ -3,6 +3,7 @@ package jrt_test
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"goldilocks/internal/core"
 	"goldilocks/internal/detectors/eraser"
@@ -588,5 +589,89 @@ func TestMonitorReleasedOnException(t *testing.T) {
 		if !completed {
 			t.Errorf("seed %d: lock unusable after exception", seed)
 		}
+	}
+}
+
+// noPreempt never preempts: choice 0 continues the running thread, or
+// takes the first candidate when it cannot continue.
+type noPreempt struct{}
+
+func (noPreempt) Choose(int) int { return 0 }
+
+// TestDeadlockDetectedBySpawnedThread: when the thread that finds the
+// deadlock is a spawned one and main is among the blocked, Run still
+// returns with the report. main blocks in Join first; u then blocks on
+// the monitor main holds, and u's pick finds no runnable thread.
+func TestDeadlockDetectedBySpawnedThread(t *testing.T) {
+	rt := jrt.NewRuntime(jrt.Config{Detector: core.New(), Mode: jrt.Deterministic, Chooser: noPreempt{}})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rt.Run(func(th *jrt.Thread) {
+			a := th.New(rt.DefineClass("A"))
+			th.MonitorEnter(a)
+			u := th.Spawn(func(u *jrt.Thread) { u.MonitorEnter(a) })
+			th.Join(u)
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return after a deadlock found by a spawned thread")
+	}
+	rep := rt.Failure()
+	if rep == nil || rep.Kind != resilience.Deadlock || len(rep.Blocked) != 2 {
+		t.Fatalf("Failure() = %+v, want a deadlock with both threads blocked", rep)
+	}
+}
+
+// switchCounter switches at every scheduling point with two or more
+// candidates, and counts the preemptions.
+type switchCounter struct{ switches int }
+
+func (c *switchCounter) Choose(n int) int { return c.ChoosePreempt(n, false) }
+
+func (c *switchCounter) ChoosePreempt(n int, currentRunnable bool) int {
+	if currentRunnable && n > 1 {
+		c.switches++
+		return 1
+	}
+	return 0
+}
+
+// pingPong runs two threads that each make n unchecked reads under c:
+// every read is a scheduling point.
+func pingPong(c jrt.Chooser, n int) {
+	rt := jrt.NewRuntime(jrt.Config{Mode: jrt.Deterministic, Chooser: c})
+	rt.Run(func(th *jrt.Thread) {
+		o := th.New(rt.DefineClass("P", jrt.FieldDecl{Name: "x"}))
+		loop := func(th *jrt.Thread) {
+			for i := 0; i < n; i++ {
+				th.GetUnchecked(o, 0)
+			}
+		}
+		u := th.Spawn(loop)
+		loop(th)
+		th.Join(u)
+	})
+}
+
+// TestDetSwitchAllocatesNothing: a deterministic-mode thread switch, a
+// pick over the reused candidate buffer and two coroutine switches,
+// allocates nothing. 10,000 more reads per thread add 20,000 switches
+// and no allocation.
+func TestDetSwitchAllocatesNothing(t *testing.T) {
+	c := &switchCounter{}
+	pingPong(c, 10)
+	few := c.switches
+	c.switches = 0
+	pingPong(c, 10010)
+	if added := c.switches - few; added < 20000 {
+		t.Fatalf("the ping-pong made %d more switches, want at least 20000", added)
+	}
+	base := testing.AllocsPerRun(5, func() { pingPong(&switchCounter{}, 10) })
+	more := testing.AllocsPerRun(5, func() { pingPong(&switchCounter{}, 10010) })
+	if perSwitch := (more - base) / 20000; perSwitch > 0.001 {
+		t.Errorf("%.3f allocations per switch (%v per run against %v), want none", perSwitch, more, base)
 	}
 }

@@ -2,6 +2,7 @@ package jrt
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -20,15 +21,13 @@ type scheduler interface {
 	// exec runs attempt atomically with respect to all other runtime
 	// state transitions, blocking the thread until it succeeds.
 	exec(t *Thread, attempt func() bool)
-	// start launches the goroutine for a newly spawned thread.
+	// start makes body, a newly spawned thread, runnable.
 	start(t *Thread, body func())
 	// exited marks t terminated and schedules someone else.
 	exited(t *Thread)
-	// mainDone is called when the main thread's body returns (the main
-	// thread keeps scheduling duties until then).
-	mainDone(t *Thread)
-	// waitAll blocks until every thread has exited.
-	waitAll()
+	// run runs body as the main thread t and returns once every thread
+	// has exited, or the run has failed.
+	run(t *Thread, body func())
 }
 
 // freeSched runs threads as plain goroutines. State transitions are
@@ -69,9 +68,13 @@ func (s *freeSched) exited(t *Thread) {
 	s.exec(t, func() bool { t.terminated = true; return true })
 }
 
-func (s *freeSched) mainDone(t *Thread) { s.exited(t) }
-
-func (s *freeSched) waitAll() { s.wg.Wait() }
+// run runs the main thread on the calling goroutine; the wait group
+// tracks only spawned threads, which is exactly what is left to wait
+// for once main returns.
+func (s *freeSched) run(_ *Thread, body func()) {
+	body()
+	s.wg.Wait()
+}
 
 // Chooser selects scheduling decisions for the deterministic scheduler:
 // Choose(n) returns an index in [0, n). The default chooser is a seeded
@@ -100,21 +103,25 @@ type rngChooser struct{ rng *rand.Rand }
 
 func (c rngChooser) Choose(n int) int { return c.rng.Intn(n) }
 
-// detSched is the deterministic cooperative scheduler: exactly one
-// thread holds the turn token; at every yield point the holder picks the
-// next thread to run through the Chooser. Blocked threads register
-// their pending attempt as a predicate that the token holder retries
-// when choosing a successor.
+// detSched is the deterministic cooperative scheduler. Every thread
+// runs as a coroutine (coro.go), and the goroutine that called
+// Runtime.Run is the driver: it resumes one thread at a time. At every
+// scheduling point the running thread picks its successor through the
+// Chooser, records it in next, and suspends back to the driver, which
+// resumes the successor. Blocked threads register their pending attempt
+// as a predicate that pick retries when choosing a successor. Only the
+// driver and the one thread it resumed ever run, so no state here needs
+// a lock.
 type detSched struct {
-	choose Chooser
-	began  time.Time
+	choose  Chooser
+	preempt PreemptAware // choose, when it implements PreemptAware
+	began   time.Time
 
-	mu       sync.Mutex
-	states   map[*Thread]*detState
-	order    []*Thread // stable iteration order for determinism
-	allDone  chan struct{}
-	doneOnce sync.Once
-	live     int
+	order []*Thread // live threads in registration order: the pool order
+	pool  []*Thread // pick's candidate buffer, reused across picks
+	// next is the thread the driver resumes once the running thread
+	// suspends or returns; nil ends the run.
+	next *Thread
 	// failure is the structured deadlock report, set at most once. After
 	// a failure the scheduler is dead: threads unwinding through it are
 	// let through without scheduling.
@@ -130,10 +137,11 @@ const (
 	detDone
 )
 
+// detState is a thread's scheduler state, reached through Thread.det.
 type detState struct {
 	st      detThreadState
-	turn    chan struct{}
 	attempt func() bool // pending try-operation while blocked
+	co      coro
 }
 
 func newDetSched(seed int64) *detSched {
@@ -141,80 +149,79 @@ func newDetSched(seed int64) *detSched {
 }
 
 func newDetSchedChooser(c Chooser) *detSched {
-	return &detSched{
-		choose:  c,
-		began:   time.Now(),
-		states:  make(map[*Thread]*detState),
-		allDone: make(chan struct{}),
-	}
+	pa, _ := c.(PreemptAware)
+	return &detSched{choose: c, preempt: pa, began: time.Now()}
 }
 
-func (s *detSched) finish() { s.doneOnce.Do(func() { close(s.allDone) }) }
-
-// fail records the first structured failure report, releases waitAll,
-// and unwinds the calling goroutine with the report as the panic value.
-// Runtime.Run and Thread.Spawn recover it; the remaining (parked)
-// goroutines are abandoned — the run is over. Caller holds s.mu.
+// fail records the first structured failure report and unwinds the
+// calling thread with the report as the panic value. The thread's
+// barrier (threadBody) recovers it; with no successor recorded, the driver
+// returns once the thread has unwound, and the remaining suspended
+// threads are abandoned — the run is over.
 func (s *detSched) fail(r *resilience.Report) {
 	if s.failure == nil {
 		s.failure = r
 	}
-	r = s.failure
-	s.finish()
-	s.mu.Unlock()
-	panic(r)
+	panic(s.failure)
 }
 
-// register adds a thread in the ready state. The main thread registers
-// as running (it is born holding the token).
-func (s *detSched) register(t *Thread, running bool) *detState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := &detState{st: detReady, turn: make(chan struct{}, 1)}
-	if running {
-		st.st = detRunning
-	}
-	s.states[t] = st
+// start registers body as a ready thread; it first runs when the driver
+// resumes it.
+func (s *detSched) start(t *Thread, body func()) {
+	t.det = &detState{st: detReady}
+	t.det.co.init(body)
 	s.order = append(s.order, t)
-	s.live++
-	return st
+}
+
+// run is the driver loop. The main thread is born running. A failure
+// is noted on the runtime even when the thread it unwound swallowed
+// the report.
+func (s *detSched) run(main *Thread, body func()) {
+	s.start(main, body)
+	main.det.st = detRunning
+	for t := main; t != nil; t = s.next {
+		s.next = nil
+		t.det.co.resume()
+	}
+	if s.failure != nil {
+		main.rt.noteFailure(s.failure)
+	}
+}
+
+// switchTo makes next the running thread and suspends t until the
+// driver resumes it.
+func (s *detSched) switchTo(t, next *Thread) {
+	next.det.st = detRunning
+	s.next = next
+	t.det.co.suspend(struct{}{})
 }
 
 func (s *detSched) yield(t *Thread) {
-	s.mu.Lock()
 	if s.failure != nil {
 		// The run already failed; t is unwinding through deferred
 		// cleanup. Scheduling is over — let it proceed.
-		s.mu.Unlock()
 		return
 	}
-	self := s.states[t]
 	next := s.pick(t)
 	if next == t {
-		s.mu.Unlock()
 		return
 	}
-	self.st = detReady
-	ns := s.states[next]
-	ns.st = detRunning
-	s.mu.Unlock()
-	ns.turn <- struct{}{}
-	<-self.turn
+	t.det.st = detReady
+	s.switchTo(t, next)
 }
 
 func (s *detSched) exec(t *Thread, attempt func() bool) {
-	// The token holder is exclusive: try directly.
+	// The running thread is exclusive: try directly.
 	if attempt() {
 		return
 	}
-	s.mu.Lock()
 	if s.failure != nil {
 		// Unwinding after a failure and the attempt cannot succeed
 		// (nobody will ever change state): re-raise the report so the
 		// unwind continues to the recover barrier.
 		s.fail(s.failure)
 	}
-	self := s.states[t]
+	self := t.det
 	self.st = detBlocked
 	self.attempt = attempt
 	next := s.pick(t)
@@ -226,47 +233,40 @@ func (s *detSched) exec(t *Thread, attempt func() bool) {
 		// concurrent effect applied during selection); nothing to wait
 		// for.
 		self.st = detRunning
-		s.mu.Unlock()
 		return
 	}
-	ns := s.states[next]
-	ns.st = detRunning
-	s.mu.Unlock()
-	ns.turn <- struct{}{}
-	<-self.turn
-	// Woken only after the scheduler ran attempt successfully on our
-	// behalf.
+	s.switchTo(t, next)
+	// Resumed only after pick ran attempt successfully on our behalf.
 }
 
-// pick chooses the next thread to run, including t itself. Caller holds
-// mu. Blocked candidates have their attempt retried; a successful
-// attempt applies its effect and unblocks the thread. The pool is
-// ordered with the current thread first when it is still runnable, so
-// choice 0 always means "do not preempt".
+// pick chooses the next thread to run, including t itself. Blocked
+// candidates have their attempt retried; a successful attempt applies
+// its effect and unblocks the thread. The pool is ordered with the
+// current thread first when it is still runnable, so choice 0 always
+// means "do not preempt".
 func (s *detSched) pick(t *Thread) *Thread {
-	var pool []*Thread
-	currentRunnable := false
-	if st, ok := s.states[t]; ok && st.st == detRunning {
+	pool := s.pool[:0]
+	currentRunnable := t.det.st == detRunning
+	if currentRunnable {
 		pool = append(pool, t)
-		currentRunnable = true
 	}
 	for _, u := range s.order {
-		st := s.states[u]
-		if st.st == detReady && u != t {
+		if u.det.st == detReady && u != t {
 			pool = append(pool, u)
 		}
 	}
 	// Blocked threads join the candidate pool; their attempt decides at
 	// selection time.
 	for _, u := range s.order {
-		if s.states[u].st == detBlocked {
+		if u.det.st == detBlocked {
 			pool = append(pool, u)
 		}
 	}
+	s.pool = pool
 	for len(pool) > 0 {
 		var i int
-		if pa, ok := s.choose.(PreemptAware); ok {
-			i = pa.ChoosePreempt(len(pool), currentRunnable)
+		if s.preempt != nil {
+			i = s.preempt.ChoosePreempt(len(pool), currentRunnable)
 		} else {
 			i = s.choose.Choose(len(pool))
 		}
@@ -279,7 +279,7 @@ func (s *detSched) pick(t *Thread) *Thread {
 		if i == 0 {
 			currentRunnable = false // any retry round is a forced switch
 		}
-		st := s.states[u]
+		st := u.det
 		if st.st == detBlocked {
 			// This covers a blocked caller selecting itself: its pending
 			// attempt must hold before it may continue.
@@ -296,12 +296,11 @@ func (s *detSched) pick(t *Thread) *Thread {
 }
 
 // deadlockReport builds the structured report: every blocked thread and
-// the monitors it holds. Caller holds s.mu.
+// the monitors it holds.
 func (s *detSched) deadlockReport() *resilience.Report {
 	r := &resilience.Report{Kind: resilience.Deadlock, Elapsed: time.Since(s.began)}
 	for _, u := range s.order {
-		st := s.states[u]
-		if st.st != detBlocked {
+		if u.det.st != detBlocked {
 			continue
 		}
 		ts := resilience.ThreadState{Thread: u.ID().String()}
@@ -313,43 +312,22 @@ func (s *detSched) deadlockReport() *resilience.Report {
 	return r
 }
 
-func (s *detSched) start(t *Thread, body func()) {
-	st := s.register(t, false)
-	go func() {
-		<-st.turn
-		body()
-	}()
-}
-
+// exited retires t and records its successor; the driver resumes it
+// once t's coroutine returns. The last thread to exit records none,
+// which ends the run.
 func (s *detSched) exited(t *Thread) {
-	s.mu.Lock()
-	self := s.states[t]
-	self.st = detDone
+	t.det.st = detDone
 	t.terminated = true
-	s.live--
-	if s.failure != nil {
-		// Post-failure unwind: no scheduling left to do.
-		if s.live == 0 {
-			s.finish()
-		}
-		s.mu.Unlock()
-		return
-	}
-	if s.live == 0 {
-		s.finish()
-		s.mu.Unlock()
+	s.order = slices.DeleteFunc(s.order, func(u *Thread) bool { return u == t })
+	if s.failure != nil || len(s.order) == 0 {
+		// Post-failure unwind, or the run is complete: no scheduling
+		// left to do.
 		return
 	}
 	next := s.pick(t)
-	if next == nil || next == t {
+	if next == nil {
 		s.fail(s.deadlockReport())
 	}
-	ns := s.states[next]
-	ns.st = detRunning
-	s.mu.Unlock()
-	ns.turn <- struct{}{}
+	next.det.st = detRunning
+	s.next = next
 }
-
-func (s *detSched) mainDone(t *Thread) { s.exited(t) }
-
-func (s *detSched) waitAll() { <-s.allDone }

@@ -21,6 +21,9 @@ type Thread struct {
 	// acquires only), maintained inside scheduler-atomic transitions;
 	// the deadlock reporter reads it to say who holds what.
 	heldMons []event.Addr
+	// det is the thread's deterministic-scheduler state; nil in free
+	// mode.
+	det *detState
 }
 
 func (t *Thread) noteMonitorHeld(o event.Addr) { t.heldMons = append(t.heldMons, o) }
@@ -40,19 +43,26 @@ func (t *Thread) ID() event.Tid { return t.id }
 func (t *Thread) Runtime() *Runtime { return t.rt }
 
 // Spawn starts a new thread running body and returns it. The fork
-// happens-before everything body does. As in the paper's runtime, a
-// DataRaceException that body does not catch terminates the thread
-// gracefully (the race is already recorded); other panics propagate and
-// crash the host, as befits host-level bugs.
+// happens-before everything body does. A DataRaceException that body
+// does not catch terminates the thread (threadBody); other panics are
+// host-level bugs and propagate.
 func (t *Thread) Spawn(body func(u *Thread)) *Thread {
 	u := t.rt.newThread()
 	t.rt.sched.yield(t)
 	t.rt.sync(event.Fork(t.id, u.id))
-	rt := t.rt
-	rt.sched.start(u, func() {
-		// A scheduler failure (deadlock) unwinds the goroutine with a
-		// *resilience.Report; record it and let the goroutine die
-		// quietly — the run is over and waitAll has been released.
+	t.rt.sched.start(u, t.rt.threadBody(u, body))
+	return u
+}
+
+// threadBody wraps body as the body of thread u. As in the paper's
+// runtime, a DataRaceException that body does not catch terminates the
+// thread gracefully (the race is already recorded). A scheduler failure
+// (deadlock) unwinds the thread with a *resilience.Report; the wrapper
+// records it and lets the thread die quietly — the run is over. Other
+// panics propagate: out of Runtime.Run in deterministic mode, and in
+// free mode out of a spawned thread's goroutine, crashing the host.
+func (rt *Runtime) threadBody(u *Thread, body func(u *Thread)) func() {
+	return func() {
 		defer func() {
 			if r := recover(); r != nil {
 				if rep, ok := r.(*resilience.Report); ok {
@@ -66,8 +76,7 @@ func (t *Thread) Spawn(body func(u *Thread)) *Thread {
 		if drx := u.Try(func() { body(u) }); drx != nil {
 			rt.noteUncaught(drx)
 		}
-	})
-	return u
+	}
 }
 
 // Join blocks until u terminates; everything u did happens-before Join's
