@@ -378,7 +378,11 @@ func run(ctx context.Context, path string, c runConfig) (int, error) {
 		return 0, err
 	}
 	races, err := interp.Run()
-	if err != nil {
+	// A deterministic-mode deadlock comes back as the run's error and is
+	// also rt.Failure(): carry on, so its races and the -stats-json
+	// "failure" section are still written, and exit through the
+	// rt.Failure() check at the end.
+	if err != nil && (!errors.As(err, new(*resilience.Report)) || rt.Failure() == nil) {
 		return 0, err
 	}
 	sampler.Stop()

@@ -169,7 +169,8 @@ func TestRunFrontEndErrorsExitRuntime(t *testing.T) {
 }
 
 // TestRunDeadlockExitsRuntime: a deterministic deadlock produces a
-// structured failure and the runtime-error exit code, not a crash.
+// structured failure and the runtime-error exit code, not a crash, and
+// still writes the -stats-json document with its "failure" section.
 func TestRunDeadlockExitsRuntime(t *testing.T) {
 	path := writeProgram(t, `
 class L { int x; }
@@ -188,10 +189,12 @@ class Main {
 `)
 	// A deadlock needs the right interleaving; scan seeds until one
 	// manifests (the clean exits are legitimate runs).
+	jsonPath := filepath.Join(t.TempDir(), "stats.json")
 	for seed := int64(1); seed <= 50; seed++ {
 		c := cfg()
-		c.policy = "log"
+		c.policy, c.statsJSON = "log", jsonPath
 		c.seed = seed
+		os.Remove(jsonPath) // a clean seed's document must not stand in
 		n, err := run(context.Background(), path, c)
 		if err == nil {
 			continue
@@ -205,6 +208,22 @@ class Main {
 		}
 		if code := exitFor(n, err); code != resilience.ExitRuntime {
 			t.Fatalf("seed %d: exit code %d, want %d", seed, code, resilience.ExitRuntime)
+		}
+		// The deadlock still reaches the -stats-json document.
+		doc, err := os.ReadFile(jsonPath)
+		if err != nil {
+			t.Fatalf("seed %d: no -stats-json document: %v", seed, err)
+		}
+		var parsed struct {
+			Failure *struct {
+				Kind string `json:"kind"`
+			} `json:"failure"`
+		}
+		if err := json.Unmarshal(doc, &parsed); err != nil {
+			t.Fatal(err)
+		}
+		if parsed.Failure == nil || parsed.Failure.Kind != "deadlock" {
+			t.Fatalf("seed %d: -stats-json failure = %+v, want kind deadlock", seed, parsed.Failure)
 		}
 		return
 	}

@@ -23,7 +23,6 @@ package conformance
 
 import (
 	"fmt"
-	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -75,12 +74,7 @@ type Result struct {
 // DefaultOptions they are the one list of engine configurations the
 // core and conformance tests run. Each entry stresses a different
 // representation choice; all of them preserve precision by design, so
-// any divergence is a bug. noShortCircuit also turns the epoch fast
-// path off, so every access takes the lockset walk; onlyXactSC keeps
-// it on with SC1-SC3 off, where it can take only a variable's first
-// access.
-// FastPathParity compares the fast path on and off on everything
-// observable, not just verdicts.
+// any divergence is a bug.
 func Variants() map[string]core.Options {
 	d := core.DefaultOptions()
 
@@ -97,11 +91,9 @@ func Variants() map[string]core.Options {
 
 	noSC := d
 	noSC.SC1, noSC.SC2, noSC.SC3, noSC.XactSC = false, false, false, false
-	noSC.FastPath = false
 
 	onlyXactSC := noSC
 	onlyXactSC.XactSC = true
-	onlyXactSC.FastPath = true
 
 	return map[string]core.Options{
 		"gcOff":          gcOff,
@@ -110,56 +102,6 @@ func Variants() map[string]core.Options {
 		"noShortCircuit": noSC,
 		"onlyXactSC":     onlyXactSC,
 	}
-}
-
-// FastPathParity is the epoch-fast-path differential: one trace, two
-// engines differing only in Options.FastPath, compared on everything
-// observable — verdicts including full provenance chains, the engine
-// Stats (modulo the FastPathHits counter itself, the one number the
-// fast path is allowed to change), and the Figure 5 rule-fire counts.
-// The fast path is a derived view of lockset state, so any difference
-// at all is a bug, not a tolerance.
-func FastPathParity(tr *event.Trace) *Divergence {
-	fail := func(format string, args ...any) *Divergence {
-		return &Divergence{Backend: "fastpath-parity", Detail: fmt.Sprintf(format, args...), Trace: tr}
-	}
-	if err := tr.Validate(); err != nil {
-		return fail("invalid trace: %v", err)
-	}
-	run := func(fastPath bool) ([]detect.Race, core.Stats, [obs.NumRules + 1]uint64) {
-		opts := core.DefaultOptions()
-		opts.FastPath = fastPath
-		opts.Telemetry = obs.NewTelemetry()
-		eng := core.NewEngine(opts)
-		races := detect.RunTrace(eng, tr)
-		return races, eng.Stats(), opts.Telemetry.RuleFires()
-	}
-	onRaces, onStats, onFires := run(true)
-	offRaces, offStats, offFires := run(false)
-
-	if got, want := raceKeys(onRaces), raceKeys(offRaces); !equalKeys(got, want) {
-		return fail("verdicts with fast path %v, without %v", got, want)
-	}
-	// Verdict identity is stronger than key equality: the completing and
-	// previous accesses and the whole provenance chain must match, since
-	// escalation hands the variable to the same lockset machinery.
-	for i := range onRaces {
-		if !reflect.DeepEqual(onRaces[i], offRaces[i]) {
-			return fail("race %d with fast path %+v (prov %v), without %+v (prov %v)",
-				i, onRaces[i], onRaces[i].Prov, offRaces[i], offRaces[i].Prov)
-		}
-	}
-	if offStats.FastPathHits != 0 {
-		return fail("FastPathHits = %d with the fast path disabled", offStats.FastPathHits)
-	}
-	onStats.FastPathHits = 0
-	if onStats != offStats {
-		return fail("stats with fast path %+v, without %+v", onStats, offStats)
-	}
-	if onFires != offFires {
-		return fail("rule fires with fast path %v, without %v", onFires, offFires)
-	}
-	return nil
 }
 
 // DegradedOptions returns an engine configuration whose memory governor
@@ -382,13 +324,6 @@ func Run(tr *event.Trace) Result {
 	}
 	if engFires := telOpts.Telemetry.RuleFires(); engFires != res.RuleFires {
 		return fail("variant:telemetry", "rule fires %v, spec %v", engFires, res.RuleFires)
-	}
-
-	// The epoch fast path must be observationally invisible: verdicts,
-	// provenance, Stats, and rule fires all identical with it on and off.
-	if d := FastPathParity(tr); d != nil {
-		res.Div = d
-		return res
 	}
 
 	// Degradation may only suppress reports, never invent them.

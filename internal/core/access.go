@@ -156,14 +156,6 @@ func (e *Engine) access(t event.Tid, o event.Addr, d event.FieldID, a event.Acti
 		panic(fmt.Sprintf("resilience: injected detector fault on %v", v))
 	}
 
-	// Epoch fast path: a plain access to a variable this thread still
-	// owns needs no walk machinery, no provenance, and no reader sort. A
-	// traced variable stays on the slow path so its lockset transitions
-	// keep being recorded.
-	if e.opts.FastPath && !xact && !traced && e.fastPath(vs, st, t, a, isWrite) {
-		return nil
-	}
-
 	pos := e.list.snapshotTail()
 	var racePrev *info // the Info the failed check was against
 	// Every access is checked against the last write.
@@ -261,65 +253,6 @@ func (e *Engine) access(t event.Tid, o event.Addr, d event.FieldID, a event.Acti
 		}
 	}
 	return race
-}
-
-// fastPath is the O(1) FastTrack-style epoch check in front of the
-// lockset machinery (Options.FastPath). The "epoch" is not stored
-// anywhere: it is the derived view (Info.owner, Info.pos vs the current
-// list tail) of the state the lockset engine already keeps, so the fast
-// path needs no state of its own, nothing extra to checkpoint, and no
-// invalidation protocol — the moment ownership transfers, the ordinary
-// Info records already describe the handoff and the slow path takes
-// over (escalation is simply "this function returns false").
-//
-// A hit must be observationally identical to the slow path, counters
-// included: the same-owner pair check is exactly an SC1 hit, so it
-// increments PairChecks and SC1Hits precisely as checkHB would, and the
-// install goes through the same installInfo (which clears the
-// happens-before cache and recycles the record in place). Readers owned
-// by the accessing thread contribute no pair checks on a write, exactly
-// like the slow path's u != t skip. Anything else — a foreign last
-// writer, a foreign reader before a write, a transactional access —
-// escalates. SC1 must be enabled for the owned-pair case, or the slow
-// path would have walked (and counted FullWalks/WalkCells) where the
-// fast path would not.
-//
-// Caller holds vs.mu and has already bumped AccessesChecked and fired
-// the event-level rule-1 telemetry.
-func (e *Engine) fastPath(vs *varState, st *statStripe, t event.Tid, a event.Action, isWrite bool) bool {
-	w := vs.write
-	if w != nil && (!e.opts.SC1 || w.owner != t) {
-		return false
-	}
-	if isWrite {
-		for u := range vs.reads {
-			if u != t {
-				return false
-			}
-		}
-	}
-	if w != nil {
-		st.pairChecks.Add(1)
-		st.sc1Hits.Add(1)
-	}
-	st.fastPathHits.Add(1)
-
-	pos := e.list.snapshotTail()
-	if isWrite {
-		vs.write = e.installInfo(w, pos, t, a, false, nil)
-		for _, prev := range vs.reads {
-			prev.release()
-		}
-		clear(vs.reads)
-		vs.readsAllXact = true
-	} else {
-		if vs.reads == nil {
-			vs.reads = make(map[event.Tid]*info)
-		}
-		vs.reads[t] = e.installInfo(vs.reads[t], pos, t, a, false, nil)
-		vs.readsAllXact = false
-	}
-	return true
 }
 
 // installInfo builds the Info record for the access just checked,

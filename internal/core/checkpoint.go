@@ -65,12 +65,12 @@ type ckptBody struct {
 
 // ckptOptions is Options minus the non-serializable attachments
 // (Telemetry, Injector), which the restoring process supplies fresh,
-// plus four fields for techniques that have no option: SC3MaxSegment,
-// Memoize, HBCache and VarShards. Capture writes their constants
-// (sc3MaxSegment, true, true, varShardCount), the values every
-// checkpoint written with default options already carries. Restore
-// ignores them: a checkpoint that carries other values restores into
-// the same verdicts.
+// plus five fields for techniques that have no option: SC3MaxSegment,
+// Memoize, HBCache, FastPath and VarShards. Capture writes their
+// constants (sc3MaxSegment, true, true, true, varShardCount), the values
+// every checkpoint written with default options already carries.
+// Restore ignores them: a checkpoint that carries other values restores
+// into the same verdicts.
 type ckptOptions struct {
 	SC1              bool               `json:"sc1,omitempty"`
 	SC2              bool               `json:"sc2,omitempty"`
@@ -152,7 +152,7 @@ type ckptCounters struct {
 	SC3Hits         uint64 `json:"sc3_hits,omitempty"`
 	XactHits        uint64 `json:"xact_hits,omitempty"`
 	HBCacheHits     uint64 `json:"hb_cache_hits,omitempty"`
-	FastPathHits    uint64 `json:"fast_path_hits,omitempty"`
+	FastPathHits    uint64 `json:"fast_path_hits,omitempty"` // carried: nothing counts it any more
 	FullWalks       uint64 `json:"full_walks,omitempty"`
 	WalkCells       uint64 `json:"walk_cells,omitempty"`
 	Races           uint64 `json:"races,omitempty"`
@@ -377,7 +377,7 @@ func (e *Engine) Capture() *Snapshot {
 	b = snap.appendMarshal(b, &ckptOptions{
 		SC1: o.SC1, SC2: o.SC2, SC3: o.SC3, SC3MaxSegment: sc3MaxSegment,
 		XactSC: o.XactSC, Memoize: true, HBCache: true,
-		FastPath:         o.FastPath,
+		FastPath:         true,
 		DisableAfterRace: o.DisableAfterRace,
 		GCThreshold:      o.GCThreshold, GCTrimFraction: o.GCTrimFraction,
 		PartialEager: o.PartialEager, TxnSemantics: o.TxnSemantics,
@@ -803,7 +803,6 @@ func restore(p *ckptPayload, attach RestoreAttach) (*Engine, error) {
 	co := p.Opts
 	opts := Options{
 		SC1: co.SC1, SC2: co.SC2, SC3: co.SC3, XactSC: co.XactSC,
-		FastPath:         co.FastPath,
 		DisableAfterRace: co.DisableAfterRace,
 		GCThreshold:      co.GCThreshold, GCTrimFraction: co.GCTrimFraction,
 		PartialEager: co.PartialEager, TxnSemantics: co.TxnSemantics,

@@ -120,10 +120,9 @@ func ckptConfigs() map[string]struct {
 	budget.GCThreshold = 0
 	budget.MemoryBudget = 8
 
-	// The default configuration runs with the epoch fast path on (its
-	// hit counter and enablement flag must survive the restart); the
-	// fastpath-off variant pins that a checkpoint written by either tier
-	// restores into a pure-lockset engine unchanged.
+	// The retired FastPath option, which perfbench still sets, is
+	// ignored: an engine built with it off must checkpoint and restore
+	// like the default.
 	fpOff := core.DefaultOptions()
 	fpOff.FastPath = false
 
@@ -315,8 +314,8 @@ func firstDiff(a, b []byte) string {
 
 // TestCheckpointGoldens pins the checkpoint format to bytes: every
 // testdata/*.ckpt was written by an earlier build of the encoder (one
-// empty engine, and engines with and without telemetry, the fast path,
-// channels, commits, an aggressive collector, a degraded governor,
+// empty engine, and engines with and without telemetry, channels,
+// commits, an aggressive collector, a degraded governor,
 // variables disabled after a race and a variable quarantined by an
 // injected panic), and each must restore and re-encode byte for byte.
 func TestCheckpointGoldens(t *testing.T) {
@@ -344,20 +343,49 @@ func TestCheckpointGoldens(t *testing.T) {
 	}
 }
 
-// TestCheckpointRetiredOptions restores a checkpoint written by an
-// earlier build, whose Options still had SC3MaxSegment, Memoize,
-// HBCache and VarShards, from an engine with all four off (0, false,
-// false, 1 shard) stepped through the first half of
+// TestCheckpointRetiredOptions restores each checkpoint under
+// testdata/restore-only, written by an earlier build with settings that
+// have since become constants, so it does not re-encode byte for byte
+// (which is why it sits outside testdata/*.ckpt). Each must restore,
+// a second re-encode must equal the first, and each passes the check
+// named after it.
+func TestCheckpointRetiredOptions(t *testing.T) {
+	checks := map[string]func(t *testing.T, snap, again []byte){
+		"retired-knobs.ckpt":         checkRetiredKnobs,
+		"channels-fastpath-off.ckpt": checkFastPathOff,
+	}
+	paths, err := filepath.Glob(filepath.Join("testdata", "restore-only", "*.ckpt"))
+	if err != nil || len(paths) != len(checks) {
+		t.Fatalf("restore-only checkpoints %v, want one per check (%v)", paths, err)
+	}
+	for _, path := range paths {
+		name := filepath.Base(path)
+		t.Run(name, func(t *testing.T) {
+			check, ok := checks[name]
+			if !ok {
+				t.Fatalf("no check for %s", name)
+			}
+			snap, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again := reencode(t, snap)
+			if twice := reencode(t, again); !bytes.Equal(twice, again) {
+				t.Errorf("second re-encoding differs %s", firstDiff(twice, again))
+			}
+			check(t, snap, again)
+		})
+	}
+}
+
+// checkRetiredKnobs: the checkpoint's Options still had SC3MaxSegment,
+// Memoize, HBCache and VarShards, from an engine with all four off (0,
+// false, false, 1 shard) stepped through the first half of
 // tracegen.FromSeed(17). Those settings never changed a verdict, so
 // restore ignores them: the restored engine must report the races of an
 // uninterrupted run on the second half, and a re-encode writes the fixed
-// values. The file sits outside testdata/*.ckpt because it does not
-// re-encode byte for byte.
-func TestCheckpointRetiredOptions(t *testing.T) {
-	snap, err := os.ReadFile(filepath.Join("testdata", "restore-only", "retired-knobs.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
+// values.
+func checkRetiredKnobs(t *testing.T, snap, again []byte) {
 	if !bytes.Contains(snap, []byte(`"var_shards":1}`)) || bytes.Contains(snap, []byte(`"memoize"`)) {
 		t.Fatal("restore-only checkpoint does not carry the retired settings")
 	}
@@ -379,15 +407,27 @@ func TestCheckpointRetiredOptions(t *testing.T) {
 	if got := sortedKeys(runGlobal(e, tr, cut)); !equalStrings(got, sortedKeys(want)) {
 		t.Errorf("restored run races %v, uninterrupted %v", got, sortedKeys(want))
 	}
-
-	again := reencode(t, snap)
 	for _, field := range []string{`"sc3_max_segment":512,`, `"memoize":true,"hb_cache":true,`, `"var_shards":64}`} {
 		if !bytes.Contains(again, []byte(field)) {
 			t.Errorf("re-encoding lacks %s", field)
 		}
 	}
-	if twice := reencode(t, again); !bytes.Equal(twice, again) {
-		t.Errorf("second re-encoding differs %s", firstDiff(twice, again))
+}
+
+// checkFastPathOff: the checkpoint was written by an engine with a
+// channel-heavy history and the retired FastPath option off. Its source
+// trace is not known, so it is checked against itself: a re-encode must
+// equal the file with the constant "fast_path":true added, the CRC
+// aside. That pins the channel encoding byte for byte and the restored
+// Stats to the counters the file carries.
+func checkFastPathOff(t *testing.T, snap, again []byte) {
+	if bytes.Contains(snap, []byte(`"fast_path"`)) || !bytes.Contains(snap, []byte(`"chans":`)) {
+		t.Fatal("restore-only checkpoint does not carry a channel history with the fast path off")
+	}
+	want := bytes.Replace(snap, []byte(`"hb_cache":true,`), []byte(`"hb_cache":true,"fast_path":true,`), 1)
+	withoutCRC := func(b []byte) []byte { return b[:bytes.LastIndex(b, []byte(`"crc":`))] }
+	if got, want := withoutCRC(again), withoutCRC(want); !bytes.Equal(got, want) {
+		t.Errorf("re-encoding differs from the file plus \"fast_path\":true %s", firstDiff(got, want))
 	}
 }
 

@@ -33,18 +33,9 @@ type Options struct {
 	// XactSC enables the transactions short-circuit: two transactional
 	// accesses never race.
 	XactSC bool
-	// FastPath enables the FastTrack-style epoch check in front of the
-	// lockset machinery: a plain access whose variable is still owned by
-	// the accessing thread (same last writer, no foreign readers for a
-	// write) is checked and installed in O(1), without touching the
-	// happens-before cache, the walk machinery, or the provenance path.
-	// The fast path is a derived view of the lockset state — it keeps no
-	// state of its own — and escalates to the full engine the moment
-	// ownership transfers (a foreign write/read-shared epoch, a
-	// transactional access, a traced variable). It is exact: verdicts,
-	// Figure 5 rule fires, and every Stats counter except FastPathHits
-	// are identical with the fast path on and off, which the conformance
-	// matrix (internal/conformance) enforces over the whole corpus.
+	// Deprecated: FastPath is ignored. It switched an epoch check in
+	// front of the lockset machinery that did the same work as SC1 in
+	// checkHB; the field stays because existing callers set it.
 	FastPath bool
 	// DisableAfterRace stops checking a variable after its first race,
 	// matching the paper's measurement methodology. Arrays: the caller
@@ -123,16 +114,18 @@ type Stats struct {
 	SC3Hits         uint64
 	XactHits        uint64
 	HBCacheHits     uint64 // pair checks resolved by the transitivity cache
-	FastPathHits    uint64 // accesses fully handled by the epoch fast path
-	FullWalks       uint64 // pair checks that needed a full traversal
-	WalkCells       uint64 // cells visited across all traversals
-	Races           uint64
-	VarsTracked     uint64 // variable states created, counting each re-creation after an Alloc
-	VarsFreed       uint64 // variable states dropped because their object died (Free)
-	EventsEnqueued  uint64
-	CellsCollected  uint64
-	Collections     uint64
-	InfosAdvanced   uint64 // partially-eager advances
+	// Deprecated: FastPathHits reads 0, or the count carried by a
+	// restored checkpoint that recorded one; nothing increments it.
+	FastPathHits   uint64
+	FullWalks      uint64 // pair checks that needed a full traversal
+	WalkCells      uint64 // cells visited across all traversals
+	Races          uint64
+	VarsTracked    uint64 // variable states created, counting each re-creation after an Alloc
+	VarsFreed      uint64 // variable states dropped because their object died (Free)
+	EventsEnqueued uint64
+	CellsCollected uint64
+	Collections    uint64
+	InfosAdvanced  uint64 // partially-eager advances
 
 	// Resilience counters (docs/ROBUSTNESS.md).
 	PanicsRecovered uint64 // detector-check panics caught by the barrier
@@ -159,8 +152,10 @@ func (s Stats) ShortCircuitRate() float64 {
 	return float64(sc) / float64(s.PairChecks)
 }
 
-// FastPathRate returns the fraction of checked accesses fully handled
-// by the epoch fast path, in [0, 1]; 0 when no accesses were checked.
+// FastPathRate returns FastPathHits over AccessesChecked; 0 when no
+// accesses were checked.
+//
+// Deprecated: FastPathHits is no longer counted, so the rate reads 0.
 func (s Stats) FastPathRate() float64 {
 	if s.AccessesChecked == 0 {
 		return 0
@@ -289,7 +284,7 @@ type statStripe struct {
 	sc3Hits         atomic.Uint64
 	xactHits        atomic.Uint64
 	hbCacheHits     atomic.Uint64
-	fastPathHits    atomic.Uint64
+	fastPathHits    atomic.Uint64 // only a restored checkpoint's count; never incremented
 	fullWalks       atomic.Uint64
 	walkCells       atomic.Uint64
 	races           atomic.Uint64

@@ -9,7 +9,9 @@ import (
 	"goldilocks/internal/core"
 	"goldilocks/internal/detect"
 	"goldilocks/internal/event"
+	"goldilocks/internal/obs"
 	"goldilocks/internal/scenarios"
+	"goldilocks/internal/tracegen"
 )
 
 // configurations returns the engine configurations every verdict test
@@ -43,6 +45,191 @@ func TestEngineScenarios(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// checkAgainstSpec runs tr through the engine under sem and requires
+// its verdict to match the ground truth racy, and its races and Figure
+// 5 rule fires to match the executable specification's.
+func checkAgainstSpec(t *testing.T, tr *event.Trace, sem event.TxnSemantics, racy bool) {
+	t.Helper()
+	if err := tr.Validate(); err != nil {
+		t.Fatalf("invalid trace: %v", err)
+	}
+	opts := core.DefaultOptions()
+	opts.TxnSemantics = sem
+	opts.Telemetry = obs.NewTelemetry()
+	races := detect.RunTrace(core.NewEngine(opts), tr)
+	if got := len(races) > 0; got != racy {
+		t.Errorf("racy = %v, want %v (races %v)", got, racy, races)
+	}
+	spec := core.NewSpecEngineSem(sem)
+	specTel := obs.NewTelemetry()
+	spec.SetTelemetry(specTel)
+	if got, want := sortedKeys(races), sortedKeys(detect.RunTrace(spec, tr)); !equalStrings(got, want) {
+		t.Errorf("races %v, spec %v", got, want)
+	}
+	if got, want := opts.Telemetry.RuleFires(), specTel.RuleFires(); got != want {
+		t.Errorf("rule fires %v, spec %v", got, want)
+	}
+}
+
+// TestEscalationEdges hands a thread-owned variable (its accesses
+// resolved at SC1) to another thread through each synchronization
+// vocabulary in turn. The engine's verdict must match the case's ground
+// truth, and its races and Figure 5 rule fires the specification's.
+func TestEscalationEdges(t *testing.T) {
+	const (
+		x    event.Addr = 10 // the handed-off data object
+		lk   event.Addr = 20
+		vol  event.Addr = 21
+		ch   event.Addr = 22
+		spin event.Addr = 23 // second object for read-shared cases
+	)
+	cases := []struct {
+		name string
+		tr   *event.Trace
+		// racy is the ground-truth verdict.
+		racy bool
+	}{
+		{
+			// Reads spread the variable across threads; t1's write then
+			// finds a foreign reader. Properly synchronized: no race.
+			name: "write-after-read-shared-synced",
+			tr: event.NewBuilder().
+				Fork(1, 2).
+				Write(1, x, 0).
+				Acquire(1, lk).Read(1, x, 0).Release(1, lk).
+				Acquire(2, lk).Read(2, x, 0).Release(2, lk).
+				Acquire(1, lk).Write(1, x, 0).Release(1, lk).
+				Trace(),
+			racy: false,
+		},
+		{
+			name: "write-after-read-shared-racy",
+			tr: event.NewBuilder().
+				Fork(1, 2).
+				Write(1, x, 0).
+				Acquire(1, lk).Read(1, x, 0).Release(1, lk).
+				Acquire(2, lk).Read(2, x, 0).Release(2, lk).
+				Write(1, x, 0). // no lock this time: races with t2's read
+				Trace(),
+			racy: true,
+		},
+		{
+			name: "lock-handoff",
+			tr: event.NewBuilder().
+				Fork(1, 2).
+				Write(1, x, 0).Write(1, x, 0). // thread-owned: SC1
+				Acquire(1, lk).Write(1, x, 0).Release(1, lk).
+				Acquire(2, lk).Write(2, x, 0).Release(2, lk). // handed off here
+				Trace(),
+			racy: false,
+		},
+		{
+			// Disjoint locks: the lockset intersection between t1's release
+			// and t2's acquire is empty, so the handoff is a race.
+			name: "lock-handoff-racy",
+			tr: event.NewBuilder().
+				Fork(1, 2).
+				Write(1, x, 0).Write(1, x, 0).
+				Acquire(1, lk).Write(1, x, 0).Release(1, lk).
+				Acquire(2, spin).Write(2, x, 0).Release(2, spin).
+				Trace(),
+			racy: true,
+		},
+		{
+			name: "volatile-handoff",
+			tr: event.NewBuilder().
+				Fork(1, 2).
+				Write(1, x, 0).Write(1, x, 0).
+				VolatileWrite(1, vol, 0).
+				VolatileRead(2, vol, 0).
+				Write(2, x, 0).
+				Trace(),
+			racy: false,
+		},
+		{
+			name: "channel-handoff",
+			tr: event.NewBuilder().
+				Fork(1, 2).
+				ChanMake(1, ch, 1).
+				Write(1, x, 0).Write(1, x, 0).
+				ChanSend(1, ch).
+				ChanRecv(2, ch).
+				Write(2, x, 0).
+				Trace(),
+			racy: false,
+		},
+		{
+			name: "channel-close-handoff",
+			tr: event.NewBuilder().
+				Fork(1, 2).
+				ChanMake(1, ch, 1).
+				Write(1, x, 0).Write(1, x, 0).
+				ChanClose(1, ch).
+				ChanRecv(2, ch). // receive from drained closed channel
+				Write(2, x, 0).
+				Trace(),
+			racy: false,
+		},
+		{
+			name: "fork-handoff",
+			tr: event.NewBuilder().
+				Write(1, x, 0).Write(1, x, 0).
+				Fork(1, 2).
+				Write(2, x, 0).
+				Trace(),
+			racy: false,
+		},
+		{
+			name: "join-handoff",
+			tr: event.NewBuilder().
+				Fork(1, 2).
+				Write(2, x, 0).Write(2, x, 0).
+				Join(1, 2).
+				Write(1, x, 0).
+				Trace(),
+			racy: false,
+		},
+		{
+			name: "commit-handoff",
+			tr: event.NewBuilder().
+				Fork(1, 2).
+				Write(1, spin, 0).Write(1, spin, 0). // plain thread-owned traffic
+				Commit(1, nil, []event.Variable{{Obj: x, Field: 0}}).
+				Commit(2, []event.Variable{{Obj: x, Field: 0}}, nil).
+				Trace(),
+			racy: false,
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			checkAgainstSpec(t, c.tr, event.TxnSharedVariable, c.racy)
+		})
+	}
+}
+
+// TestEscalationStress delivers channel- and lock-heavy generated
+// traces concurrently (one goroutine per trace thread,
+// ticket-serialized to the trace order) and requires the serial run's
+// verdicts. Under -race, any unsynchronized state touched by an
+// ownership handoff fails here.
+func TestEscalationStress(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
+			t.Parallel()
+			cfg := tracegen.Default()
+			cfg.Steps = 400
+			cfg.MaxThreads = 6
+			cfg.Channels = 2
+			cfg.SyncBias = 0.8
+			tr := tracegen.FromSeedConfig(seed, cfg)
+			got := sortedKeys(conformance.RunConcurrent(core.New(), tr))
+			if want := sortedKeys(detect.RunTrace(core.New(), tr)); !equalStrings(got, want) {
+				t.Errorf("concurrent verdicts %v, serial %v", got, want)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"testing"
 
 	"goldilocks/internal/core"
@@ -122,5 +123,123 @@ func TestSemanticsDiffer(t *testing.T) {
 		Trace()
 	if _, racy := hb.NewOracleSem(z, event.TxnWriteToRead).FirstRacePos(); racy {
 		t.Error("write-to-read: publication must order the writes")
+	}
+}
+
+// TestCommitEscalationSemantics hands a thread-owned variable to
+// another thread through nested and interleaved commit(R,W) sequences,
+// including R∩W overlaps and semantics-sensitive disjoint sets. Under
+// every TxnSemantics interpretation the engine's verdict must match the
+// case's ground truth, and its races and Figure 5 rule fires the
+// specification's.
+func TestCommitEscalationSemantics(t *testing.T) {
+	const (
+		x event.Addr = 10
+		y event.Addr = 11
+		w event.Addr = 12 // warm-up object: a thread-owned plain write
+	)
+	vx := event.Variable{Obj: x, Field: 0}
+	vy := event.Variable{Obj: y, Field: 0}
+	cases := []struct {
+		name string
+		tr   *event.Trace
+		// racy[sem] is the expected verdict under each interpretation.
+		racy map[event.TxnSemantics]bool
+	}{
+		{
+			// Publication edge W∩R': synchronized under all three.
+			name: "commit-publication",
+			tr: event.NewBuilder().
+				Fork(1, 2).
+				Write(1, w, 0).Write(1, x, 0).
+				Commit(1, nil, []event.Variable{vx}).
+				Commit(2, []event.Variable{vx}, nil).
+				Write(2, x, 0).
+				Trace(),
+			racy: map[event.TxnSemantics]bool{
+				event.TxnSharedVariable: false,
+				event.TxnAtomicOrder:    false,
+				event.TxnWriteToRead:    false,
+			},
+		},
+		{
+			// Disjoint variable sets: only the atomic-order interpretation
+			// makes the two commits synchronize.
+			name: "commit-disjoint-sets",
+			tr: event.NewBuilder().
+				Fork(1, 2).
+				Write(1, w, 0).Write(1, x, 0).
+				Commit(1, nil, []event.Variable{vx}).
+				Commit(2, nil, []event.Variable{vy}).
+				Write(2, x, 0).
+				Trace(),
+			racy: map[event.TxnSemantics]bool{
+				event.TxnSharedVariable: true,
+				event.TxnAtomicOrder:    false,
+				event.TxnWriteToRead:    true,
+			},
+		},
+		{
+			// Read-read overlap: shared-variable and atomic-order
+			// synchronize (R∪W intersects), write-to-read does not (W∩R'
+			// is empty).
+			name: "commit-read-read",
+			tr: event.NewBuilder().
+				Fork(1, 2).
+				Write(1, w, 0).Write(1, x, 0).
+				Commit(1, []event.Variable{vx}, nil).
+				Commit(2, []event.Variable{vx}, nil).
+				Write(2, x, 0).
+				Trace(),
+			racy: map[event.TxnSemantics]bool{
+				event.TxnSharedVariable: false,
+				event.TxnAtomicOrder:    false,
+				event.TxnWriteToRead:    true,
+			},
+		},
+		{
+			// R∩W in both commits: the overlap generalizes to a write, so
+			// every interpretation synchronizes.
+			name: "commit-rw-overlap",
+			tr: event.NewBuilder().
+				Fork(1, 2).
+				Write(1, w, 0).Write(1, x, 0).
+				Commit(1, []event.Variable{vx}, []event.Variable{vx}).
+				Commit(2, []event.Variable{vx}, []event.Variable{vx}).
+				Write(2, x, 0).
+				Trace(),
+			racy: map[event.TxnSemantics]bool{
+				event.TxnSharedVariable: false,
+				event.TxnAtomicOrder:    false,
+				event.TxnWriteToRead:    false,
+			},
+		},
+		{
+			// Interleaved commit chains across three threads: x publishes
+			// to t2, which republishes through y to t1 — a nested
+			// publication chain the engine must follow rung by rung.
+			name: "commit-chain",
+			tr: event.NewBuilder().
+				Fork(1, 2).
+				Write(1, w, 0).Write(1, x, 0).
+				Commit(1, nil, []event.Variable{vx}).
+				Commit(2, []event.Variable{vx}, []event.Variable{vy}).
+				Commit(1, []event.Variable{vy}, nil).
+				Read(1, y, 0).
+				Write(2, x, 0). // still inside t2's publication: no race
+				Trace(),
+			racy: map[event.TxnSemantics]bool{
+				event.TxnSharedVariable: false,
+				event.TxnAtomicOrder:    false,
+				event.TxnWriteToRead:    false,
+			},
+		},
+	}
+	for _, c := range cases {
+		for _, sem := range event.AllTxnSemantics() {
+			t.Run(fmt.Sprintf("%s/%v", c.name, sem), func(t *testing.T) {
+				checkAgainstSpec(t, c.tr, sem, c.racy[sem])
+			})
+		}
 	}
 }
