@@ -538,16 +538,20 @@ func BenchmarkRecordReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckpointCapture times one engine checkpoint, Capture plus
-// Encode to io.Discard, on a service-sized engine (a generated trace over
-// 4096 variables, stepped 16384 actions). "first" captures an engine
-// with nothing to reuse (one just restored from a checkpoint); "repeat"
-// captures it again after a previous capture and the rest of the trace
-// (1181 actions touching 555 variables), as a goldilocksd session
-// worker does, so only the variables those actions changed are encoded
-// again. "sparse" captures again 256 actions (124 variables) after a
-// previous capture: the case where a capture's cost should follow what
-// changed rather than the size of the table.
+// BenchmarkCheckpointCapture times engine checkpoints on a
+// service-sized engine (a generated trace over 4096 variables, stepped
+// 16384 actions). "first" runs both steps, CaptureRecords and the
+// encode, to io.Discard on an engine with nothing to reuse (one just
+// restored from a checkpoint). "repeat" checkpoints it again after a
+// previous checkpoint and the rest of the trace (1181 actions touching
+// 555 variables), as a goldilocksd session does, so only the variables
+// those actions changed are copied and encoded again. "sparse" does so
+// 256 actions (124 variables) after a previous checkpoint: the case
+// where a checkpoint's cost should follow what changed rather than the
+// size of the table. Both time the two steps apart, as goldilocksd
+// splits them: "worker" is CaptureRecords, the copy the session worker
+// pays, and "writer" is AppendTo into reused storage, the encode the
+// checkpoint writer pays.
 func BenchmarkCheckpointCapture(b *testing.B) {
 	const warm, every, sparse = 16384, 4096, 256
 	cfg := tracegen.Default()
@@ -584,23 +588,44 @@ func BenchmarkCheckpointCapture(b *testing.B) {
 		}
 	})
 	again := func(steps int) func(b *testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(snap.Len()))
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				e := restore()
-				if err := e.Checkpoint(io.Discard); err != nil {
-					b.Fatal(err)
-				}
-				for j := warm; j < min(warm+steps, tr.Len()); j++ {
-					e.Step(tr.At(j))
-				}
-				b.StartTimer()
-				if err := e.Checkpoint(io.Discard); err != nil {
-					b.Fatal(err)
-				}
+		// stepped returns a restored engine checkpointed once and then
+		// stepped on.
+		stepped := func(b *testing.B) *core.Engine {
+			e := restore()
+			if err := e.Checkpoint(io.Discard); err != nil {
+				b.Fatal(err)
 			}
+			for j := warm; j < min(warm+steps, tr.Len()); j++ {
+				e.Step(tr.At(j))
+			}
+			return e
+		}
+		return func(b *testing.B) {
+			b.Run("worker", func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(int64(snap.Len()))
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					e := stepped(b)
+					b.StartTimer()
+					e.CaptureRecords()
+				}
+			})
+			b.Run("writer", func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(int64(snap.Len()))
+				var buf []byte
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					rs := stepped(b).CaptureRecords()
+					b.StartTimer()
+					_, spare, err := rs.AppendTo(buf)
+					if err != nil {
+						b.Fatal(err)
+					}
+					buf = spare
+				}
+			})
 		}
 	}
 	b.Run("repeat", again(every))

@@ -231,9 +231,14 @@ type varState struct {
 	// ckptClean reports that the state is unchanged since the engine's
 	// last Capture encoded it, so the next capture may copy those bytes.
 	// Every mutation under mu clears it through Engine.markDirty, which
-	// notes the variable's key on the first clear. It fits in the
-	// padding after the flags above: varState stays 32 bytes.
+	// notes the variable on the first clear. It fits in the padding
+	// after the flags above, and so does unlinked: varState stays 32
+	// bytes.
 	ckptClean bool
+	// unlinked marks a state Alloc has removed from the table: a capture
+	// that reaches it through the dirty list writes the variable as
+	// gone.
+	unlinked bool
 }
 
 // varShardCount is the number of shards the variable table is split
@@ -383,7 +388,7 @@ type Engine struct {
 	eagerSweeps     atomic.Uint64
 	degraded        atomic.Bool
 
-	// ckpt is the previous capture, kept for the next one's reuse.
+	// ckpt is what the engine's checkpoints keep between captures.
 	ckpt ckptReuse
 
 	// dead holds the objects reported dead by Free, not yet dropped. It
@@ -696,6 +701,7 @@ func (sh *varShard) holdsAny(o event.Addr, dead []event.Addr) bool {
 func (e *Engine) dropFields(o event.Addr, fields map[event.FieldID]*varState) int {
 	for d, vs := range fields {
 		vs.mu.Lock()
+		vs.unlinked = true
 		e.dropVar(o, d, vs)
 		vs.mu.Unlock()
 	}
@@ -788,7 +794,7 @@ func (e *Engine) stateOfHash(o event.Addr, d event.FieldID, h uint64) *varState 
 		fields[d] = vs
 		e.varsTracked.Add(1)
 		if e.ckpt.tracking.Load() {
-			e.noteDirty(o, d)
+			e.noteDirty(o, d, vs)
 		}
 	}
 	return vs

@@ -92,61 +92,58 @@ type ckptGraph struct {
 	ViolationsAll int                 `json:"violations_all,omitempty"`
 }
 
-// Snapshot is a checker's complete state taken at a quiescent point:
-// the engine snapshot and the flattened region graph. Like
-// core.Snapshot it shares no mutable memory with the checker, so it can
+// Records is a checker's complete state copied at a quiescent point:
+// the engine's records and the flattened region graph. Like
+// core.Records it shares no mutable memory with the checker, so it can
 // be encoded on another goroutine while the checker keeps stepping.
-type Snapshot struct {
-	eng   *core.Snapshot
+type Records struct {
+	eng   *core.Records
 	graph ckptGraph
 }
 
-// SizeHint returns a lower bound on the bytes Encode writes: the engine
-// checkpoint's length, without the header and graph lines around it.
-func (s *Snapshot) SizeHint() int { return s.eng.Len() }
-
-// Release lets the engine recycle the snapshot's engine body; the
-// snapshot must not be used after.
-func (s *Snapshot) Release() { s.eng.Release() }
-
-// Capture copies the complete checker state. The caller must ensure no
-// concurrent Step.
-func (c *Checker) Capture() *Snapshot {
-	return &Snapshot{eng: c.eng.Capture(), graph: c.graphSnapshot()}
+// CaptureRecords copies the complete checker state, the worker step of
+// a checkpoint. The caller must ensure no concurrent Step.
+func (c *Checker) CaptureRecords() *Records {
+	return &Records{eng: c.eng.CaptureRecords(), graph: c.graphSnapshot()}
 }
 
-// Checkpoint serializes the complete checker state to w: a Capture
-// followed by its Encode. The caller must ensure no concurrent Step.
+// Fold merges older, the capture taken just before r and never
+// encoded, into r, as core.Records.Fold does; the graph is r's.
+func (r *Records) Fold(older *Records) { r.eng.Fold(older.eng) }
+
+// Checkpoint serializes the complete checker state to w, both steps
+// back to back. The caller must ensure no concurrent Step.
 func (c *Checker) Checkpoint(w io.Writer) error {
-	s := c.Capture()
-	defer s.Release()
-	return s.Encode(w)
+	b, _, err := c.CaptureRecords().AppendTo(nil)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
 }
 
-// Encode writes the snapshot in the checker checkpoint format. The
-// graph line is assembled around the once-marshalled graph, exactly as
-// json.Marshal(ckptGraphBody{...}) would write it.
-func (s *Snapshot) Encode(w io.Writer) error {
+// AppendTo appends the checker checkpoint to dst, the writer step: the
+// header line, the engine checkpoint, then the graph line assembled
+// around the once-marshalled graph, exactly as
+// json.Marshal(ckptGraphBody{...}) would write it. The records are
+// consumed; out and spare are as for core.Records.AppendTo.
+func (r *Records) AppendTo(dst []byte) (out, spare []byte, err error) {
 	hdr, err := json.Marshal(ckptHeader{Format: CheckpointFormatName, Version: CheckpointFormatVersion})
 	if err != nil {
-		return err
+		return dst, nil, err
 	}
-	if _, err := w.Write(append(hdr, '\n')); err != nil {
-		return err
-	}
-	if err := s.eng.Encode(w); err != nil {
-		return err
-	}
-	raw, err := json.Marshal(&s.graph)
+	out, spare, err = r.eng.AppendTo(append(append(dst, hdr...), '\n'))
 	if err != nil {
-		return err
+		return dst, spare, err
 	}
-	line := make([]byte, 0, len(raw)+32)
-	line = append(line, `{"graph":`...)
-	line = append(line, raw...)
-	line = fmt.Appendf(line, `,"crc":"%08x"}`+"\n", crc32.ChecksumIEEE(raw))
-	_, err = w.Write(line)
-	return err
+	raw, err := json.Marshal(&r.graph)
+	if err != nil {
+		return dst, spare, err
+	}
+	out = append(out, `{"graph":`...)
+	out = append(out, raw...)
+	out = fmt.Appendf(out, `,"crc":"%08x"}`+"\n", crc32.ChecksumIEEE(raw))
+	return out, spare, nil
 }
 
 // graphSnapshot flattens the map-shaped graph state into the sorted,

@@ -103,8 +103,9 @@ func (s *Server) promoteReplicaLocked(id string) *session {
 // CheckpointSessionBytes serializes a consistent checkpoint of the
 // named session. A live session is captured by its worker between
 // batches (zero verdicts lost); a detached one is claimed for the
-// capture so no client can attach mid-snapshot. Either way the capture
-// is encoded here, not on the worker.
+// capture so no client can attach mid-snapshot. Either way the
+// checkpoint writer encodes the capture, behind the session's earlier
+// ones.
 func (s *Server) CheckpointSessionBytes(id string) (data []byte, applied uint64, err error) {
 	s.mu.Lock()
 	sess, ok := s.sessions[id]
@@ -116,9 +117,8 @@ func (s *Server) CheckpointSessionBytes(id string) (data []byte, applied uint64,
 		s.mu.Unlock()
 		reply := make(chan ckptResult, 1)
 		if sess.tryEnqueue(item{ctl: ctlCkpt, ckpt: reply}) {
-			snap := (<-reply).snap
-			data, err := snap.encode()
-			return data, snap.hdr.Applied, err
+			res := <-reply
+			return res.data, res.applied, res.err
 		}
 		// The connection detached between the check and the enqueue;
 		// fall through to the detached path.
@@ -131,12 +131,13 @@ func (s *Server) CheckpointSessionBytes(id string) (data []byte, applied uint64,
 	// Claim the detached session so no client attaches mid-capture.
 	sess.attached = true
 	s.mu.Unlock()
-	snap := captureSession(sess)
+	done := make(chan ckptResult, 1)
+	s.submitCapture(sess, ckptPull, done)
 	s.mu.Lock()
 	sess.attached = false
 	s.mu.Unlock()
-	data, err = snap.encode()
-	return data, snap.hdr.Applied, err
+	res := <-done
+	return res.data, res.applied, res.err
 }
 
 // AdoptSession installs a session from serialized checkpoint bytes —
@@ -223,11 +224,11 @@ func (s *Server) DropSession(id string) error {
 
 // Drain sheds this node's ownership: it starts redirecting attaches
 // (via OnDrain, the cluster node marks itself draining), severs live
-// session connections, waits for their workers to settle, flushes the
-// checkpoint writer, and checkpoints and replicates every session. The
-// flush keeps a stale periodic checkpoint from landing after Drain's
-// own. The returned list is what the coordinator migrates to the
-// remaining nodes.
+// session connections, waits for their workers to settle, and
+// checkpoints and replicates every session through the checkpoint
+// writer, behind the periodic captures still waiting there, so no
+// stale periodic checkpoint lands after Drain's own. The returned list
+// is what the coordinator migrates to the remaining nodes.
 func (s *Server) Drain() ([]SessionInfo, error) {
 	s.draining.Store(true)
 	if s.cfg.OnDrain != nil {
@@ -261,24 +262,18 @@ func (s *Server) Drain() ([]SessionInfo, error) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	s.ckpt.flush()
-	s.mu.Lock()
-	sessions := make([]*session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		sessions = append(sessions, sess)
-	}
-	s.mu.Unlock()
+	results := s.checkpointAll(ckptDurable)
 	var errs []error
-	for _, sess := range sessions {
-		if _, err := s.writeCheckpoint(captureSession(sess), nil); err != nil {
-			errs = append(errs, fmt.Errorf("session %s: %w", sess.id, err))
+	for _, res := range results {
+		if res.err != nil {
+			errs = append(errs, fmt.Errorf("session %s: %w", res.id, res.err))
 		}
 	}
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
-	s.cfg.Logger.Info("drained", "component", "server", "sessions", len(sessions))
-	s.flight("drain", "", fmt.Sprintf("%d sessions checkpointed", len(sessions)))
+	s.cfg.Logger.Info("drained", "component", "server", "sessions", len(results))
+	s.flight("drain", "", fmt.Sprintf("%d sessions checkpointed", len(results)))
 	return s.sessionInfos(), nil
 }
 
