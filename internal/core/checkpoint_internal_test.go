@@ -145,7 +145,7 @@ func TestCheckpointReuseStateBounded(t *testing.T) {
 	}
 	e.Capture()
 	r := &e.ckpt
-	body, vars, spare, dirtyCap := len(r.buf.b), len(r.vars), cap(r.spare), r.dirtyCap
+	body, vars, spare, dirtyCap := len(r.buf), len(r.vars), cap(r.spare), r.dirtyCap
 	if want := 2*vars + 1024; dirtyCap != want {
 		t.Fatalf("dirty list cap %d after a capture of %d variables, want %d", dirtyCap, vars, want)
 	}
@@ -162,9 +162,9 @@ func TestCheckpointReuseStateBounded(t *testing.T) {
 	if allocs == 0 {
 		t.Fatal("the trace has no allocations; the check is vacuous")
 	}
-	if len(r.buf.b) != body || len(r.vars) != vars || cap(r.spare) != spare {
+	if len(r.buf) != body || len(r.vars) != vars || cap(r.spare) != spare {
 		t.Fatalf("reuse state changed without a capture: body %d->%d, vars %d->%d, spare cap %d->%d",
-			body, len(r.buf.b), vars, len(r.vars), spare, cap(r.spare))
+			body, len(r.buf), vars, len(r.vars), spare, cap(r.spare))
 	}
 	if r.tracking.Load() {
 		if len(r.dirty) > dirtyCap {

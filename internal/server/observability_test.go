@@ -19,11 +19,10 @@ import (
 	"goldilocks/internal/obs"
 )
 
-// parkedSession attaches a client session and parks its worker: a
-// ctlCkpt item whose unbuffered reply channel nobody reads yet blocks
-// the worker after the checkpoint, so everything enqueued afterwards
-// stays in the queue. The returned release function unblocks the
-// worker.
+// parkedSession attaches a client session and parks its worker: with
+// the session's capture lock held, a ctlCkpt item blocks the worker in
+// its capture, so everything enqueued afterwards stays in the queue.
+// The returned release function unblocks the worker.
 func parkedSession(t *testing.T, srv *Server, addr, id string) (*Client, *session, func()) {
 	t.Helper()
 	c, err := DialContext(context.Background(), addr, id, DialConfig{})
@@ -36,11 +35,11 @@ func parkedSession(t *testing.T, srv *Server, addr, id string) (*Client, *sessio
 	if sess == nil {
 		t.Fatalf("session %q not registered", id)
 	}
+	sess.ckptMu.Lock()
 	// The session queue is installed when the server reads the client's
 	// stream header, which races DialContext returning — poll.
-	reply := make(chan ckptResult) // unbuffered: the worker blocks on the send
 	deadline := time.Now().Add(5 * time.Second)
-	for !sess.tryEnqueue(item{ctl: ctlCkpt, ckpt: reply}) {
+	for !sess.tryEnqueue(item{ctl: ctlCkpt, ckpt: make(chan ckptResult, 1)}) {
 		if time.Now().After(deadline) {
 			t.Fatal("session queue never came up")
 		}
@@ -52,7 +51,7 @@ func parkedSession(t *testing.T, srv *Server, addr, id string) (*Client, *sessio
 		}
 		time.Sleep(time.Millisecond)
 	}
-	return c, sess, func() { <-reply }
+	return c, sess, sess.ckptMu.Unlock
 }
 
 // TestQueueDepthGaugeBackpressure pins that a full ingest queue is
