@@ -631,3 +631,43 @@ func BenchmarkCheckpointCapture(b *testing.B) {
 	b.Run("repeat", again(every))
 	b.Run("sparse", again(sparse))
 }
+
+// BenchmarkSessionEngine prices what a goldilocksd session engine adds
+// to a plain replay, one layer at a time. Every iteration replays one
+// generated trace (seed 7, 40k steps) through a fresh engine: "plain"
+// with the default options, as a local replay runs; "telemetry" with
+// an obs.Telemetry attached, as every session engine has; and
+// "checkpointed" with telemetry that also captures and encodes a
+// checkpoint every 4,096 actions, as a session with a checkpoint reader
+// does (here the writer's encode runs on the same goroutine).
+func BenchmarkSessionEngine(b *testing.B) {
+	const every = 4096
+	cfg := tracegen.Default()
+	cfg.Steps = 40000
+	tr := tracegen.FromSeedConfig(7, cfg)
+	run := func(b *testing.B, tel, checkpointed bool) {
+		b.ReportAllocs()
+		var buf []byte
+		for i := 0; i < b.N; i++ {
+			opts := core.DefaultOptions()
+			if tel {
+				opts.Telemetry = obs.NewTelemetry()
+			}
+			e := core.NewEngine(opts)
+			for j := 0; j < tr.Len(); j++ {
+				e.Step(tr.At(j))
+				if checkpointed && (j+1)%every == 0 {
+					_, spare, err := e.CaptureRecords().AppendTo(buf)
+					if err != nil {
+						b.Fatal(err)
+					}
+					buf = spare
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tr.Len()), "ns/event")
+	}
+	b.Run("plain", func(b *testing.B) { run(b, false, false) })
+	b.Run("telemetry", func(b *testing.B) { run(b, true, false) })
+	b.Run("checkpointed", func(b *testing.B) { run(b, true, true) })
+}

@@ -52,7 +52,7 @@ func main() {
 		clusterList = flag.String("cluster", "", "comma-separated member list; joins this daemon to the fleet (must include -join)")
 		join        = flag.String("join", "", "this node's advertised address in the -cluster list (default: -addr)")
 		replicas    = flag.Int("replicas", 2, "checkpoint replicas per session (ring successors); cluster mode only")
-		ckptEvery   = flag.Int("checkpoint-every", 4096, "checkpoint (and replicate) each session every N applied actions (0: only at shutdown)")
+		ckptEvery   = flag.Int("checkpoint-every", 4096, "checkpoint (and replicate) each session every N applied actions (0: only at shutdown); ignored without -checkpoint-dir or -cluster")
 		probeIvl    = flag.Duration("probe-interval", 500*time.Millisecond, "failure-detector probe interval; cluster mode only")
 		probeTmo    = flag.Duration("probe-timeout", time.Second, "failure-detector probe timeout; cluster mode only")
 		suspect     = flag.Int("suspect-after", 3, "consecutive probe failures before a peer is declared dead; cluster mode only")

@@ -385,7 +385,7 @@ func TestCheckpointReplicaAfterBufferReuse(t *testing.T) {
 		}
 		if i%8 == 7 {
 			// Wait for each checkpoint to be written, so no capture is
-			// superseded before it reaches the hook.
+			// skipped while another waits for the writer.
 			deadline := time.Now().Add(5 * time.Second)
 			for {
 				ack, err := c.Flush()

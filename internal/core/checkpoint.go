@@ -2,7 +2,6 @@ package core
 
 import (
 	"bufio"
-	"bytes"
 	"cmp"
 	"encoding/json"
 	"errors"
@@ -47,8 +46,8 @@ import (
 // capture. The writer step, Records.AppendTo, may run on any goroutine
 // while the engine keeps stepping: it sorts the records, encodes them,
 // copies the other variables' bytes from the previous encode's output
-// and frames the payload with its checksum. Capture and Checkpoint run
-// the two steps back to back. Restore builds a brand-new engine; the
+// and frames the payload with its checksum. Checkpoint runs the two
+// steps back to back. Restore builds a brand-new engine; the
 // ckpt* types below are its decode schema, and the writer step writes
 // the same bytes json.Marshal of a ckptPayload would.
 
@@ -209,16 +208,15 @@ type RestoreAttach struct {
 // keeps stepping.
 //
 // A capture's variables and actions are a delta against the capture
-// before it, so one engine's captures are encoded in capture order. A
-// capture that is not going to be encoded is folded into the next one
-// (Fold); one that is simply dropped makes the next encode fail, and
-// the capture after that copies everything again.
+// before it, so one engine's captures are encoded in capture order, and
+// every capture taken is encoded. A capture that is dropped makes the
+// next encode fail, and the capture after that copies everything again.
+// A caller that does not need a checkpoint now should not capture: the
+// changes keep accumulating for the next capture taken.
 type Records struct {
 	e         *Engine
 	seq, base uint64 // this capture's number and the one its delta follows
 	full      bool   // every variable is listed: the delta needs no base
-	sorted    bool   // vars are sorted by key and distinct
-	broken    bool   // folded with a capture that did not precede it
 	nvars     int    // VarsTracked at the capture, for sizing the output
 
 	opts                ckptOptions
@@ -306,35 +304,15 @@ func (rs *Records) action(ar actionRec) event.Action {
 	return a
 }
 
-// adoptAction copies ar, an action of from, into rs's storage.
-func (rs *Records) adoptAction(from *Records, ar actionRec) actionRec {
-	return rs.copyAction(from.action(ar))
-}
-
 // errCkptOrder is the writer step's refusal of a capture whose delta
 // does not follow the last encoded one.
 var errCkptOrder = errors.New("core: checkpoint capture encoded out of capture order")
-
-// Snapshot is a checkpoint taken by Capture: both steps run back to
-// back, framed and ready to write. It holds its own copy of the bytes.
-type Snapshot struct {
-	b   []byte
-	err error // from the writer step (a NaN option, say)
-}
 
 // ckptPrefix is the header line and the opening of the body line.
 var ckptPrefix = fmt.Sprintf("{\"format\":%q,\"version\":%d}\n{\"engine\":", CheckpointFormatName, CheckpointFormatVersion)
 
 // ckptSuffixLen is the length of the body line's `,"crc":"xxxxxxxx"}\n`.
 const ckptSuffixLen = len(`,"crc":"00000000"}`) + 1
-
-// Capture runs both checkpoint steps back to back: CaptureRecords, then
-// their encode. The engine must be quiescent: no concurrent
-// Step/Read/Write/Sync calls.
-func (e *Engine) Capture() *Snapshot {
-	b, _, err := e.CaptureRecords().AppendTo(nil)
-	return &Snapshot{b: bytes.Clone(b), err: err}
-}
 
 // Checkpoint serializes the engine's complete detector state to w, both
 // steps back to back. The engine must be quiescent: no concurrent
@@ -345,15 +323,6 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 		return err
 	}
 	_, err = w.Write(b)
-	return err
-}
-
-// Encode writes the snapshot in the checkpoint format.
-func (s *Snapshot) Encode(w io.Writer) error {
-	if s.err != nil {
-		return s.err
-	}
-	_, err := w.Write(s.b)
 	return err
 }
 
@@ -708,12 +677,8 @@ func (rs *Records) copyInfo(in *info) {
 
 // sortVars sorts the variable records by key and drops repeated keys.
 // Of a key's records within one capture at most one is not gone (a
-// variable dropped and created again), and it is the one kept; Fold
-// keeps the newer capture's record.
+// variable dropped and created again), and it is the one kept.
 func (rs *Records) sortVars() {
-	if rs.sorted {
-		return
-	}
 	slices.SortFunc(rs.vars, func(a, b varRec) int {
 		if c := compareVars(a.v, b.v); c != 0 {
 			return c
@@ -721,82 +686,12 @@ func (rs *Records) sortVars() {
 		return cmp.Compare(a.flags&recGone, b.flags&recGone)
 	})
 	rs.vars = slices.CompactFunc(rs.vars, func(a, b varRec) bool { return a.v == b.v })
-	rs.sorted = true
-}
-
-// Fold merges older, a capture of the same engine taken just before rs
-// and never encoded, into rs: rs keeps its own records and gains
-// older's for the variables it does not list, so its delta then follows
-// the capture older's followed. older must not be used after. Folding
-// any other capture makes rs's encode fail.
-func (rs *Records) Fold(older *Records) {
-	defer older.release()
-	switch {
-	case rs.full:
-		return // rs needs nothing older
-	case older.e != rs.e || older.seq != rs.base:
-		rs.broken = true
-		return
-	}
-	rs.sortVars()
-	older.sortVars()
-	merged := make([]varRec, 0, len(rs.vars)+len(older.vars))
-	i, j := 0, 0
-	for i < len(rs.vars) || j < len(older.vars) {
-		c := -1 // rs.vars[i] against older.vars[j]: <=0 keeps rs's record
-		if j < len(older.vars) {
-			c = 1
-			if i < len(rs.vars) {
-				c = compareVars(rs.vars[i].v, older.vars[j].v)
-			}
-		}
-		if c <= 0 {
-			merged = append(merged, rs.vars[i])
-			i++
-			if c == 0 {
-				j++
-			}
-			continue
-		}
-		merged = append(merged, rs.adopt(older, older.vars[j]))
-		j++
-	}
-	rs.vars = merged
-
-	// older's actions precede rs's, unless a trim dropped the cell rs
-	// would have started from (rs then starts at its head).
-	if rs.listFrom == older.listFrom+uint64(len(older.actions)) {
-		keep := older.actions[min(uint64(len(older.actions)), rs.headSeq-min(rs.headSeq, older.listFrom)):]
-		rs.actions = slices.Insert(rs.actions, 0, keep...)
-		for i := range keep {
-			rs.actions[i] = rs.adoptAction(older, keep[i])
-		}
-		rs.listFrom -= uint64(len(keep))
-	}
-	rs.base, rs.full, rs.broken = older.base, older.full, older.broken
 }
 
 // release returns the records' storage for another capture.
 func (rs *Records) release() {
 	rs.e = nil
 	recordsPool.Put(rs)
-}
-
-// adopt copies rec's Infos, lockset elements and hbAfter tids from
-// another capture's storage into rs's, returning the rebased record.
-func (rs *Records) adopt(from *Records, rec varRec) varRec {
-	infos := from.infos[rec.info : rec.info+rec.n]
-	rec.info = int32(len(rs.infos))
-	for _, in := range infos {
-		elems := from.elems[in.elem : in.elem+in.nelem]
-		tids := from.tids[in.tid : in.tid+in.ntid]
-		in.elem, in.tid = int32(len(rs.elems)), int32(len(rs.tids))
-		in.action = rs.adoptAction(from, in.action)
-		rs.elems = append(rs.elems, elems...)
-		rs.tids = append(rs.tids, tids...)
-		rs.infos = append(rs.infos, in)
-	}
-	return rec
 }
 
 // AppendTo is the writer step of a checkpoint: it appends the complete
@@ -821,7 +716,7 @@ func (rs *Records) AppendTo(dst []byte) (out, spare []byte, err error) {
 	r.encMu.Lock()
 	defer r.encMu.Unlock()
 	defer rs.release()
-	if rs.broken || !rs.full && (rs.base != r.encoded || !r.listFollows(rs)) {
+	if !rs.full && (rs.base != r.encoded || !r.listFollows(rs)) {
 		r.dirtyMu.Lock()
 		r.stopTrackingLocked()
 		r.dirtyMu.Unlock()

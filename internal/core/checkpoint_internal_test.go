@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"io"
 	"sync"
 	"testing"
 	"unsafe"
@@ -22,10 +23,11 @@ func TestVarStateSize(t *testing.T) {
 	}
 }
 
-func encoded(t *testing.T, s *Snapshot) []byte {
+// checkpointed returns the bytes of a checkpoint of e.
+func checkpointed(t *testing.T, e *Engine) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := s.Encode(&buf); err != nil {
+	if err := e.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -36,7 +38,7 @@ func encoded(t *testing.T, s *Snapshot) []byte {
 func freshCapture(t *testing.T, e *Engine) []byte {
 	e.ckpt.tracking.Store(false)
 	e.ckpt.dirty = nil
-	return encoded(t, e.Capture())
+	return checkpointed(t, e)
 }
 
 // varTable returns the encoded variable table of a checkpoint.
@@ -112,9 +114,9 @@ func TestCheckpointInvalidation(t *testing.T) {
 			for i := 0; i < tr.Len(); i++ {
 				e.Step(tr.At(i))
 			}
-			before := encoded(t, e.Capture())
+			before := checkpointed(t, e)
 			mutate(e)
-			got := encoded(t, e.Capture())
+			got := checkpointed(t, e)
 			if bytes.Equal(varTable(got), varTable(before)) {
 				t.Fatal("the mutation changed no variable's encoding; the check is vacuous")
 			}
@@ -143,7 +145,7 @@ func TestCheckpointReuseStateBounded(t *testing.T) {
 		e.Step(tr.At(i))
 		never.Step(tr.At(i))
 	}
-	e.Capture()
+	e.Checkpoint(io.Discard)
 	r := &e.ckpt
 	body, vars, spare, dirtyCap := len(r.buf), len(r.vars), cap(r.spare), r.dirtyCap
 	if want := 2*vars + 1024; dirtyCap != want {
@@ -173,7 +175,7 @@ func TestCheckpointReuseStateBounded(t *testing.T) {
 	} else if r.dirty != nil {
 		t.Fatalf("tracking stopped but the dirty list still holds %d keys", len(r.dirty))
 	}
-	got := encoded(t, e.Capture())
+	got := checkpointed(t, e)
 	if want := freshCapture(t, e); !bytes.Equal(got, want) {
 		t.Fatalf("capture after the long run differs from a fresh one:\n got %s\nwant %s", got, want)
 	}
@@ -195,7 +197,7 @@ func TestCheckpointDirtyNotesConcurrent(t *testing.T) {
 	for o := event.Addr(1); o <= objs; o++ {
 		e.Step(event.Action{Kind: event.KindWrite, Thread: 1, Obj: o, Field: 0})
 	}
-	e.Capture()
+	e.Checkpoint(io.Discard)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -216,7 +218,7 @@ func TestCheckpointDirtyNotesConcurrent(t *testing.T) {
 	if !e.ckpt.tracking.Load() {
 		t.Fatal("the dirty list overflowed; the check is vacuous")
 	}
-	got := encoded(t, e.Capture())
+	got := checkpointed(t, e)
 	if want := freshCapture(t, e); !bytes.Equal(got, want) {
 		t.Fatalf("capture after concurrent steps differs from a fresh one:\n got %s\nwant %s", got, want)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"io"
 	"testing"
 
 	"goldilocks/internal/event"
@@ -16,54 +17,10 @@ func stepRange(e *Engine, tr *event.Trace, from, to int) {
 	}
 }
 
-// recordKeys returns the variables a capture lists.
-func recordKeys(rs *Records) map[event.Variable]bool {
-	keys := make(map[event.Variable]bool, len(rs.vars))
-	for _, rec := range rs.vars {
-		keys[rec.v] = true
-	}
-	return keys
-}
-
-// TestCheckpointRecordsFold takes two captures after an encoded one and
-// folds the first into the second before encoding it: the result must
-// equal a fresh capture, including the variables only the first listed.
-func TestCheckpointRecordsFold(t *testing.T) {
-	cfg := tracegen.Default()
-	cfg.Steps = 300
-	tr := tracegen.FromSeedConfig(8, cfg)
-	third := tr.Len() / 3
-	e := NewEngine(DefaultOptions())
-	stepRange(e, tr, 0, third)
-	e.Capture()
-	stepRange(e, tr, third, 2*third)
-	older := e.CaptureRecords()
-	stepRange(e, tr, 2*third, tr.Len())
-	newer := e.CaptureRecords()
-	only := 0
-	newerKeys := recordKeys(newer)
-	for v := range recordKeys(older) {
-		if !newerKeys[v] {
-			only++
-		}
-	}
-	if only == 0 {
-		t.Fatal("every variable of the older capture is listed again; the check is vacuous")
-	}
-	newer.Fold(older)
-	got, _, err := newer.AppendTo(nil)
-	if err != nil {
-		t.Fatalf("encode of the folded capture: %v", err)
-	}
-	if want := freshCapture(t, e); !bytes.Equal(got, want) {
-		t.Fatalf("folded capture differs from a fresh one:\n got %s\nwant %s", got, want)
-	}
-}
-
-// TestCheckpointRecordsOutOfOrder drops a capture without encoding or
-// folding it: the next capture's encode must fail rather than write
-// stale bytes, and the capture after that lists every variable again
-// and equals a fresh one.
+// TestCheckpointRecordsOutOfOrder drops a capture without encoding it:
+// the next capture's encode must fail rather than write stale bytes,
+// and the capture after that lists every variable again and equals a
+// fresh one.
 func TestCheckpointRecordsOutOfOrder(t *testing.T) {
 	cfg := tracegen.Default()
 	cfg.Steps = 300
@@ -71,7 +28,7 @@ func TestCheckpointRecordsOutOfOrder(t *testing.T) {
 	third := tr.Len() / 3
 	e := NewEngine(DefaultOptions())
 	stepRange(e, tr, 0, third)
-	e.Capture()
+	e.Checkpoint(io.Discard)
 	stepRange(e, tr, third, 2*third)
 	e.CaptureRecords() // dropped
 	stepRange(e, tr, 2*third, tr.Len())
@@ -92,17 +49,20 @@ func TestCheckpointRecordsOutOfOrder(t *testing.T) {
 }
 
 // TestCheckpointSpareReuse encodes through AppendTo with the storage it
-// hands back, as the checkpoint writer does, while a Snapshot from
-// Capture is held: the held bytes never change, and every encode
-// equals a fresh capture.
+// hands back, as the checkpoint writer does, while the bytes of an
+// earlier Checkpoint are held: the held bytes never change, and every
+// encode equals a fresh capture.
 func TestCheckpointSpareReuse(t *testing.T) {
 	cfg := tracegen.Default()
 	cfg.Steps = 400
 	tr := tracegen.FromSeedConfig(10, cfg)
 	e := NewEngine(DefaultOptions())
 	stepRange(e, tr, 0, 50)
-	held := e.Capture()
-	heldBytes := bytes.Clone(held.b)
+	var held bytes.Buffer
+	if err := e.Checkpoint(&held); err != nil {
+		t.Fatal(err)
+	}
+	heldBytes := bytes.Clone(held.Bytes())
 	var buf []byte
 	for at := 50; at < tr.Len(); at += 50 {
 		stepRange(e, tr, at, at+50)
@@ -115,12 +75,12 @@ func TestCheckpointSpareReuse(t *testing.T) {
 		}
 		ref := NewEngine(DefaultOptions())
 		stepRange(ref, tr, 0, at+50)
-		if want := encoded(t, ref.Capture()); !bytes.Equal(out, want) {
+		if want := checkpointed(t, ref); !bytes.Equal(out, want) {
 			t.Fatalf("encode at %d differs from a fresh engine's", at)
 		}
 		buf = spare
 	}
-	if !bytes.Equal(held.b, heldBytes) {
-		t.Fatal("a later encode wrote into a Snapshot's bytes")
+	if !bytes.Equal(held.Bytes(), heldBytes) {
+		t.Fatal("a later encode wrote into an earlier checkpoint's bytes")
 	}
 }

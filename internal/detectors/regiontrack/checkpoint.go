@@ -107,10 +107,6 @@ func (c *Checker) CaptureRecords() *Records {
 	return &Records{eng: c.eng.CaptureRecords(), graph: c.graphSnapshot()}
 }
 
-// Fold merges older, the capture taken just before r and never
-// encoded, into r, as core.Records.Fold does; the graph is r's.
-func (r *Records) Fold(older *Records) { r.eng.Fold(older.eng) }
-
 // Checkpoint serializes the complete checker state to w, both steps
 // back to back. The caller must ensure no concurrent Step.
 func (c *Checker) Checkpoint(w io.Writer) error {

@@ -2,12 +2,14 @@ package server
 
 // Tests of the two checkpoint steps across goroutines: the session
 // worker copies a capture and keeps stepping while the checkpoint
-// writer encodes it, and a capture that replaces a waiting one folds
-// in the older one's changes. Run them under -race.
+// writer encodes it, and skips a periodic capture while the session's
+// previous one still waits. Run them under -race.
 
 import (
 	"bufio"
 	"bytes"
+	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -137,13 +139,13 @@ func TestCheckpointWriterEncodesWhileWorkerSteps(t *testing.T) {
 	h.checkFresh(t, tr)
 }
 
-// foldTrace writes objects 1-8 in its first 8 actions, objects 101-108
-// in the next 8 and objects 201-208 in the 8 after: with a periodic
-// capture every 8 actions, the variables of the capture at 16 are
-// untouched by the one at 24.
-func foldTrace() *event.Trace {
+// blockTrace writes objects 1-8 in its first 8 actions, objects 101-108
+// in the next 8, and so on for 201-208 and 301-308: with a periodic
+// capture every 8 actions, each capture's variables are untouched by
+// the others.
+func blockTrace() *event.Trace {
 	b := event.NewBuilder()
-	for _, base := range []event.Addr{1, 101, 201} {
+	for _, base := range []event.Addr{1, 101, 201, 301} {
 		for o := base; o < base+8; o++ {
 			b.Write(1, o, 0)
 		}
@@ -151,14 +153,14 @@ func foldTrace() *event.Trace {
 	return b.Trace()
 }
 
-// TestCheckpointWriterFoldKeepsOlderDelta holds the writer on the
-// capture at 8 while the capture at 24 replaces the one at 16 before
-// the writer takes it. The written checkpoint at 24 must hold the state
-// at 24, objects 101-108 included: only the replaced capture copied
-// them, so a fold that dropped its records would leave them out (or
-// fail the encode).
-func TestCheckpointWriterFoldKeepsOlderDelta(t *testing.T) {
-	tr := foldTrace()
+// TestCheckpointWriterSkipsWhileCaptureWaits holds the writer on the
+// capture at 8, so that the capture at 16 waits behind it: the capture
+// due at 24 is not taken. Once the writer is released, the next
+// capture taken must list objects 201-208, which changed only while
+// the capture at 24 was skipped, and every written checkpoint must
+// equal a fresh engine's at its applied count.
+func TestCheckpointWriterSkipsWhileCaptureWaits(t *testing.T) {
+	tr := blockTrace()
 	var h hooked
 	srv, err := New("127.0.0.1:0", Config{CheckpointEvery: 8, OnCheckpoint: h.hook})
 	if err != nil {
@@ -168,21 +170,97 @@ func TestCheckpointWriterFoldKeepsOlderDelta(t *testing.T) {
 	release := holdWriter(srv)
 	defer release()
 
-	st := dialStreamer(t, srv, "f", tr)
+	st := dialStreamer(t, srv, "s", tr)
 	st.sendTo(8)
-	waitUntil(t, "the writer holds the capture at 8", func() bool { return writing(srv, "f") })
+	waitUntil(t, "the writer holds the capture at 8", func() bool { return writing(srv, "s") })
 	st.sendTo(16)
-	st.sendTo(24) // replaces the capture at 16, still waiting
+	if !srv.ckpt.waiting(lockedSession(srv, "s")) {
+		t.Fatal("the capture at 16 is not waiting behind the held one")
+	}
+	st.sendTo(24) // due while the capture at 16 waits
 	release()
 	srv.ckpt.flush()
+	st.sendTo(32)
+	srv.ckpt.flush()
 	st.c.Abandon()
-	if !slices.Equal(h.at, []uint64{8, 24}) {
-		t.Fatalf("hook saw checkpoints at %v, want 8 and 24", h.at)
+
+	h.mu.Lock()
+	at, next := slices.Clone(h.at), []byte(nil)
+	if len(at) >= 3 {
+		next = h.byAt[at[2]]
 	}
-	if !bytes.Contains(h.byAt[24], []byte(`{"o":101,"f":0,`)) {
-		t.Fatal("the checkpoint at 24 lacks object 101, written only before the capture at 16")
+	h.mu.Unlock()
+	if len(at) < 3 || at[0] != 8 || at[1] != 16 || at[2] <= 24 {
+		t.Fatalf("hook saw checkpoints at %v, want 8, 16, then one past 24", at)
+	}
+	if !bytes.Contains(next, []byte(`{"o":201,"f":0,`)) {
+		t.Fatalf("the checkpoint at %d lacks object 201, written only while a capture was skipped", at[2])
 	}
 	h.checkFresh(t, tr)
+}
+
+// TestPeriodicCaptureNeedsReader runs a server with CheckpointEvery set
+// but no checkpoint directory and no OnCheckpoint hook: nothing would
+// read a periodic checkpoint, so none is captured. An admin pull still
+// returns a checkpoint that restores and finishes the trace with the
+// verdicts of an uninterrupted run.
+func TestPeriodicCaptureNeedsReader(t *testing.T) {
+	tr := writerTrace(t)
+	const every = 8
+	tracer := obs.NewTracer(1)
+	flight := obs.NewFlightRecorder(256)
+	srv, err := New("127.0.0.1:0", Config{CheckpointEvery: every, Tracer: tracer, Flight: flight})
+	if err != nil {
+		t.Fatalf("server: %v", err)
+	}
+	defer srv.Close()
+	st := dialStreamer(t, srv, "n", tr)
+	st.sendTo(3 * every)
+	srv.ckpt.flush()
+	if n := tracer.StageHist(obs.StageCheckpointCapture).Count(); n != 0 {
+		t.Fatalf("%d periodic captures observed with no reader", n)
+	}
+	evs, _ := flight.Snapshot()
+	for _, ev := range evs {
+		if ev.Kind == "checkpoint" {
+			t.Fatalf("flight event %+v with no reader", ev)
+		}
+	}
+
+	data, applied, err := PullCheckpoint(context.Background(), srv.Addr(), "n")
+	if err != nil {
+		t.Fatalf("pull: %v", err)
+	}
+	st.c.Abandon()
+	if applied != 3*every {
+		t.Fatalf("pulled checkpoint at %d applied, want %d", applied, 3*every)
+	}
+	sess, err := loadSession(bufio.NewReader(bytes.NewReader(data)))
+	if err != nil {
+		t.Fatalf("restoring the pulled checkpoint: %v", err)
+	}
+	ref := core.NewEngine(core.DefaultOptions())
+	var races uint64
+	var want, got []string
+	for i := 0; i < tr.Len(); i++ {
+		for _, r := range ref.Step(tr.At(i)) {
+			races++
+			if i >= int(applied) {
+				want = append(want, fmt.Sprintf("%d:%v", i, r.Var))
+			}
+		}
+	}
+	for i := int(applied); i < tr.Len(); i++ {
+		for _, r := range sess.step(tr.At(i)) {
+			got = append(got, fmt.Sprintf("%d:%v", i, r.Var))
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("races after the restore %v, uninterrupted %v", got, want)
+	}
+	if total := sess.races.Load() + uint64(len(got)); total != races {
+		t.Fatalf("%d races in all after the restore, uninterrupted %d", total, races)
+	}
 }
 
 // TestCheckpointDurableWriteLeavesNoTemp checks writeDurable's temp

@@ -16,11 +16,11 @@ import (
 //
 // A capture lists only what changed since the previous capture of the
 // same engine, so the writer encodes one session's captures in the
-// order they were taken: each session's jobs wait in their own queue.
-// Of periodic captures the writer writes only the newest one waiting
-// per session: a newer capture takes the place of the older one, whose
-// file would be overwritten before anything could restore from it, and
-// absorbs it (fold) on submit.
+// order they were taken, every one of them: each session's jobs wait in
+// their own queue. A session worker skips a periodic capture while one
+// of its session's captures still waits to be taken (see waiting): the
+// changes it would list stay on the engine's dirty list for the next
+// capture taken, so no capture is ever replaced or merged.
 type ckptWriter struct {
 	// write is Server.writeCapture. It encodes into buf, the writer's
 	// scratch storage, and returns the storage to keep for the next
@@ -48,10 +48,9 @@ type ckptKind uint8
 
 const (
 	// ckptPeriodic persists, records and replicates the checkpoint and
-	// advances the durable watermark; a failure is logged.
+	// advances the durable watermark. A failure is reported to the
+	// job's waiter (Drain), or logged when it has none.
 	ckptPeriodic ckptKind = iota
-	// ckptDurable does the same and reports the outcome (Drain).
-	ckptDurable
 	// ckptPull returns a copy of the bytes (the admin pull).
 	ckptPull
 	// ckptPersist only writes the checkpoint file (Close).
@@ -143,11 +142,9 @@ func (job ckptJob) fail(err error) {
 	}
 }
 
-// submit queues a capture behind the session's earlier ones. A periodic
-// capture replaces the session's last waiting capture when that one is
-// periodic too, and folds it in. After stop a job fails: only session
-// workers and Close's own captures come in late, and the workers have
-// all exited by then.
+// submit queues a capture behind the session's earlier ones. After
+// stop a job fails: only session workers and Close's own captures come
+// in late, and the workers have all exited by then.
 func (w *ckptWriter) submit(job ckptJob) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -156,17 +153,20 @@ func (w *ckptWriter) submit(job ckptJob) {
 		return
 	}
 	sess := job.snap.sess
-	q := w.pending[sess]
-	if n := len(q); n > 0 && job.kind == ckptPeriodic && q[n-1].kind == ckptPeriodic {
-		job.snap.fold(q[n-1].snap)
-		q[n-1] = job
-	} else {
-		if n == 0 {
-			w.order = append(w.order, sess)
-		}
-		w.pending[sess] = append(q, job)
+	if len(w.pending[sess]) == 0 {
+		w.order = append(w.order, sess)
 	}
+	w.pending[sess] = append(w.pending[sess], job)
 	w.cond.Broadcast()
+}
+
+// waiting reports whether a capture of sess waits for the writer to
+// take it. A capture being written does not count: one submitted now
+// is written right after it.
+func (w *ckptWriter) waiting(sess *session) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.pending[sess]) > 0
 }
 
 // wait returns once sess has no capture pending or being written. The

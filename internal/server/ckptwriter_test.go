@@ -326,13 +326,12 @@ func TestSessionCheckpointGolden(t *testing.T) {
 }
 
 // TestCheckpointBufferReuse recycles capture bodies and the writer's
-// encode buffer while captures are superseded: the writer is held on
-// the capture at 8 while those at 16 and 24 are replaced by newer ones
-// (their bodies go back for reuse), then the session runs on through
-// more periodic checkpoints. Every checkpoint written, as persisted and
-// as handed to the replication hook, must restore and re-encode byte
-// for byte and hold the state of an engine stepped through the same
-// prefix.
+// encode buffer while captures are skipped: the writer is held on the
+// capture at 8 while the one at 16 waits and those due at 24 and 32 are
+// skipped, then the session runs on through more periodic checkpoints.
+// Every checkpoint written, as persisted and as handed to the
+// replication hook, must restore and re-encode byte for byte and hold
+// the state of an engine stepped through the same prefix.
 func TestCheckpointBufferReuse(t *testing.T) {
 	dir := t.TempDir()
 	tr := writerTrace(t)
@@ -362,7 +361,7 @@ func TestCheckpointBufferReuse(t *testing.T) {
 	waitUntil(t, "the writer holds the capture at 8", func() bool { return writing(srv, "r") })
 	st.sendTo(16)
 	st.sendTo(24)
-	st.sendTo(32) // replaces 24, which replaced 16
+	st.sendTo(32) // 24 and 32 skipped: 16 still waits
 	release()
 	srv.ckpt.flush()
 	path := filepath.Join(dir, "r.ckpt")
@@ -384,8 +383,8 @@ func TestCheckpointBufferReuse(t *testing.T) {
 	for _, w := range hooked {
 		applied = append(applied, w.applied)
 	}
-	if len(applied) < 4 || applied[0] != 8 || applied[1] != 32 {
-		t.Fatalf("hook saw checkpoints at %v, want 8, 32 and later ones", applied)
+	if len(applied) < 4 || applied[0] != 8 || applied[1] != 16 || applied[2] <= 32 {
+		t.Fatalf("hook saw checkpoints at %v, want 8, 16 and later ones past 32", applied)
 	}
 	for _, w := range append(hooked, files...) {
 		sess, err := loadSession(bufio.NewReader(bytes.NewReader(w.data)))

@@ -262,7 +262,7 @@ func (s *Server) Drain() ([]SessionInfo, error) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	results := s.checkpointAll(ckptDurable)
+	results := s.checkpointAll(ckptPeriodic)
 	var errs []error
 	for _, res := range results {
 		if res.err != nil {

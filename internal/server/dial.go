@@ -24,25 +24,28 @@ type DialConfig struct {
 	// exponential backoff and jitter. Protocol rejections (bad session
 	// id, wrong version) never retry. Default 1: fail fast.
 	Attempts int
-	// BaseDelay is the first backoff step. Default 50ms.
+	// BaseDelay is the first backoff step, capped at maxDelay. Default
+	// 50ms.
 	BaseDelay time.Duration
-	// MaxDelay caps the backoff. Default 2s.
-	MaxDelay time.Duration
 	// FailoverTimeout bounds one failover episode in fleet mode: how
 	// long a client keeps redialing the fleet after losing its server
 	// (the failure detector needs time to declare the node dead and
 	// reassign its sessions). Default 30s.
 	FailoverTimeout time.Duration
-	// MaxRedirects bounds a NOT_OWNER redirect chain within a single
-	// connect (ownership can be in flux while the fleet converges).
-	// Default 8.
-	MaxRedirects int
 	// Tracer, when set, samples sent records into pipeline spans (the
 	// span id rides the stream record to the server) and observes the
 	// client-side stages: record encode and control round-trip time.
 	// Nil disables client tracing at zero cost.
 	Tracer *obs.Tracer
 }
+
+const (
+	// maxDelay caps the dial backoff.
+	maxDelay = 2 * time.Second
+	// maxRedirects bounds a NOT_OWNER redirect chain within a single
+	// connect (ownership can be in flux while the fleet converges).
+	maxRedirects = 8
+)
 
 func (cfg DialConfig) withDefaults() DialConfig {
 	if cfg.Attempts <= 0 {
@@ -51,14 +54,8 @@ func (cfg DialConfig) withDefaults() DialConfig {
 	if cfg.BaseDelay <= 0 {
 		cfg.BaseDelay = 50 * time.Millisecond
 	}
-	if cfg.MaxDelay <= 0 {
-		cfg.MaxDelay = 2 * time.Second
-	}
 	if cfg.FailoverTimeout <= 0 {
 		cfg.FailoverTimeout = 30 * time.Second
-	}
-	if cfg.MaxRedirects <= 0 {
-		cfg.MaxRedirects = 8
 	}
 	return cfg
 }
@@ -75,8 +72,8 @@ var (
 // reconnecting clients does not stampede in lockstep.
 func (cfg DialConfig) backoffDelay(attempt int) time.Duration {
 	d := cfg.BaseDelay << uint(attempt)
-	if d <= 0 || d > cfg.MaxDelay {
-		d = cfg.MaxDelay
+	if d <= 0 || d > maxDelay {
+		d = maxDelay
 	}
 	jitterMu.Lock()
 	f := 0.75 + 0.5*jitterRand.Float64()
@@ -290,10 +287,10 @@ func (c *Client) connectFleet(ctx context.Context) (*handshakeResult, error) {
 	}
 }
 
-// followRedirects dials addr and follows NOT_OWNER redirects up to the
-// configured bound.
+// followRedirects dials addr and follows up to maxRedirects NOT_OWNER
+// redirects.
 func (c *Client) followRedirects(ctx context.Context, addr string) (*handshakeResult, error) {
-	for hop := 0; hop < c.cfg.MaxRedirects; hop++ {
+	for hop := 0; hop < maxRedirects; hop++ {
 		res, err := connectOnce(ctx, addr, c.session)
 		if err == nil {
 			return res, nil
@@ -305,7 +302,7 @@ func (c *Client) followRedirects(ctx context.Context, addr string) (*handshakeRe
 		}
 		return nil, err
 	}
-	return nil, fmt.Errorf("server: redirect chain for session %q exceeded %d hops", c.session, c.cfg.MaxRedirects)
+	return nil, fmt.Errorf("server: redirect chain for session %q exceeded %d hops", c.session, maxRedirects)
 }
 
 // failover reconnects a fleet client after its server died: close the

@@ -108,7 +108,10 @@ type Config struct {
 	// CheckpointEvery, when positive, checkpoints each session every N
 	// applied actions — in addition to the shutdown checkpoint — so a
 	// node death loses at most the suffix past the last checkpoint
-	// (which the client re-streams idempotently).
+	// (which the client re-streams idempotently). It is ignored unless
+	// CheckpointDir or OnCheckpoint is set: nothing would read the
+	// checkpoint. A checkpoint that falls due while the session's
+	// previous one still waits for the writer is skipped.
 	CheckpointEvery int
 	// OnCheckpoint, when set, receives every durably written session
 	// checkpoint (id, applied count, serialized bytes). The cluster
@@ -144,6 +147,10 @@ type Server struct {
 	quarantined []Quarantined
 
 	ckpt *ckptWriter // encodes every checkpoint, off the session workers
+	// ckptEvery is Config.CheckpointEvery when a periodic checkpoint
+	// has a reader (a checkpoint directory or an OnCheckpoint hook),
+	// 0 otherwise: a checkpoint nothing reads is not taken.
+	ckptEvery uint64
 
 	connsTotal    *obs.Counter
 	sessionsTotal *obs.Counter
@@ -284,6 +291,9 @@ func New(addr string, cfg Config) (*Server, error) {
 		cfg:      cfg,
 		sessions: make(map[string]*session),
 		conns:    make(map[net.Conn]struct{}),
+	}
+	if cfg.CheckpointEvery > 0 && (cfg.CheckpointDir != "" || cfg.OnCheckpoint != nil) {
+		s.ckptEvery = uint64(cfg.CheckpointEvery)
 	}
 	if reg := cfg.Registry; reg != nil {
 		s.connsTotal = reg.Counter("goldilocksd_connections_total")
@@ -687,6 +697,26 @@ func (s *Server) sessionWorker(sess *session, queue chan item, enc *binWire, don
 		}
 		sinceFlush = 0
 	}
+	// A periodic capture falls due every ckptEvery applied actions. The
+	// worker, the only goroutine touching the engine, is quiescent
+	// between actions: it copies the state and leaves encoding,
+	// persisting and replicating to the writer. While a capture of the
+	// session still waits for the writer, a new one would only queue
+	// behind it, so the due capture is skipped and tried again at the
+	// next batch boundary or client flush. Skipping loses nothing: the
+	// engine's dirty list keeps growing, and the capture taken lists
+	// every variable changed since the last one. The stage times what
+	// the worker pays: the copy and the hand-off.
+	ckptDue := false
+	takeDue := func() {
+		if s.ckpt.waiting(sess) {
+			return
+		}
+		start := time.Now()
+		s.submitCapture(sess, ckptPeriodic, nil)
+		s.cfg.Tracer.Observe(obs.StageCheckpointCapture, time.Since(start))
+		ckptDue = false
+	}
 	for it := range queue {
 		switch it.ctl {
 		case "":
@@ -739,19 +769,17 @@ func (s *Server) sessionWorker(sess *session, queue chan item, enc *binWire, don
 				flush()
 				s.observeGovernor(sess)
 			}
-			if every := s.cfg.CheckpointEvery; every > 0 && n%uint64(every) == 0 {
-				// The worker is the only goroutine touching the engine,
-				// so it is quiescent here: copy the state and leave
-				// encoding, persisting and replicating to the writer.
-				// The stage times what the worker pays: the copy and
-				// the hand-off, with any fold of a waiting capture.
-				start := time.Now()
-				s.submitCapture(sess, ckptPeriodic, nil)
-				s.cfg.Tracer.Observe(obs.StageCheckpointCapture, time.Since(start))
+			due := s.ckptEvery > 0 && n%s.ckptEvery == 0
+			if due || ckptDue && sinceFlush == 0 {
+				ckptDue = true
+				takeDue()
 			}
 		case ctlCkpt:
 			s.submitCapture(sess, ckptPull, it.ckpt)
 		case ctlFlush:
+			if ckptDue {
+				takeDue()
+			}
 			enc.ack(Ack{Applied: sess.applied.Load(), Races: sess.races.Load(), Durable: sess.durable.Load()}, false, true)
 			flush()
 		case ctlClose:
@@ -967,16 +995,6 @@ func (s *Server) submitCapture(sess *session, kind ckptKind, done chan ckptResul
 	sess.ckptMu.Lock()
 	defer sess.ckptMu.Unlock()
 	s.ckpt.submit(ckptJob{snap: captureSession(sess), kind: kind, done: done})
-}
-
-// fold folds older, the capture of the same session taken just before
-// snap and never encoded, into snap; see core.Records.Fold.
-func (snap *sessionSnapshot) fold(older *sessionSnapshot) {
-	if snap.rt != nil {
-		snap.rt.Fold(older.rt)
-	} else {
-		snap.eng.Fold(older.eng)
-	}
 }
 
 // encodeInto appends the session checkpoint to buf[:0], the writer
