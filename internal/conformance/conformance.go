@@ -10,12 +10,12 @@
 // Run); it fails on any divergence.
 //
 // On top of the backend matrix sit metamorphic invariants: the same
-// trace must yield identical verdicts with GC off and aggressively on,
-// with 1 variable shard and the default 64, with every short-circuit
-// disabled, and with telemetry attached (whose rule-fire counts must
-// match the spec engine's exactly). A memory-budget-degraded engine may
-// only suppress reports, never invent them: its race set must be a
-// subset of the precise one.
+// trace must yield the spec engine's verdicts under every engine
+// configuration of Variants() (gcOff, aggressiveGC, gcNoEager,
+// noShortCircuit, onlyXactSC) and with telemetry attached (whose
+// rule-fire counts must match the spec engine's exactly). A
+// memory-budget-degraded engine may only suppress reports, never invent
+// them: its race set must be a subset of the precise one.
 //
 // See docs/TESTING.md for the operational story (fuzzing, shrinking,
 // the counterexample corpus).

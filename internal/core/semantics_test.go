@@ -15,7 +15,8 @@ import (
 // implemented transaction semantics: under each interpretation of
 // strong atomicity, the spec engine, the optimized engine, and the
 // vector-clock detector must agree with the semantics-parameterized
-// oracle on transaction-dense random traces.
+// oracle on transaction-dense random traces, channel-free and with two
+// channels.
 func TestTxnSemanticsProperty(t *testing.T) {
 	cfg := tracegen.Default()
 	cfg.TxnBias = 0.6
@@ -24,25 +25,29 @@ func TestTxnSemanticsProperty(t *testing.T) {
 	for _, sem := range event.AllTxnSemantics() {
 		sem := sem
 		t.Run(sem.String(), func(t *testing.T) {
-			for seed := int64(0); seed < 200; seed++ {
-				tr := tracegen.FromSeedConfig(seed, cfg)
-				pos, vars, racy := oracleFirstSem(tr, sem)
+			for _, channels := range []int{0, 2} {
+				cfg := cfg
+				cfg.Channels = channels
+				for seed := int64(0); seed < 200; seed++ {
+					tr := tracegen.FromSeedConfig(seed, cfg)
+					pos, vars, racy := oracleFirstSem(tr, sem)
 
-				if r := detect.FirstRace(core.NewSpecEngineSem(sem), tr); !agreesWithOracle(r, pos, vars, racy) {
-					t.Fatalf("seed %d: spec = %v, oracle pos %d vars %v racy %v", seed, r, pos, vars, racy)
-				}
-				opts := core.DefaultOptions()
-				opts.TxnSemantics = sem
-				if r := detect.FirstRace(core.NewEngine(opts), tr); !agreesWithOracle(r, pos, vars, racy) {
-					t.Fatalf("seed %d: engine = %v, oracle pos %d vars %v racy %v", seed, r, pos, vars, racy)
-				}
-				noSC := opts
-				noSC.SC1, noSC.SC2, noSC.SC3, noSC.XactSC = false, false, false, false
-				if r := detect.FirstRace(core.NewEngine(noSC), tr); !agreesWithOracle(r, pos, vars, racy) {
-					t.Fatalf("seed %d: engine-noSC = %v, oracle pos %d vars %v racy %v", seed, r, pos, vars, racy)
-				}
-				if r := detect.FirstRace(hb.NewDetectorSem(sem), tr); !agreesWithOracle(r, pos, vars, racy) {
-					t.Fatalf("seed %d: vectorclock = %v, oracle pos %d vars %v racy %v", seed, r, pos, vars, racy)
+					if r := detect.FirstRace(core.NewSpecEngineSem(sem), tr); !agreesWithOracle(r, pos, vars, racy) {
+						t.Fatalf("channels %d seed %d: spec = %v, oracle pos %d vars %v racy %v", channels, seed, r, pos, vars, racy)
+					}
+					opts := core.DefaultOptions()
+					opts.TxnSemantics = sem
+					if r := detect.FirstRace(core.NewEngine(opts), tr); !agreesWithOracle(r, pos, vars, racy) {
+						t.Fatalf("channels %d seed %d: engine = %v, oracle pos %d vars %v racy %v", channels, seed, r, pos, vars, racy)
+					}
+					noSC := opts
+					noSC.SC1, noSC.SC2, noSC.SC3, noSC.XactSC = false, false, false, false
+					if r := detect.FirstRace(core.NewEngine(noSC), tr); !agreesWithOracle(r, pos, vars, racy) {
+						t.Fatalf("channels %d seed %d: engine-noSC = %v, oracle pos %d vars %v racy %v", channels, seed, r, pos, vars, racy)
+					}
+					if r := detect.FirstRace(hb.NewDetectorSem(sem), tr); !agreesWithOracle(r, pos, vars, racy) {
+						t.Fatalf("channels %d seed %d: vectorclock = %v, oracle pos %d vars %v racy %v", channels, seed, r, pos, vars, racy)
+					}
 				}
 			}
 		})

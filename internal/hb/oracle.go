@@ -1,19 +1,9 @@
-// Package hb implements the extended happens-before relation of Section 3
-// of the Goldilocks paper, in two forms:
-//
-//   - Oracle: an offline reference implementation that assigns a vector
-//     clock to every event of a trace and answers happens-before and
-//     extended-race queries. It is the ground truth against which the
-//     Goldilocks engines are property-tested (Theorem 1).
-//   - Detector: an online pure vector-clock race detector (in the style
-//     of Djit+/TRaDe), the "precise but typically computationally
-//     expensive" baseline the paper contrasts with Goldilocks.
 package hb
 
 import (
+	"maps"
+
 	"goldilocks/internal/event"
-	"goldilocks/internal/report"
-	"goldilocks/internal/vclock"
 )
 
 // Oracle holds per-event vector clocks for a fixed trace. Build one with
@@ -22,172 +12,25 @@ import (
 type Oracle struct {
 	trace  *event.Trace
 	sem    event.TxnSemantics
-	clocks []*vclock.VC // clock snapshot of each event, inclusive of itself
+	clocks []vc // clock snapshot of each event, inclusive of itself
 }
 
 // NewOracle computes the extended happens-before relation for tr.
-//
-// The computation processes the linearization in order, maintaining:
-// per-thread clocks, per-lock release clocks (a release synchronizes
-// with every later acquire of the same lock), per-volatile write clocks
-// (a volatile write synchronizes with every later read), fork/join
-// edges, and per-variable transactional clocks (a commit synchronizes
-// with every later commit sharing at least one accessed variable).
 func NewOracle(tr *event.Trace) *Oracle {
 	return NewOracleSem(tr, event.TxnSharedVariable)
 }
 
 // NewOracleSem computes the extended happens-before relation for tr
-// under the chosen transaction semantics.
+// under the chosen transaction semantics: it steps one clock state over
+// the linearization in order and keeps a copy of each event's clock.
 func NewOracleSem(tr *event.Trace, sem event.TxnSemantics) *Oracle {
-	o := &Oracle{trace: tr, sem: sem, clocks: make([]*vclock.VC, tr.Len())}
-
-	threads := make(map[event.Tid]*vclock.VC)
-	locks := make(map[event.Addr]*vclock.VC)
-	volatiles := make(map[event.Volatile]*vclock.VC)
-	txn := make(map[event.Variable]*vclock.VC) // accumulated commit clocks per variable
-	txnAll := vclock.New()                     // accumulated commit clocks (atomic-order semantics)
-	chans := event.NewChanTracker()            // conveyor-slot assignment for channel ops
-
-	clockOf := func(t event.Tid) *vclock.VC {
-		c, ok := threads[t]
-		if !ok {
-			c = vclock.New()
-			threads[t] = c
-		}
-		return c
-	}
-
-	for i := 0; i < tr.Len(); i++ {
-		a := tr.At(i)
-		if a.Kind.IsChan() {
-			na, err := chans.Normalize(a)
-			if err != nil {
-				panic(&report.Report{Kind: report.Corruption, Detail: "hb oracle: malformed linearization: " + err.Error()})
-			}
-			a = na
-		}
-		c := clockOf(a.Thread)
-
-		// Incoming extended synchronizes-with edges.
-		switch a.Kind {
-		case event.KindAcquire:
-			if lc, ok := locks[a.Obj]; ok {
-				c.Join(lc)
-			}
-		case event.KindVolatileRead:
-			if wc, ok := volatiles[a.Volatile()]; ok {
-				c.Join(wc)
-			}
-		case event.KindChanSend, event.KindChanRecv:
-			// The conveyor slot (or, for a drain recv, the closed element)
-			// carries the accumulated clock of its prior operations; both
-			// directions of the rendezvous acquire it. A close publishes
-			// only (no incoming edge).
-			if wc, ok := volatiles[a.Volatile()]; ok {
-				c.Join(wc)
-			}
-		case event.KindJoin:
-			if uc, ok := threads[a.Peer]; ok {
-				c.Join(uc)
-			}
-		case event.KindCommit:
-			switch sem {
-			case event.TxnAtomicOrder:
-				c.Join(txnAll)
-			case event.TxnWriteToRead:
-				// Publication edges: a commit sees every earlier commit
-				// that wrote a variable it reads.
-				for _, v := range a.Reads {
-					if tc, ok := txn[v]; ok {
-						c.Join(tc)
-					}
-				}
-			default: // shared variable
-				for _, v := range a.Reads {
-					if tc, ok := txn[v]; ok {
-						c.Join(tc)
-					}
-				}
-				for _, v := range a.Writes {
-					if tc, ok := txn[v]; ok {
-						c.Join(tc)
-					}
-				}
-			}
-		}
-
-		c.Tick(a.Thread)
-		o.clocks[i] = c.Copy()
-
-		// Outgoing extended synchronizes-with edges.
-		switch a.Kind {
-		case event.KindRelease:
-			lc, ok := locks[a.Obj]
-			if !ok {
-				lc = vclock.New()
-				locks[a.Obj] = lc
-			}
-			lc.Join(c)
-		case event.KindVolatileWrite:
-			vv := a.Volatile()
-			wc, ok := volatiles[vv]
-			if !ok {
-				wc = vclock.New()
-				volatiles[vv] = wc
-			}
-			wc.Join(c)
-		case event.KindChanSend, event.KindChanRecv:
-			// Publish back onto the slot element — except for a drain recv,
-			// which acquires the close's broadcast but releases nothing.
-			if !(a.Kind == event.KindChanRecv && a.Field == event.ChanClosedField) {
-				vv := a.Volatile()
-				wc, ok := volatiles[vv]
-				if !ok {
-					wc = vclock.New()
-					volatiles[vv] = wc
-				}
-				wc.Join(c)
-			}
-		case event.KindChanClose:
-			vv := a.Volatile()
-			wc, ok := volatiles[vv]
-			if !ok {
-				wc = vclock.New()
-				volatiles[vv] = wc
-			}
-			wc.Join(c)
-		case event.KindFork:
-			// fork(u) happens-before every action of u: seed u's clock.
-			clockOf(a.Peer).Join(c)
-		case event.KindCommit:
-			switch sem {
-			case event.TxnAtomicOrder:
-				txnAll.Join(c)
-			case event.TxnWriteToRead:
-				for _, v := range a.Writes {
-					joinInto(txn, v, c)
-				}
-			default:
-				for _, v := range a.Reads {
-					joinInto(txn, v, c)
-				}
-				for _, v := range a.Writes {
-					joinInto(txn, v, c)
-				}
-			}
-		}
+	o := &Oracle{trace: tr, sem: sem, clocks: make([]vc, tr.Len())}
+	s := newClockState(sem)
+	for i := range o.clocks {
+		_, c := s.step(tr.At(i))
+		o.clocks[i] = maps.Clone(c)
 	}
 	return o
-}
-
-func joinInto(m map[event.Variable]*vclock.VC, v event.Variable, c *vclock.VC) {
-	tc, ok := m[v]
-	if !ok {
-		tc = vclock.New()
-		m[v] = tc
-	}
-	tc.Join(c)
 }
 
 // Trace returns the trace the oracle was built over.
@@ -197,7 +40,7 @@ func (o *Oracle) Trace() *event.Trace { return o.trace }
 // extended happens-before relation (i may equal j; an event trivially
 // happens-before-or-equals itself).
 func (o *Oracle) HappensBefore(i, j int) bool {
-	return o.clocks[i].LessEq(o.clocks[j])
+	return o.clocks[i].lessEq(o.clocks[j])
 }
 
 // Ordered reports whether events i and j are ordered either way.
@@ -265,21 +108,10 @@ type RacePair struct {
 // exists for testing, not production monitoring.
 func (o *Oracle) Races() []RacePair {
 	var out []RacePair
-	accessesOf := o.accessIndex()
-	for j := 0; j < o.trace.Len(); j++ {
-		b := o.trace.At(j)
-		for _, v := range actionVars(b) {
-			for _, i := range accessesOf[v] {
-				if i >= j {
-					break
-				}
-				a := o.trace.At(i)
-				if o.conflicting(a, b, v) && !o.Ordered(i, j) {
-					out = append(out, RacePair{Var: v, I: i, J: j})
-				}
-			}
-		}
-	}
+	o.eachRace(func(r RacePair) bool {
+		out = append(out, r)
+		return true
+	})
 	return out
 }
 
@@ -288,6 +120,16 @@ func (o *Oracle) Races() []RacePair {
 // report), and the corresponding pair; ok is false if the trace is free
 // of extended races.
 func (o *Oracle) FirstRacePos() (pair RacePair, ok bool) {
+	o.eachRace(func(r RacePair) bool {
+		pair, ok = r, true
+		return false
+	})
+	return pair, ok
+}
+
+// eachRace calls yield for every extended race in the order Races
+// lists them, until yield returns false.
+func (o *Oracle) eachRace(yield func(RacePair) bool) {
 	accessesOf := o.accessIndex()
 	for j := 0; j < o.trace.Len(); j++ {
 		b := o.trace.At(j)
@@ -296,14 +138,12 @@ func (o *Oracle) FirstRacePos() (pair RacePair, ok bool) {
 				if i >= j {
 					break
 				}
-				a := o.trace.At(i)
-				if o.conflicting(a, b, v) && !o.Ordered(i, j) {
-					return RacePair{Var: v, I: i, J: j}, true
+				if o.conflicting(o.trace.At(i), b, v) && !o.Ordered(i, j) && !yield(RacePair{Var: v, I: i, J: j}) {
+					return
 				}
 			}
 		}
 	}
-	return RacePair{}, false
 }
 
 // RacyVars returns the set of variables involved in at least one

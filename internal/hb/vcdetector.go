@@ -3,8 +3,6 @@ package hb
 import (
 	"goldilocks/internal/detect"
 	"goldilocks/internal/event"
-	"goldilocks/internal/report"
-	"goldilocks/internal/vclock"
 )
 
 // Detector is an online, precise vector-clock race detector over the
@@ -20,20 +18,8 @@ import (
 // each access follows the conflicting-pair cases of the extended-race
 // definition.
 type Detector struct {
-	sem       event.TxnSemantics
-	threads   map[event.Tid]*vclock.VC
-	locks     map[event.Addr]*vclock.VC
-	volatiles map[event.Volatile]*vclock.VC
-	txnOrder  map[event.Variable]*vclock.VC // commit-to-commit synchronizes-with
-	txnAll    *vclock.VC                    // atomic-order semantics
-	vars      map[event.Variable]*varClocks
-
-	// chans assigns channel operations their conveyor-slot elements; the
-	// slot clocks share the volatiles map (the FieldID namespaces are
-	// disjoint). An operation the tracker rejects is a malformed
-	// linearization: the detector panics with a structured corruption
-	// report, which jrt's guard recovers into a quarantine.
-	chans *event.ChanTracker
+	clocks *clockState
+	vars   map[event.Variable]*varClocks
 }
 
 type varClocks struct {
@@ -42,10 +28,10 @@ type varClocks struct {
 	// ts <= C[t], because any join chain that propagated the writer's
 	// tick propagated its whole clock. One comparison instead of a
 	// clock-sized one. The zero epoch means "never written".
-	lastWrite   vclock.Epoch
-	reads       *vclock.VC // join of plain reads since last plain write (nil if none)
-	txnWrites   *vclock.VC // join of commits writing the variable
-	txnAccesses *vclock.VC // join of commits reading or writing the variable
+	lastWrite   epoch
+	reads       vc // join of plain reads since last plain write (nil if none)
+	txnWrites   vc // join of commits writing the variable
+	txnAccesses vc // join of commits reading or writing the variable
 }
 
 // NewDetector returns an empty vector-clock detector with the paper's
@@ -55,116 +41,28 @@ func NewDetector() *Detector { return NewDetectorSem(event.TxnSharedVariable) }
 // NewDetectorSem returns a vector-clock detector under the chosen
 // transaction semantics.
 func NewDetectorSem(sem event.TxnSemantics) *Detector {
-	return &Detector{
-		sem:       sem,
-		threads:   make(map[event.Tid]*vclock.VC),
-		locks:     make(map[event.Addr]*vclock.VC),
-		volatiles: make(map[event.Volatile]*vclock.VC),
-		txnOrder:  make(map[event.Variable]*vclock.VC),
-		txnAll:    vclock.New(),
-		vars:      make(map[event.Variable]*varClocks),
-		chans:     event.NewChanTracker(),
-	}
+	return &Detector{clocks: newClockState(sem), vars: make(map[event.Variable]*varClocks)}
 }
 
 // Name implements detect.Detector.
 func (d *Detector) Name() string { return "vectorclock" }
 
-func (d *Detector) clockOf(t event.Tid) *vclock.VC {
-	c, ok := d.threads[t]
-	if !ok {
-		c = vclock.New()
-		c.Tick(t) // distinguish the thread's own position from the zero clock
-		d.threads[t] = c
-	}
-	return c
-}
-
 func (d *Detector) varOf(v event.Variable) *varClocks {
-	vc, ok := d.vars[v]
+	s, ok := d.vars[v]
 	if !ok {
-		vc = &varClocks{}
-		d.vars[v] = vc
+		s = &varClocks{}
+		d.vars[v] = s
 	}
-	return vc
+	return s
 }
 
-// Step implements detect.Detector.
+// Step implements detect.Detector. The clock state handles every
+// synchronization action; Step checks and records data accesses
+// against the acting thread's clock after it.
 func (d *Detector) Step(a event.Action) []detect.Race {
-	if a.Kind.IsChan() {
-		na, err := d.chans.Normalize(a)
-		if err != nil {
-			panic(&report.Report{Kind: report.Corruption, Detail: "vectorclock: malformed linearization: " + err.Error()})
-		}
-		a = na
-	}
-	c := d.clockOf(a.Thread)
+	a, c := d.clocks.step(a)
 	switch a.Kind {
-	case event.KindAcquire:
-		if lc, ok := d.locks[a.Obj]; ok {
-			c.Join(lc)
-		}
-		c.Tick(a.Thread)
-	case event.KindRelease:
-		c.Tick(a.Thread)
-		lc, ok := d.locks[a.Obj]
-		if !ok {
-			lc = vclock.New()
-			d.locks[a.Obj] = lc
-		}
-		lc.Join(c)
-	case event.KindVolatileRead:
-		if wc, ok := d.volatiles[a.Volatile()]; ok {
-			c.Join(wc)
-		}
-		c.Tick(a.Thread)
-	case event.KindVolatileWrite:
-		c.Tick(a.Thread)
-		vv := a.Volatile()
-		wc, ok := d.volatiles[vv]
-		if !ok {
-			wc = vclock.New()
-			d.volatiles[vv] = wc
-		}
-		wc.Join(c)
-	case event.KindChanMake:
-		c.Tick(a.Thread)
-	case event.KindChanSend, event.KindChanRecv:
-		// Acquire the slot's (or, for a drain recv, the closed element's)
-		// accumulated clock, then publish back onto it — drain recvs
-		// publish nothing (the close's broadcast is one-directional).
-		vv := a.Volatile()
-		if wc, ok := d.volatiles[vv]; ok {
-			c.Join(wc)
-		}
-		c.Tick(a.Thread)
-		if !(a.Kind == event.KindChanRecv && a.Field == event.ChanClosedField) {
-			wc, ok := d.volatiles[vv]
-			if !ok {
-				wc = vclock.New()
-				d.volatiles[vv] = wc
-			}
-			wc.Join(c)
-		}
-	case event.KindChanClose:
-		c.Tick(a.Thread)
-		vv := a.Volatile()
-		wc, ok := d.volatiles[vv]
-		if !ok {
-			wc = vclock.New()
-			d.volatiles[vv] = wc
-		}
-		wc.Join(c)
-	case event.KindFork:
-		c.Tick(a.Thread)
-		d.clockOf(a.Peer).Join(c)
-	case event.KindJoin:
-		if uc, ok := d.threads[a.Peer]; ok {
-			c.Join(uc)
-		}
-		c.Tick(a.Thread)
 	case event.KindAlloc:
-		c.Tick(a.Thread)
 		// A fresh object has fresh variables: drop any state left from a
 		// previous object at the same address.
 		for v := range d.vars {
@@ -172,68 +70,28 @@ func (d *Detector) Step(a event.Action) []detect.Race {
 				delete(d.vars, v)
 			}
 		}
-		for v := range d.txnOrder {
-			if v.Obj == a.Obj {
-				delete(d.txnOrder, v)
-			}
-		}
 	case event.KindRead:
 		v := a.Variable()
 		s := d.varOf(v)
-		c.Tick(a.Thread)
 		var races []detect.Race
-		if !s.lastWrite.LessEq(c) {
-			races = append(races, detect.Race{Var: v, Access: a})
-		} else if s.txnWrites != nil && !s.txnWrites.LessEq(c) {
+		if !s.lastWrite.lessEq(c) || !s.txnWrites.lessEq(c) {
 			races = append(races, detect.Race{Var: v, Access: a})
 		}
-		if s.reads == nil {
-			s.reads = vclock.New()
-		}
-		s.reads.Join(c)
+		s.reads = joined(s.reads, c)
 		return races
 	case event.KindWrite:
 		v := a.Variable()
 		s := d.varOf(v)
-		c.Tick(a.Thread)
 		var races []detect.Race
-		switch {
-		case !s.lastWrite.LessEq(c):
-			races = append(races, detect.Race{Var: v, Access: a})
-		case s.reads != nil && !s.reads.LessEq(c):
-			races = append(races, detect.Race{Var: v, Access: a})
-		case s.txnAccesses != nil && !s.txnAccesses.LessEq(c):
+		if !s.lastWrite.lessEq(c) || !s.reads.lessEq(c) || !s.txnAccesses.lessEq(c) {
 			races = append(races, detect.Race{Var: v, Access: a})
 		}
-		s.lastWrite = vclock.Epoch{Tid: a.Thread, Time: c.Get(a.Thread)}
+		s.lastWrite = epoch{tid: a.Thread, time: c[a.Thread]}
 		s.reads = nil
 		return races
 	case event.KindCommit:
-		// Incoming commit-to-commit edges under the configured
-		// transaction semantics.
-		switch d.sem {
-		case event.TxnAtomicOrder:
-			c.Join(d.txnAll)
-		case event.TxnWriteToRead:
-			for _, v := range a.Reads {
-				if tc, ok := d.txnOrder[v]; ok {
-					c.Join(tc)
-				}
-			}
-		default:
-			for _, v := range a.Reads {
-				if tc, ok := d.txnOrder[v]; ok {
-					c.Join(tc)
-				}
-			}
-			for _, v := range a.Writes {
-				if tc, ok := d.txnOrder[v]; ok {
-					c.Join(tc)
-				}
-			}
-		}
-		c.Tick(a.Thread)
 		var races []detect.Race
+		w2r := d.clocks.sem == event.TxnWriteToRead
 		seen := make(map[event.Variable]bool)
 		check := func(v event.Variable, isWrite bool) {
 			if seen[v] {
@@ -241,26 +99,20 @@ func (d *Detector) Step(a event.Action) []detect.Race {
 			}
 			seen[v] = true
 			s := d.varOf(v)
-			// Case 2: commit accessing v vs unordered plain write.
-			if !s.lastWrite.LessEq(c) {
-				races = append(races, detect.Race{Var: v, Access: a})
-				return
+			// Case 2: a commit accessing v vs an unordered plain write.
+			racy := !s.lastWrite.lessEq(c)
+			if isWrite {
+				// Case 3: a commit writing v vs an unordered plain read;
+				// under write-to-read, also vs an unordered commit
+				// accessing v.
+				racy = racy || !s.reads.lessEq(c) || w2r && !s.txnAccesses.lessEq(c)
+			} else {
+				// Under write-to-read, a commit reading v vs an unordered
+				// commit writing it.
+				racy = racy || w2r && !s.txnWrites.lessEq(c)
 			}
-			// Case 3: commit writing v vs unordered plain read.
-			if isWrite && s.reads != nil && !s.reads.LessEq(c) {
+			if racy {
 				races = append(races, detect.Race{Var: v, Access: a})
-				return
-			}
-			// Under write-to-read, commit/commit conflicts are races
-			// like any others.
-			if d.sem == event.TxnWriteToRead {
-				if isWrite && s.txnAccesses != nil && !s.txnAccesses.LessEq(c) {
-					races = append(races, detect.Race{Var: v, Access: a})
-					return
-				}
-				if !isWrite && s.txnWrites != nil && !s.txnWrites.LessEq(c) {
-					races = append(races, detect.Race{Var: v, Access: a})
-				}
 			}
 		}
 		for _, v := range a.Writes {
@@ -269,43 +121,30 @@ func (d *Detector) Step(a event.Action) []detect.Race {
 		for _, v := range a.Reads {
 			check(v, false)
 		}
-		// Record transactional access clocks and outgoing edges.
 		for _, v := range a.Reads {
 			d.recordTxn(v, c, false)
 		}
 		for _, v := range a.Writes {
 			d.recordTxn(v, c, true)
 		}
-		if d.sem == event.TxnAtomicOrder {
-			d.txnAll.Join(c)
-		}
 		return races
 	}
 	return nil
 }
 
-func (d *Detector) recordTxn(v event.Variable, c *vclock.VC, isWrite bool) {
-	// Outgoing edge witnesses per semantics: shared-variable publishes
-	// through every accessed variable, write-to-read only through
-	// written ones, atomic-order through the global clock (handled by
-	// the caller).
-	if d.sem == event.TxnSharedVariable || (d.sem == event.TxnWriteToRead && isWrite) {
-		tc, ok := d.txnOrder[v]
-		if !ok {
-			tc = vclock.New()
-			d.txnOrder[v] = tc
-		}
-		tc.Join(c)
-	}
+func (d *Detector) recordTxn(v event.Variable, c vc, isWrite bool) {
 	s := d.varOf(v)
-	if s.txnAccesses == nil {
-		s.txnAccesses = vclock.New()
-	}
-	s.txnAccesses.Join(c)
+	s.txnAccesses = joined(s.txnAccesses, c)
 	if isWrite {
-		if s.txnWrites == nil {
-			s.txnWrites = vclock.New()
-		}
-		s.txnWrites.Join(c)
+		s.txnWrites = joined(s.txnWrites, c)
 	}
+}
+
+// joined returns v joined with c, allocating v if it is nil.
+func joined(v, c vc) vc {
+	if v == nil {
+		v = make(vc)
+	}
+	v.join(c)
+	return v
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -185,12 +186,12 @@ func (s *Server) handleAdmin(req adminReq, br *bufio.Reader, bw *bufio.Writer) {
 			fail("no metrics registry configured")
 			return
 		}
-		var buf safeBuffer
+		var buf bytes.Buffer
 		if err := s.cfg.Registry.WritePrometheus(&buf); err != nil {
 			fail("rendering metrics: %v", err)
 			return
 		}
-		reply(adminResp{OK: true, Node: s.cfg.Advertise}, buf.b)
+		reply(adminResp{OK: true, Node: s.cfg.Advertise}, buf.Bytes())
 
 	case verbFlight:
 		if s.cfg.Flight == nil {
@@ -201,7 +202,7 @@ func (s *Server) handleAdmin(req adminReq, br *bufio.Reader, bw *bufio.Writer) {
 		if reason == "" {
 			reason = "scrape"
 		}
-		var buf safeBuffer
+		var buf bytes.Buffer
 		if err := s.cfg.Flight.WriteDump(&buf, s.cfg.Advertise, reason); err != nil {
 			fail("rendering flight dump: %v", err)
 			return
@@ -211,20 +212,11 @@ func (s *Server) handleAdmin(req adminReq, br *bufio.Reader, bw *bufio.Writer) {
 			// divergence, operator drill): keep a local copy too.
 			s.autoDumpFlight(req.Reason)
 		}
-		reply(adminResp{OK: true, Node: s.cfg.Advertise}, buf.b)
+		reply(adminResp{OK: true, Node: s.cfg.Advertise}, buf.Bytes())
 
 	default:
 		fail("unknown admin verb %q", req.Verb)
 	}
-}
-
-// safeBuffer is a minimal bytes buffer (avoids importing bytes just
-// for this; WritePrometheus writes sequentially from one goroutine).
-type safeBuffer struct{ b []byte }
-
-func (s *safeBuffer) Write(p []byte) (int, error) {
-	s.b = append(s.b, p...)
-	return len(p), nil
 }
 
 // adminCall performs one admin exchange with the node at addr: send the
