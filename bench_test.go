@@ -138,7 +138,7 @@ func BenchmarkDetectorComparison(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, tr := range traces {
-					detect.RunTrace(e.New(core.DefaultOptions(), nil), tr)
+					detect.RunTrace(e.New(core.DefaultOptions()), tr)
 				}
 			}
 			b.ReportMetric(float64(actions), "actions/op")
@@ -339,19 +339,19 @@ func BenchmarkParallelAccess(b *testing.B) {
 	}
 }
 
-// BenchmarkTelemetry prices the observability layer on the lock-
-// disciplined hot path. "disabled" (no Telemetry attached) must match
-// the numbers BenchmarkEngineHotPaths/lockDiscipline reported before
-// the layer existed — with telemetry off, every instrumentation site
-// reduces to one nil check and allocates nothing. "enabled" adds the
-// atomic counter increments and the walk-depth histogram; "traced"
-// additionally records lockset transitions for the accessed variable
+// BenchmarkTelemetry prices the lockset trace hook on the lock-
+// disciplined hot path; the engine's rule, walk and contention counters
+// are always on. "untraced" (the hook disabled, as every engine starts)
+// must allocate what BenchmarkEngineHotPaths/lockDiscipline does (7
+// allocs, 376 B/op): a disabled hook costs one atomic load and nothing
+// else. "traced" records lockset transitions for the accessed variable
 // (the worst case: filter match on every access).
 func BenchmarkTelemetry(b *testing.B) {
-	run := func(b *testing.B, tel *obs.Telemetry) {
-		opts := core.DefaultOptions()
-		opts.Telemetry = tel
-		e := core.NewEngine(opts)
+	run := func(b *testing.B, traced bool) {
+		e := core.New()
+		if traced {
+			e.Trace().Enable("o10.f0")
+		}
 		e.Sync(event.Fork(1, 2))
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -362,13 +362,8 @@ func BenchmarkTelemetry(b *testing.B) {
 			e.Sync(event.Release(t, 20))
 		}
 	}
-	b.Run("disabled", func(b *testing.B) { run(b, nil) })
-	b.Run("enabled", func(b *testing.B) { run(b, obs.NewTelemetry()) })
-	b.Run("traced", func(b *testing.B) {
-		tel := obs.NewTelemetry()
-		tel.Trace.Enable("o10.f0")
-		run(b, tel)
-	})
+	b.Run("untraced", func(b *testing.B) { run(b, false) })
+	b.Run("traced", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkTracer prices the pipeline tracer the same way: "disabled"
@@ -635,25 +630,20 @@ func BenchmarkCheckpointCapture(b *testing.B) {
 // BenchmarkSessionEngine prices what a goldilocksd session engine adds
 // to a plain replay, one layer at a time. Every iteration replays one
 // generated trace (seed 7, 40k steps) through a fresh engine: "plain"
-// with the default options, as a local replay runs; "telemetry" with
-// an obs.Telemetry attached, as every session engine has; and
-// "checkpointed" with telemetry that also captures and encodes a
-// checkpoint every 4,096 actions, as a session with a checkpoint reader
-// does (here the writer's encode runs on the same goroutine).
+// with the default options, as a local replay and every session engine
+// run; and "checkpointed" that also captures and encodes a checkpoint
+// every 4,096 actions, as a session with a checkpoint reader does (here
+// the writer's encode runs on the same goroutine).
 func BenchmarkSessionEngine(b *testing.B) {
 	const every = 4096
 	cfg := tracegen.Default()
 	cfg.Steps = 40000
 	tr := tracegen.FromSeedConfig(7, cfg)
-	run := func(b *testing.B, tel, checkpointed bool) {
+	run := func(b *testing.B, checkpointed bool) {
 		b.ReportAllocs()
 		var buf []byte
 		for i := 0; i < b.N; i++ {
-			opts := core.DefaultOptions()
-			if tel {
-				opts.Telemetry = obs.NewTelemetry()
-			}
-			e := core.NewEngine(opts)
+			e := core.New()
 			for j := 0; j < tr.Len(); j++ {
 				e.Step(tr.At(j))
 				if checkpointed && (j+1)%every == 0 {
@@ -667,7 +657,6 @@ func BenchmarkSessionEngine(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tr.Len()), "ns/event")
 	}
-	b.Run("plain", func(b *testing.B) { run(b, false, false) })
-	b.Run("telemetry", func(b *testing.B) { run(b, true, false) })
-	b.Run("checkpointed", func(b *testing.B) { run(b, true, true) })
+	b.Run("plain", func(b *testing.B) { run(b, false) })
+	b.Run("checkpointed", func(b *testing.B) { run(b, true) })
 }

@@ -78,9 +78,9 @@ type runConfig struct {
 	remote   string // goldilocksd address; offload detection there
 	session  string // session id for -remote
 
-	// Observability (docs/OBSERVABILITY.md). Any of these being set
-	// enables telemetry; all unset keeps the detector hot path free of
-	// instrumentation beyond one nil check per site.
+	// Observability (docs/OBSERVABILITY.md). The engine counts its rule
+	// fires whatever is set; these choose where the counts go, and
+	// traceVars enables the goldilocks engine's lockset trace hook.
 	statsJSON     string        // write the composite stats document here; "-" is stdout
 	metricsAddr   string        // serve /metrics, /debug/vars, /debug/pprof here
 	metricsLinger time.Duration // keep the metrics endpoint up this long after the run
@@ -253,26 +253,6 @@ func run(ctx context.Context, path string, c runConfig) (int, error) {
 		return 0, usageErrf("unknown static analysis %q", c.static)
 	}
 
-	// Any observability flag switches telemetry on; otherwise tel stays
-	// nil and the engine's instrumentation sites reduce to a nil check.
-	var tel *obs.Telemetry
-	if c.statsJSON != "" || c.metricsAddr != "" || c.traceVars != "" {
-		tel = obs.NewTelemetry()
-		switch c.traceVars {
-		case "":
-		case "all":
-			tel.Trace.Enable()
-		default:
-			var names []string
-			for _, v := range strings.Split(c.traceVars, ",") {
-				if v = strings.TrimSpace(v); v != "" {
-					names = append(names, v)
-				}
-			}
-			tel.Trace.Enable(names...)
-		}
-	}
-
 	// One trace-level detector (a backend, the guarded backend, or the
 	// remote session) reaches the runtime through jrt.Serialize, or
 	// jrt.Record when the run is recorded.
@@ -308,11 +288,22 @@ func run(ctx context.Context, path string, c runConfig) (int, error) {
 		opts.MemoryBudget = c.budget
 		// The goldilocks engine recovers its own panics; the other
 		// backends get the runtime's guard.
-		det = e.New(opts, tel)
+		det = e.New(opts)
 		if engine, _ = det.(*core.Engine); engine == nil {
 			guard = jrt.Guard(det, errPolicy)
 			det = guard
 		}
+	}
+	if engine != nil && c.traceVars != "" {
+		var names []string
+		if c.traceVars != "all" {
+			for _, v := range strings.Split(c.traceVars, ",") {
+				if v = strings.TrimSpace(v); v != "" {
+					names = append(names, v)
+				}
+			}
+		}
+		engine.Trace().Enable(names...)
 	}
 	cfg := jrt.Config{}
 	var recorder *jrt.Recorder
@@ -354,13 +345,11 @@ func run(ctx context.Context, path string, c runConfig) (int, error) {
 	var reg *obs.Registry
 	var sampler *obs.Sampler
 	var srv *obs.Server
-	if tel != nil {
+	if c.statsJSON != "" || c.metricsAddr != "" {
 		reg = obs.NewRegistry()
 		if engine != nil {
 			engine.RegisterMetrics(reg)
 			sampler = engine.StartSampling(reg, time.Second)
-		} else {
-			tel.Register(reg)
 		}
 		rt.RegisterMetrics(reg)
 		if c.metricsAddr != "" {
@@ -452,7 +441,7 @@ func run(ctx context.Context, path string, c runConfig) (int, error) {
 		violations = sum.ViolationTotal
 	}
 	if c.statsJSON != "" {
-		if err := detect.WriteStatsJSON(c.statsJSON, statsDoc(reg, tel, engine, rt, races)); err != nil {
+		if err := detect.WriteStatsJSON(c.statsJSON, statsDoc(reg, engine, rt, races)); err != nil {
 			return 0, err
 		}
 	}
@@ -476,7 +465,7 @@ func run(ctx context.Context, path string, c runConfig) (int, error) {
 // statsDoc assembles the composite -stats-json document: the metric
 // registry snapshot, the races with their provenance, and the raw
 // runtime/engine counters.
-func statsDoc(reg *obs.Registry, tel *obs.Telemetry, engine *core.Engine, rt *jrt.Runtime, races []detect.Race) map[string]any {
+func statsDoc(reg *obs.Registry, engine *core.Engine, rt *jrt.Runtime, races []detect.Race) map[string]any {
 	doc := map[string]any{
 		"metrics": reg.JSONValue(),
 		"races":   detect.Records(races),
@@ -488,8 +477,8 @@ func statsDoc(reg *obs.Registry, tel *obs.Telemetry, engine *core.Engine, rt *jr
 	if rep := rt.Failure(); rep != nil {
 		doc["failure"] = rep
 	}
-	if tel.Trace.Enabled() {
-		transitions, dropped := tel.Trace.Snapshot()
+	if engine != nil && engine.Trace().Enabled() {
+		transitions, dropped := engine.Trace().Snapshot()
 		doc["trace"] = map[string]any{"transitions": transitions, "dropped": dropped}
 	}
 	return doc

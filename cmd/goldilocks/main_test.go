@@ -314,7 +314,7 @@ func TestRecordEveryBackendReplays(t *testing.T) {
 			}
 			replayed := 0
 			if e.New != nil {
-				replayed = len(detect.RunTrace(e.New(core.DefaultOptions(), nil), tr))
+				replayed = len(detect.RunTrace(e.New(core.DefaultOptions()), tr))
 			}
 			if name == "racy" && e.New != nil && n == 0 {
 				t.Errorf("racy/%s: live run reported no race", e.Name)

@@ -173,11 +173,8 @@ func replay(path, detName string, useOracle bool, statsJSON string, out *os.File
 	total := 0
 	var stats []replayStats
 	for _, e := range entries {
-		var tel *obs.Telemetry
-		if statsJSON != "" && e.Telemetry {
-			tel = obs.NewTelemetry()
-		}
-		races := detect.RunTrace(e.New(core.DefaultOptions(), tel), tr)
+		det := e.New(core.DefaultOptions())
+		races := detect.RunTrace(det, tr)
 		fmt.Fprintf(out, "%s: %d races\n", e.Name, len(races))
 		for _, r := range races {
 			fmt.Fprintf(out, "  %v\n", &r)
@@ -186,7 +183,7 @@ func replay(path, detName string, useOracle bool, statsJSON string, out *os.File
 			}
 		}
 		if statsJSON != "" {
-			stats = append(stats, replayStatsFor(e.Name, tel, races))
+			stats = append(stats, replayStatsFor(e.Name, det, races))
 		}
 		total = len(races)
 	}
@@ -199,12 +196,12 @@ func replay(path, detName string, useOracle bool, statsJSON string, out *os.File
 }
 
 // replayStatsFor builds the -stats-json entry for one detector run. The
-// rule-fire map is omitted for detectors without telemetry support
-// (vector clock, Eraser, basic), which get a nil tel.
-func replayStatsFor(name string, tel *obs.Telemetry, races []detect.Race) replayStats {
+// rule-fire map is omitted for detectors that count no rule fires
+// (vector clock, Eraser, basic).
+func replayStatsFor(name string, det detect.Detector, races []detect.Race) replayStats {
 	st := replayStats{Detector: name, Races: detect.Records(races)}
-	if tel != nil {
-		fires := tel.RuleFires()
+	if rc, ok := det.(core.RuleCounter); ok {
+		fires := rc.RuleFires()
 		st.RuleFires = make(map[string]uint64, obs.NumRules)
 		for rule := 1; rule <= obs.NumRules; rule++ {
 			st.RuleFires[fmt.Sprintf("%d:%s", rule, obs.RuleName(rule))] = fires[rule]

@@ -10,6 +10,7 @@ import (
 
 	"goldilocks/internal/detectors"
 	"goldilocks/internal/event"
+	"goldilocks/internal/obs"
 	"goldilocks/internal/resilience"
 )
 
@@ -219,8 +220,9 @@ func TestStatsJSONRaceRecords(t *testing.T) {
 	}
 	var parsed struct {
 		Detectors []struct {
-			Detector string          `json:"detector"`
-			Races    json.RawMessage `json:"races"`
+			Detector  string            `json:"detector"`
+			RuleFires map[string]uint64 `json:"rule_fires"`
+			Races     json.RawMessage   `json:"races"`
 		} `json:"detectors"`
 	}
 	if err := json.Unmarshal(doc, &parsed); err != nil {
@@ -229,9 +231,27 @@ func TestStatsJSONRaceRecords(t *testing.T) {
 	if len(parsed.Detectors) != len(want) {
 		t.Fatalf("%d detectors in the document, want %d", len(parsed.Detectors), len(want))
 	}
+	// Exactly the two Goldilocks engines count rule fires, and they
+	// count the same ones: a fork, then two plain accesses.
+	wantFires := map[string]uint64{"1:access-reset": 2, "6:fork": 1}
 	for _, d := range parsed.Detectors {
 		if got := string(d.Races); got != want[d.Detector] {
 			t.Errorf("%s races:\n%s\nwant:\n%s", d.Detector, got, want[d.Detector])
+		}
+		switch d.Detector {
+		case "goldilocks", "spec":
+			if len(d.RuleFires) != obs.NumRules {
+				t.Errorf("%s rule_fires has %d rules, want %d", d.Detector, len(d.RuleFires), obs.NumRules)
+			}
+			for rule, n := range d.RuleFires {
+				if n != wantFires[rule] {
+					t.Errorf("%s rule_fires[%s] = %d, want %d", d.Detector, rule, n, wantFires[rule])
+				}
+			}
+		default:
+			if d.RuleFires != nil {
+				t.Errorf("%s carries rule_fires %v, want the field omitted", d.Detector, d.RuleFires)
+			}
 		}
 	}
 }

@@ -25,7 +25,7 @@ func main() {
 	sc := scenarios.Ownership()
 	fmt.Println("Detector verdicts on Example 2 (ground truth: race-free):")
 	for _, e := range detectors.All() {
-		d := e.New(core.DefaultOptions(), nil)
+		d := e.New(core.DefaultOptions())
 		races := detect.RunTrace(d, sc.Trace)
 		verdict := "race-free ✓"
 		if len(races) > 0 {

@@ -26,7 +26,7 @@ type DetectorRow struct {
 
 // runtimeDetector builds a fresh runtime detector for registry entry e.
 func runtimeDetector(e detectors.Entry) jrt.Detector {
-	return jrt.Serialize(e.New(core.DefaultOptions(), nil))
+	return jrt.Serialize(e.New(core.DefaultOptions()))
 }
 
 // DetectorComparison runs every Table 1 workload (test scale,

@@ -53,7 +53,7 @@ func Figure7() string {
 
 func renderEvolution(title string, sc scenarios.Scenario, v event.Variable, labels map[int]string) string {
 	ref, _ := detectors.Lookup(detectors.All(), "spec")
-	spec := ref.New(core.Options{}, nil).(*core.SpecEngine)
+	spec := ref.New(core.Options{}).(*core.SpecEngine)
 	var sb strings.Builder
 	fmt.Fprintln(&sb, title)
 	for i := 0; i < sc.Trace.Len(); i++ {

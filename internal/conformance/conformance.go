@@ -12,8 +12,8 @@
 // On top of the backend matrix sit metamorphic invariants: the same
 // trace must yield the spec engine's verdicts under every engine
 // configuration of Variants() (gcOff, aggressiveGC, gcNoEager,
-// noShortCircuit, onlyXactSC) and with telemetry attached (whose
-// rule-fire counts must match the spec engine's exactly). A
+// noShortCircuit, onlyXactSC), and the default engine's rule-fire
+// counts must match the spec engine's exactly. A
 // memory-budget-degraded engine may only suppress reports, never invent
 // them: its race set must be a subset of the precise one.
 //
@@ -265,16 +265,13 @@ func Run(tr *event.Trace) Result {
 	pos, vars, racy := oracleFirst(hb.NewOracle(tr))
 	res.Racy = racy
 
-	// Executable specification, with telemetry so the rule-fire counts
-	// are captured for coverage guidance and for the telemetry-
-	// equivalence invariant below.
-	specTel := obs.NewTelemetry()
+	// Executable specification. Its rule-fire counts guide the fuzzer's
+	// coverage, and every backend that counts fires must match them.
 	spec := core.NewSpecEngine()
-	spec.SetTelemetry(specTel)
 	specRaces := detect.RunTrace(spec, tr)
 	specKeys := raceKeys(specRaces)
 	res.Races = len(specKeys)
-	res.RuleFires = specTel.RuleFires()
+	res.RuleFires = spec.RuleFires()
 
 	if !agreesWithOracle(firstOf(specRaces), pos, vars, racy) {
 		return fail("oracle-vs-spec", "spec first race %v, oracle pos %d vars %v racy %v",
@@ -283,14 +280,20 @@ func Run(tr *event.Trace) Result {
 
 	// Every registered backend, gated by its precision class; the
 	// reference ran above. Exact backends also run with concurrent
-	// delivery. Approximate ones both false-alarm and miss races, so
-	// only determinism and crash-freedom gate.
+	// delivery, and their event-level rule fires must equal the spec's
+	// (both count per linearization, not per representation).
+	// Approximate ones both false-alarm and miss races, so only
+	// determinism and crash-freedom gate.
 	for _, e := range detectors.All() {
-		mk := func() detect.Detector { return e.New(core.DefaultOptions(), nil) }
+		mk := func() detect.Detector { return e.New(core.DefaultOptions()) }
 		switch e.Precision {
 		case detectors.Exact:
-			if got := raceKeys(detect.RunTrace(mk(), tr)); !equalKeys(got, specKeys) {
+			d := mk()
+			if got := raceKeys(detect.RunTrace(d, tr)); !equalKeys(got, specKeys) {
 				return fail(e.Name, "races %v, spec %v", got, specKeys)
+			}
+			if rc, ok := d.(core.RuleCounter); ok && rc.RuleFires() != res.RuleFires {
+				return fail(e.Name, "rule fires %v, spec %v", rc.RuleFires(), res.RuleFires)
 			}
 			if got := raceKeys(RunConcurrent(mk(), tr)); !equalKeys(got, specKeys) {
 				return fail(e.Name+"-concurrent", "races %v, spec %v", got, specKeys)
@@ -312,18 +315,6 @@ func Run(tr *event.Trace) Result {
 		if got := raceKeys(detect.RunTrace(core.NewEngine(opts), tr)); !equalKeys(got, specKeys) {
 			return fail("variant:"+name, "races %v, spec %v", got, specKeys)
 		}
-	}
-
-	// Telemetry on/off: identical verdicts, and event-level rule fires
-	// identical to the spec engine's (both count per linearization, not
-	// per representation).
-	telOpts := core.DefaultOptions()
-	telOpts.Telemetry = obs.NewTelemetry()
-	if got := raceKeys(detect.RunTrace(core.NewEngine(telOpts), tr)); !equalKeys(got, specKeys) {
-		return fail("variant:telemetry", "races %v, spec %v", got, specKeys)
-	}
-	if engFires := telOpts.Telemetry.RuleFires(); engFires != res.RuleFires {
-		return fail("variant:telemetry", "rule fires %v, spec %v", engFires, res.RuleFires)
 	}
 
 	// Degradation may only suppress reports, never invent them.

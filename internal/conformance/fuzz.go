@@ -10,7 +10,7 @@ import (
 
 // This file is the coverage-guided fuzzing loop. Coverage is semantic,
 // not branch-based: a trace's signature is which Figure 5 rules fired
-// (a 12-bit mask from the spec engine's telemetry, including the
+// (a 12-bit mask from the spec engine's rule fires, including the
 // channel rules 10–12), whether it raced, how many races, and a
 // thread-count bucket. Traces with a never-seen signature join the
 // corpus and become mutation parents; generation is steered toward

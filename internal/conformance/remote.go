@@ -19,8 +19,8 @@ type Backend func(tr *event.Trace) (BackendResult, error)
 type BackendResult struct {
 	// Races are the verdicts, with global linearization positions.
 	Races []detect.Race
-	// RuleFires are the Figure 5 rule-fire counts (indexed 1..9), when
-	// the backend exposes them.
+	// RuleFires are the rule-fire counts (indexed 1..obs.NumRules),
+	// when the backend exposes them.
 	RuleFires [obs.NumRules + 1]uint64
 	// HasRuleFires reports whether RuleFires was populated.
 	HasRuleFires bool
@@ -39,11 +39,9 @@ func CheckBackend(name string, backend Backend, tr *event.Trace) *Divergence {
 	if err := tr.Validate(); err != nil {
 		return fail("invalid trace: %v", err)
 	}
-	specTel := obs.NewTelemetry()
 	spec := core.NewSpecEngine()
-	spec.SetTelemetry(specTel)
 	specKeys := raceKeys(detect.RunTrace(spec, tr))
-	specFires := specTel.RuleFires()
+	specFires := spec.RuleFires()
 
 	got, err := backend(tr)
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 	"goldilocks/internal/detect"
 	"goldilocks/internal/detectors/regiontrack"
 	"goldilocks/internal/event"
-	"goldilocks/internal/obs"
 )
 
 // This file registers the RegionTrack serializability checker in the
@@ -24,18 +23,13 @@ import (
 // checkpoint/restore cut must not move a verdict.
 
 // RegionTrackBackend adapts the composed checker to the cross-process
-// differential interface, with telemetry attached so CheckBackend also
-// compares the Figure 5 rule-fire counts against the spec engine's.
+// differential interface; CheckBackend also compares its engine's rule-
+// fire counts against the spec engine's.
 func RegionTrackBackend(opts regiontrack.Options) Backend {
 	return func(tr *event.Trace) (BackendResult, error) {
-		o := opts
-		o.Engine.Telemetry = obs.NewTelemetry()
-		races := detect.RunTrace(regiontrack.New(o), tr)
-		return BackendResult{
-			Races:        races,
-			RuleFires:    o.Engine.Telemetry.RuleFires(),
-			HasRuleFires: true,
-		}, nil
+		rt := regiontrack.New(opts)
+		races := detect.RunTrace(rt, tr)
+		return BackendResult{Races: races, RuleFires: rt.Engine().RuleFires(), HasRuleFires: true}, nil
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"goldilocks/internal/detect"
 	"goldilocks/internal/event"
@@ -12,9 +13,8 @@ import (
 
 // walkObserver, when non-nil, is invoked by walkUntil for every rule
 // application that grew the lockset: the cell that fired, the rule
-// number, and the lockset after the application. It feeds the
-// WalkRuleHits counters and the lockset trace hook; the disabled-
-// telemetry path passes nil.
+// number, and the lockset after the application. It feeds the lockset
+// trace hook, so it is nil unless the variable is traced.
 type walkObserver func(c *cell, rule int, after *Lockset)
 
 // Read checks a plain (non-transactional) read of (o, d) by thread t and
@@ -108,29 +108,23 @@ func (e *Engine) access(t event.Tid, o event.Addr, d event.FieldID, a event.Acti
 	st.accessesChecked.Add(1)
 	v := event.Variable{Obj: o, Field: d}
 
-	// Telemetry (all nil when disabled): a plain access fires rule 1 (a
-	// transactional one is covered by the commit's rule 9 fire); the walk
-	// observer feeds WalkRuleHits, and — for traced variables — the
+	// A plain access fires rule 1 (a transactional one is covered by the
+	// commit's rule 9 fire). A traced variable's walks also feed the
 	// lockset trace hook.
+	if !xact {
+		st.resets.Add(1)
+	}
 	var onFire walkObserver
 	var vname string
 	traced := false
-	if e.tel != nil {
-		if !xact {
-			e.tel.Fire(obs.RuleAccess)
-		}
-		onFire = e.walkObs
-		if e.tel.Trace.Enabled() {
-			vname = v.String()
-			if traced = e.tel.Trace.Match(vname); traced {
-				tel := e.tel
-				onFire = func(c *cell, rule int, after *Lockset) {
-					tel.WalkRuleHits[rule].Inc()
-					tel.Trace.Record(obs.LocksetTransition{
-						Seq: c.seq, Var: vname, Rule: rule,
-						Action: c.action.String(), Lockset: after.String(),
-					})
-				}
+	if e.trace.Enabled() {
+		vname = v.String()
+		if traced = e.trace.Match(vname); traced {
+			onFire = func(c *cell, rule int, after *Lockset) {
+				e.trace.Record(obs.LocksetTransition{
+					Seq: c.seq, Var: vname, Rule: rule,
+					Action: c.action.String(), Lockset: after.String(),
+				})
 			}
 		}
 	}
@@ -240,7 +234,7 @@ func (e *Engine) access(t event.Tid, o event.Addr, d event.FieldID, a event.Acti
 		if xact {
 			rule = obs.RuleCommit
 		}
-		e.tel.Trace.Record(obs.LocksetTransition{
+		e.trace.Record(obs.LocksetTransition{
 			Seq: pos.seq, Var: vname, Rule: rule,
 			Action: a.String(), Lockset: in.ls.String(),
 		})
@@ -345,16 +339,14 @@ func (e *Engine) checkHB(prev *info, t event.Tid, xact bool, end *cell, st *stat
 	// segments skip SC3: a successful filtered walk is never memoized
 	// (its lockset is a subset), so repeating it over a long stale
 	// segment costs more than one full walk that advances the Info.
-	walked := 0 // cells visited across this check's traversals, for WalkDepth
+	walked := 0 // cells visited across this check's traversals, for walkDepth
 	if e.opts.SC3 && end.seq-prev.pos.seq <= sc3MaxSegment {
 		ls := prev.ls.Clone()
-		found, viaTL, _, n := walkUntil(ls, prev.pos, end, e.rules(), true, prev.owner, t, acceptTL, onFire)
+		found, viaTL, _, n := walkUntil(ls, prev.pos, end, e.rules(), true, prev.owner, t, acceptTL, &st.walkHits, onFire)
 		st.walkCells.Add(uint64(n))
 		if found {
 			st.sc3Hits.Add(1)
-			if e.tel != nil {
-				e.tel.WalkDepth.Observe(uint64(n))
-			}
+			e.walkDepth.Observe(uint64(n))
 			if !viaTL {
 				prev.cacheHB(t)
 			}
@@ -369,11 +361,9 @@ func (e *Engine) checkHB(prev *info, t event.Tid, xact bool, end *cell, st *stat
 	// complete lockset, and it is memoized.
 	st.fullWalks.Add(1)
 	ls := prev.ls.Clone()
-	found, viaTL, stopped, n := walkUntil(ls, prev.pos, end, e.rules(), false, prev.owner, t, acceptTL, onFire)
+	found, viaTL, stopped, n := walkUntil(ls, prev.pos, end, e.rules(), false, prev.owner, t, acceptTL, &st.walkHits, onFire)
 	st.walkCells.Add(uint64(n))
-	if e.tel != nil {
-		e.tel.WalkDepth.Observe(uint64(walked + n))
-	}
+	e.walkDepth.Observe(uint64(walked + n))
 	if stopped == end {
 		// The computed lockset is the variable's lockset at position
 		// end; remember it so the next check resumes from here.
@@ -406,9 +396,9 @@ func (e *Engine) rules() ruleSet {
 // thread t entered the lockset, or (when acceptTL is set) TL did. It
 // returns whether the verdict is positive, whether it was via TL, the
 // cell the walk stopped at (== end iff it ran to completion), and the
-// number of cells visited. onFire, when non-nil, observes every rule
-// application that grew the lockset.
-func walkUntil(ls *Lockset, from, end *cell, rs ruleSet, filtered bool, t1, t2 event.Tid, acceptTL bool, onFire walkObserver) (found, viaTL bool, stopped *cell, n int) {
+// number of cells visited. Every rule application that grew the
+// lockset is counted in hits and, when onFire is non-nil, observed.
+func walkUntil(ls *Lockset, from, end *cell, rs ruleSet, filtered bool, t1, t2 event.Tid, acceptTL bool, hits *[obs.NumRules + 1]atomic.Uint64, onFire walkObserver) (found, viaTL bool, stopped *cell, n int) {
 	target := ThreadElem(t2)
 	check := func() (bool, bool) {
 		if ls.Has(target) {
@@ -428,8 +418,10 @@ func walkUntil(ls *Lockset, from, end *cell, rs ruleSet, filtered bool, t1, t2 e
 		before := ls.Len()
 		applyRuleCell(ls, c.action, rs, filtered, t1, t2)
 		if ls.Len() != before {
+			rule := obs.RuleOf(c.action.Kind)
+			hits[rule].Add(1)
 			if onFire != nil {
-				onFire(c, obs.RuleOf(c.action.Kind), ls)
+				onFire(c, rule, ls)
 			}
 			if ok, tl := check(); ok {
 				return true, tl, c.next, n

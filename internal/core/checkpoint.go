@@ -67,14 +67,13 @@ type ckptBody struct {
 	CRC    string          `json:"crc"`
 }
 
-// ckptOptions is Options minus the non-serializable attachments
-// (Telemetry, Injector), which the restoring process supplies fresh,
-// plus five fields for techniques that have no option: SC3MaxSegment,
-// Memoize, HBCache, FastPath and VarShards. Capture writes their
-// constants (sc3MaxSegment, true, true, true, varShardCount), the values
-// every checkpoint written with default options already carries.
-// Restore ignores them: a checkpoint that carries other values restores
-// into the same verdicts.
+// ckptOptions is Options minus the non-serializable Injector, which the
+// restoring process supplies fresh, plus five fields for techniques that
+// have no option: SC3MaxSegment, Memoize, HBCache, FastPath and
+// VarShards. Capture writes their constants (sc3MaxSegment, true, true,
+// true, varShardCount), the values every checkpoint written with
+// default options already carries. Restore ignores them: a checkpoint
+// that carries other values restores into the same verdicts.
 type ckptOptions struct {
 	SC1              bool               `json:"sc1,omitempty"`
 	SC2              bool               `json:"sc2,omitempty"`
@@ -182,20 +181,18 @@ type ckptPayload struct {
 	Chans    []ckptChan   `json:"chans,omitempty"`   // sorted by obj
 	Vars     []ckptVar    `json:"vars,omitempty"`    // sorted by (obj, field)
 	Counters ckptCounters `json:"counters"`
-	// Telemetry counters, present when the checkpointed engine had
-	// telemetry attached: event-level rule fires and walk-effect hits
-	// (indexed 0..NumRules), added into the restoring telemetry so
-	// rule-fire counts stay linearization-exact across a restart.
+	// Rule counters, present when some count is nonzero: event-level
+	// rule fires and walk-effect hits (indexed 0..NumRules), added into
+	// the restored engine's own so rule-fire counts stay
+	// linearization-exact across a restart.
 	RuleFires    []uint64 `json:"rule_fires,omitempty"`
 	WalkRuleHits []uint64 `json:"walk_rule_hits,omitempty"`
 }
 
-// RestoreAttach carries the process-local attachments a restored engine
-// cannot read from the snapshot: a telemetry bundle (checkpointed rule
-// fires are added into it) and a fault injector. Both may be nil.
+// RestoreAttach carries the process-local attachment a restored engine
+// cannot read from the snapshot: a fault injector, which may be nil.
 type RestoreAttach struct {
-	Telemetry *obs.Telemetry
-	Injector  *resilience.Injector
+	Injector *resilience.Injector
 }
 
 // Records is an engine's detector state copied at a quiescent point by
@@ -230,7 +227,6 @@ type Records struct {
 	depth               []int
 	chans               []ckptChan
 	counters            ckptCounters
-	tel                 bool
 	fires, hits         [obs.NumRules + 1]uint64
 
 	vars  []varRec
@@ -497,13 +493,7 @@ func (e *Engine) CaptureRecords() *Records {
 		AggressiveGCs: s.AggressiveGCs, CacheSheds: s.CacheSheds,
 		EagerSweeps: s.EagerSweeps, Degraded: e.degraded.Load(),
 	}
-	if e.tel != nil {
-		rs.tel = true
-		rs.fires = e.tel.RuleFires()
-		for i := 1; i <= obs.NumRules; i++ {
-			rs.hits[i] = e.tel.WalkRuleHits[i].Load()
-		}
-	}
+	rs.fires, rs.hits = e.RuleFires(), e.WalkRuleHits()
 	return rs
 }
 
@@ -746,7 +736,7 @@ func (rs *Records) AppendTo(dst []byte) (out, spare []byte, err error) {
 	}
 	b, cur := rs.appendVars(b)
 	b = m.append(append(b, `,"counters":`...), &rs.counters)
-	if rs.tel {
+	if rs.fires != ([obs.NumRules + 1]uint64{}) || rs.hits != ([obs.NumRules + 1]uint64{}) {
 		b = appendUints(append(b, `,"rule_fires":`...), rs.fires[:])
 		b = appendUints(append(b, `,"walk_rule_hits":`...), rs.hits[:])
 	}
@@ -1031,7 +1021,8 @@ func compareElems(a, b Elem) int {
 
 // RestoreEngine rebuilds an engine from a checkpoint written by
 // Checkpoint. The snapshot carries the engine's configuration; attach
-// supplies the process-local telemetry and fault-injection attachments.
+// supplies the process-local fault injector. The checkpointed rule
+// counts are added into the restored engine's own.
 // A corrupt snapshot (torn write, checksum mismatch, unknown version)
 // is an error — never a silently wrong detector.
 //
@@ -1099,8 +1090,7 @@ func restore(p *ckptPayload, attach RestoreAttach) (*Engine, error) {
 		GCThreshold:      co.GCThreshold, GCTrimFraction: co.GCTrimFraction,
 		PartialEager: co.PartialEager, TxnSemantics: co.TxnSemantics,
 		OnError: resilience.ErrorPolicy(co.OnError), MemoryBudget: co.MemoryBudget,
-		BrokenRule: co.BrokenRule,
-		Telemetry:  attach.Telemetry, Injector: attach.Injector,
+		BrokenRule: co.BrokenRule, Injector: attach.Injector,
 	}
 	e := NewEngine(opts)
 
@@ -1214,13 +1204,17 @@ func restore(p *ckptPayload, attach RestoreAttach) (*Engine, error) {
 	e.eagerSweeps.Store(c.EagerSweeps)
 	e.degraded.Store(c.Degraded)
 
-	if attach.Telemetry != nil {
-		for i := 1; i <= obs.NumRules && i < len(p.RuleFires); i++ {
-			attach.Telemetry.Rules[i].Add(p.RuleFires[i])
+	// Rule counters: rule 1 is striped like the hot-path sums, the
+	// other fires are the list's.
+	for i := 1; i <= obs.NumRules && i < len(p.RuleFires); i++ {
+		if i == obs.RuleAccess {
+			st.resets.Add(p.RuleFires[i])
+		} else {
+			e.list.fires[i].Add(p.RuleFires[i])
 		}
-		for i := 1; i <= obs.NumRules && i < len(p.WalkRuleHits); i++ {
-			attach.Telemetry.WalkRuleHits[i].Add(p.WalkRuleHits[i])
-		}
+	}
+	for i := 1; i <= obs.NumRules && i < len(p.WalkRuleHits); i++ {
+		st.walkHits[i].Add(p.WalkRuleHits[i])
 	}
 	return e, nil
 }

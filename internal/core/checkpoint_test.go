@@ -14,7 +14,6 @@ import (
 	"goldilocks/internal/core"
 	"goldilocks/internal/detect"
 	"goldilocks/internal/event"
-	"goldilocks/internal/obs"
 	"goldilocks/internal/scenarios"
 	"goldilocks/internal/tracegen"
 )
@@ -103,15 +102,12 @@ func runGlobal(det detect.Detector, tr *event.Trace, from int) []detect.Race {
 }
 
 // ckptConfigs are the engine configurations the round-trip test covers:
-// the default configuration (with telemetry attached, so rule-fire
-// restoration is checked too), an aggressive garbage collector (small
+// the default configuration, an aggressive garbage collector (small
 // retained list, infos advanced across checkpoints), and a tight memory
 // budget (the governor's degradation ladder engages and must survive
-// the restart).
-func ckptConfigs() map[string]struct {
-	opts core.Options
-	tel  bool
-} {
+// the restart). Every engine counts its rule fires, so rule-fire
+// restoration is checked under each.
+func ckptConfigs() map[string]core.Options {
 	agg := core.DefaultOptions()
 	agg.GCThreshold = 8
 	agg.GCTrimFraction = 0.5
@@ -129,33 +125,27 @@ func ckptConfigs() map[string]struct {
 	txnW2R := core.DefaultOptions()
 	txnW2R.TxnSemantics = event.TxnWriteToRead
 
-	return map[string]struct {
-		opts core.Options
-		tel  bool
-	}{
-		"default":          {core.DefaultOptions(), true},
-		"gc-aggressive":    {agg, false},
-		"budget-8":         {budget, false},
-		"txn-atomic-order": {txnAtomic, false},
-		"txn-write-toread": {txnW2R, false},
+	return map[string]core.Options{
+		"default":          core.DefaultOptions(),
+		"gc-aggressive":    agg,
+		"budget-8":         budget,
+		"txn-atomic-order": txnAtomic,
+		"txn-write-toread": txnW2R,
 	}
 }
 
 // checkFastPathIgnored pins the frozen-API guarantee for the retired
 // FastPath option, which perfbench still sets: an engine built with it
 // off captures the same bytes as the default engine every stride
-// actions of tr and at its end. Both carry telemetry, so the rule-fire
-// counts are compared too. The option builds the default engine, so
+// actions of tr and at its end. The captures carry the rule-fire
+// counts, so those are compared too. The option builds the default engine, so
 // this is all the round-trip and reuse tests check of it: their
 // fastpath-off cases would otherwise repeat the default's work.
 func checkFastPathIgnored(t *testing.T, tr *event.Trace, stride int) {
 	t.Helper()
 	off := core.DefaultOptions()
 	off.FastPath = false
-	off.Telemetry = obs.NewTelemetry()
-	def := core.DefaultOptions()
-	def.Telemetry = obs.NewTelemetry()
-	defEng, offEng := core.NewEngine(def), core.NewEngine(off)
+	defEng, offEng := core.New(), core.NewEngine(off)
 	for i := 0; i <= tr.Len(); i++ {
 		if i%stride == 0 || i == tr.Len() {
 			var a, b bytes.Buffer
@@ -185,32 +175,17 @@ func checkFastPathIgnored(t *testing.T, tr *event.Trace, stride int) {
 // option against the default engine at every prefix instead.
 func TestCheckpointEveryPrefix(t *testing.T) {
 	traces := checkpointTraces(t)
-	for cfgName, cfg := range ckptConfigs() {
+	for cfgName, opts := range ckptConfigs() {
 		for name, tr := range traces {
 			t.Run(cfgName+"/"+name, func(t *testing.T) {
-				opts := cfg.opts
-				var baseTel *obs.Telemetry
-				if cfg.tel {
-					baseTel = obs.NewTelemetry()
-					opts.Telemetry = baseTel
-				}
 				base := core.NewEngine(opts)
 				baseRaces := runGlobal(base, tr, 0)
 				baseKeys := sortedKeys(baseRaces)
 				baseStats := base.Stats()
-				var baseFires [obs.NumRules + 1]uint64
-				if baseTel != nil {
-					baseFires = baseTel.RuleFires()
-				}
+				baseFires := base.RuleFires()
 
 				for cut := 0; cut <= tr.Len(); cut++ {
-					popts := cfg.opts
-					var prefTel *obs.Telemetry
-					if cfg.tel {
-						prefTel = obs.NewTelemetry()
-						popts.Telemetry = prefTel
-					}
-					pref := core.NewEngine(popts)
+					pref := core.NewEngine(opts)
 					var got []detect.Race
 					for i := 0; i < cut; i++ {
 						for _, r := range pref.Step(tr.At(i)) {
@@ -224,13 +199,7 @@ func TestCheckpointEveryPrefix(t *testing.T) {
 						t.Fatalf("cut %d: checkpoint: %v", cut, err)
 					}
 
-					attach := core.RestoreAttach{}
-					var resTel *obs.Telemetry
-					if cfg.tel {
-						resTel = obs.NewTelemetry()
-						attach.Telemetry = resTel
-					}
-					restored, err := core.RestoreEngine(bytes.NewReader(snap.Bytes()), attach)
+					restored, err := core.RestoreEngine(bytes.NewReader(snap.Bytes()), core.RestoreAttach{})
 					if err != nil {
 						t.Fatalf("cut %d: restore: %v", cut, err)
 					}
@@ -242,10 +211,8 @@ func TestCheckpointEveryPrefix(t *testing.T) {
 					if gs := restored.Stats(); gs != baseStats {
 						t.Fatalf("cut %d: stats diverged\nrestored:      %+v\nuninterrupted: %+v", cut, gs, baseStats)
 					}
-					if resTel != nil {
-						if gf := resTel.RuleFires(); gf != baseFires {
-							t.Fatalf("cut %d: rule fires %v, uninterrupted %v", cut, gf, baseFires)
-						}
+					if gf := restored.RuleFires(); gf != baseFires {
+						t.Fatalf("cut %d: rule fires %v, uninterrupted %v", cut, gf, baseFires)
 					}
 				}
 			})
@@ -311,19 +278,10 @@ func TestCheckpointUnencodableOptions(t *testing.T) {
 	}
 }
 
-// restoreAttachFor gives a restore the telemetry the checkpointed engine
-// had: rule-fire counts are re-encoded only when telemetry is attached.
-func restoreAttachFor(snap []byte) core.RestoreAttach {
-	if bytes.Contains(snap, []byte(`"rule_fires":`)) {
-		return core.RestoreAttach{Telemetry: obs.NewTelemetry()}
-	}
-	return core.RestoreAttach{}
-}
-
 // reencode restores snap and checkpoints the restored engine again.
 func reencode(t testing.TB, snap []byte) []byte {
 	t.Helper()
-	e, err := core.RestoreEngine(bytes.NewReader(snap), restoreAttachFor(snap))
+	e, err := core.RestoreEngine(bytes.NewReader(snap), core.RestoreAttach{})
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
@@ -346,7 +304,7 @@ func firstDiff(a, b []byte) string {
 
 // TestCheckpointGoldens pins the checkpoint format to bytes: every
 // testdata/*.ckpt was written by an earlier build of the encoder (one
-// empty engine, and engines with and without telemetry, channels,
+// empty engine, and engines with and without rule counts, channels,
 // commits, an aggressive collector, a degraded governor,
 // variables disabled after a race and a variable quarantined by an
 // injected panic), and each must restore and re-encode byte for byte.
@@ -476,12 +434,8 @@ func TestCheckpointReencodeIdentical(t *testing.T) {
 		traces[fmt.Sprintf("tracegen-%d", seed)] = tracegen.FromSeed(seed)
 		traces[fmt.Sprintf("tracegen-chan-%d", seed)] = tracegen.FromSeedConfig(seed, chans)
 	}
-	for cfgName, cfg := range ckptConfigs() {
+	for cfgName, opts := range ckptConfigs() {
 		for name, tr := range traces {
-			opts := cfg.opts
-			if cfg.tel {
-				opts.Telemetry = obs.NewTelemetry()
-			}
 			e := core.NewEngine(opts)
 			for cut := 0; cut <= tr.Len(); cut++ {
 				var snap bytes.Buffer
@@ -519,14 +473,8 @@ func ckptConfigNames() []string {
 // would miss them; it is checked too.
 func checkIncremental(t testing.TB, cfgName string, tr *event.Trace, stride int) {
 	t.Helper()
-	cfg := ckptConfigs()[cfgName]
-	newEngine := func() *core.Engine {
-		opts := cfg.opts
-		if cfg.tel {
-			opts.Telemetry = obs.NewTelemetry()
-		}
-		return core.NewEngine(opts)
-	}
+	opts := ckptConfigs()[cfgName]
+	newEngine := func() *core.Engine { return core.NewEngine(opts) }
 	capture := func(e *core.Engine, at int) []byte {
 		var snap bytes.Buffer
 		if err := e.Checkpoint(&snap); err != nil {

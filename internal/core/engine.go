@@ -81,11 +81,6 @@ type Options struct {
 	// Injector injects faults for resilience testing; nil injects
 	// nothing.
 	Injector *resilience.Injector
-	// Telemetry, when non-nil, receives per-rule fire counts, walk-depth
-	// observations, and lockset traces (docs/OBSERVABILITY.md). Nil —
-	// the default — costs the access hot path one nil-check branch per
-	// instrumentation site and nothing else.
-	Telemetry *obs.Telemetry
 }
 
 // DefaultOptions returns the configuration used by the paper's
@@ -279,7 +274,7 @@ func varHash(o event.Addr, d event.FieldID) uint64 {
 // the engine. Accesses to variables in different shards update
 // different stripes, so the counters stop being a point of cross-core
 // cache-line contention (they were the second bottleneck after the
-// global mutexes). The trailing padding rounds the struct up to two
+// global mutexes). The trailing padding rounds the struct up to four
 // cache lines so adjacent stripes never share one.
 type statStripe struct {
 	accessesChecked atomic.Uint64
@@ -294,7 +289,13 @@ type statStripe struct {
 	walkCells       atomic.Uint64
 	races           atomic.Uint64
 	degradedChecks  atomic.Uint64
-	_               [4]uint64
+	// resets counts rule 1 fires: plain accesses checked (a
+	// transactional access is covered by its commit's rule 9 fire).
+	resets atomic.Uint64
+	// walkHits counts, per rule, the applications during lazy walks
+	// that grew a lockset.
+	walkHits [obs.NumRules + 1]atomic.Uint64
+	_        [6]uint64
 }
 
 // threadLocks tracks the monitors one thread currently holds, for the
@@ -342,13 +343,6 @@ type Engine struct {
 	opts Options
 	list *syncList
 
-	// tel is Options.Telemetry: nil when telemetry is disabled, which is
-	// the single branch every instrumentation site is gated on. walkObs
-	// is the walk observer feeding tel.WalkRuleHits, built once here so
-	// the per-access setup does not allocate a closure.
-	tel     *obs.Telemetry
-	walkObs walkObserver
-
 	varShards [varShardCount]varShard
 
 	locks sync.Map // event.Tid -> *threadLocks
@@ -370,6 +364,15 @@ type Engine struct {
 	// Counters off the access hot path (collection, resilience) stay
 	// single atomics below.
 	stats [varShardCount]statStripe
+
+	// walkDepth observes, per pair check that needed a traversal, the
+	// event-list cells visited (SC3 filtered walk plus full walk);
+	// shardContention counts variable-table lookups that found the
+	// shard's read lock contended; trace is the lockset trace hook,
+	// disabled until enabled through Trace.
+	walkDepth       obs.Histogram
+	shardContention obs.Counter
+	trace           *obs.TraceHook
 
 	varsTracked   atomic.Uint64
 	varsFreed     atomic.Uint64
@@ -401,15 +404,12 @@ func NewEngine(opts Options) *Engine {
 	e := &Engine{
 		opts:  opts,
 		list:  newSyncList(),
-		tel:   opts.Telemetry,
 		chans: event.NewChanTracker(),
 		dead:  &deadQueue{},
+		trace: obs.NewTraceHook(4096),
 	}
 	for i := range e.varShards {
 		e.varShards[i].vars = make(map[event.Addr]map[event.FieldID]*varState)
-	}
-	if tel := e.tel; tel != nil {
-		e.walkObs = func(_ *cell, rule int, _ *Lockset) { tel.WalkRuleHits[rule].Inc() }
 	}
 	return e
 }
@@ -491,7 +491,7 @@ func (e *Engine) Step(a event.Action) []detect.Race {
 		// Region markers annotate the trace for the serializability
 		// checker (internal/detectors/regiontrack). They induce no
 		// happens-before edges and fire no rule, so they must not reach
-		// the event list or the telemetry: skipping them here keeps every
+		// the event list or the counters: skipping them here keeps every
 		// parity invariant (stats, rule fires, checkpoints) identical to
 		// the marker-free trace.
 	default:
@@ -507,12 +507,10 @@ func (e *Engine) Sync(a event.Action) {
 		e.syncChan(a)
 		return
 	}
-	if e.tel != nil {
-		// One rule fire per synchronization action (rules 2–7, and 9 for
-		// the commit enqueued by Commit), counted at the event level so
-		// the spec and optimized engines agree on the same linearization.
-		e.tel.FireKind(a.Kind)
-	}
+	// One rule fire per synchronization action (rules 2–7, and 9 for
+	// the commit enqueued by Commit), counted at the event level so the
+	// spec and optimized engines agree on the same linearization.
+	e.list.fire(obs.RuleOf(a.Kind))
 	switch a.Kind {
 	case event.KindAcquire:
 		tl := e.threadLocks(a.Thread)
@@ -571,9 +569,7 @@ func (e *Engine) syncChan(a event.Action) {
 	if err != nil {
 		return
 	}
-	if e.tel != nil {
-		e.tel.FireKind(na.Kind)
-	}
+	e.list.fire(obs.RuleOf(na.Kind))
 	if e.degraded.Load() {
 		// Rung 3: the list is frozen but the conveyor kept counting above,
 		// so slot assignment stays consistent if the governor ever matters
@@ -644,9 +640,7 @@ func (e *Engine) holds(t event.Tid, o event.Addr) bool {
 // address the runtime has never handed out has no state, so most
 // allocations take no write lock and stall no reader.
 func (e *Engine) Alloc(_ event.Tid, o event.Addr) {
-	if e.tel != nil {
-		e.tel.Fire(obs.RuleAlloc)
-	}
+	e.list.fire(obs.RuleAlloc)
 	dead := e.dead.take()
 	type deadObj struct {
 		o      event.Addr
@@ -763,13 +757,10 @@ func (e *Engine) stateOf(o event.Addr, d event.FieldID) *varState {
 // access path also needs it for the stat stripe).
 func (e *Engine) stateOfHash(o event.Addr, d event.FieldID, h uint64) *varState {
 	sh := &e.varShards[h&shardIndex]
-	if e.tel == nil {
-		sh.mu.RLock()
-	} else if !sh.mu.TryRLock() {
+	if !sh.mu.TryRLock() {
 		// The shard read lock was contended (a writer holds or wants it);
-		// count it, then wait normally. TryRLock costs nothing extra when
-		// uncontended and runs only with telemetry enabled.
-		e.tel.ShardContention.Inc()
+		// count it, then wait normally.
+		e.shardContention.Inc()
 		sh.mu.RLock()
 	}
 	fields, ok := sh.vars[o]

@@ -9,7 +9,6 @@ import (
 	"goldilocks/internal/core"
 	"goldilocks/internal/detect"
 	"goldilocks/internal/event"
-	"goldilocks/internal/obs"
 	"goldilocks/internal/scenarios"
 	"goldilocks/internal/tracegen"
 )
@@ -58,18 +57,16 @@ func checkAgainstSpec(t *testing.T, tr *event.Trace, sem event.TxnSemantics, rac
 	}
 	opts := core.DefaultOptions()
 	opts.TxnSemantics = sem
-	opts.Telemetry = obs.NewTelemetry()
-	races := detect.RunTrace(core.NewEngine(opts), tr)
+	eng := core.NewEngine(opts)
+	races := detect.RunTrace(eng, tr)
 	if got := len(races) > 0; got != racy {
 		t.Errorf("racy = %v, want %v (races %v)", got, racy, races)
 	}
 	spec := core.NewSpecEngineSem(sem)
-	specTel := obs.NewTelemetry()
-	spec.SetTelemetry(specTel)
 	if got, want := sortedKeys(races), sortedKeys(detect.RunTrace(spec, tr)); !equalStrings(got, want) {
 		t.Errorf("races %v, spec %v", got, want)
 	}
-	if got, want := opts.Telemetry.RuleFires(), specTel.RuleFires(); got != want {
+	if got, want := eng.RuleFires(), spec.RuleFires(); got != want {
 		t.Errorf("rule fires %v, spec %v", got, want)
 	}
 }

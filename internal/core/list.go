@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"goldilocks/internal/event"
+	"goldilocks/internal/obs"
 )
 
 // cell is one entry of the synchronization event list (the Cell record
@@ -41,6 +42,13 @@ type syncList struct {
 
 	enqueued  atomic.Uint64 // total events ever enqueued
 	collected atomic.Uint64 // total cells trimmed
+
+	// fires counts, per rule, the synchronization actions (rules 2–7
+	// and 9–12) and allocations (rule 8) the engine processed, whether
+	// or not a cell was enqueued. Every action counted here also writes
+	// the list or walks the shards, so the counts sit with the list's
+	// other counters rather than on the access path's stripes.
+	fires [obs.NumRules + 1]atomic.Uint64
 }
 
 func newSyncList() *syncList {
@@ -63,6 +71,10 @@ func (l *syncList) enqueue(a event.Action) int {
 	l.enqueued.Add(1)
 	return int(n)
 }
+
+// fire counts one firing of rule; rule 0 (no rule) is counted in a
+// slot nothing reads.
+func (l *syncList) fire(rule int) { l.fires[rule].Add(1) }
 
 // snapshotTail returns the current sentinel without locking. Every
 // filled cell strictly before it is immutable; the happens-before edge

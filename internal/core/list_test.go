@@ -1,9 +1,11 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"goldilocks/internal/event"
+	"goldilocks/internal/obs"
 )
 
 func TestSyncListEnqueueAndSnapshot(t *testing.T) {
@@ -107,7 +109,7 @@ func TestWalkUntilEarlyExit(t *testing.T) {
 	end := l.snapshotTail()
 
 	ls := NewLockset(ThreadElem(1))
-	found, viaTL, stopped, n := walkUntil(ls, start, end, ruleSet{sem: event.TxnSharedVariable}, false, 1, 2, false, nil)
+	found, viaTL, stopped, n := walkUntil(ls, start, end, ruleSet{sem: event.TxnSharedVariable}, false, 1, 2, false, new([obs.NumRules + 1]atomic.Uint64), nil)
 	if !found || viaTL {
 		t.Fatalf("found=%v viaTL=%v", found, viaTL)
 	}
@@ -120,7 +122,7 @@ func TestWalkUntilEarlyExit(t *testing.T) {
 
 	// A non-member target walks to the end.
 	ls2 := NewLockset(ThreadElem(1))
-	found, _, stopped, n = walkUntil(ls2, start, end, ruleSet{sem: event.TxnSharedVariable}, false, 1, 9, false, nil)
+	found, _, stopped, n = walkUntil(ls2, start, end, ruleSet{sem: event.TxnSharedVariable}, false, 1, 9, false, new([obs.NumRules + 1]atomic.Uint64), nil)
 	if found {
 		t.Error("found absent thread")
 	}

@@ -51,8 +51,9 @@ type SpecEngine struct {
 	// variable locksets it changed; used to print Figure 6/7 traces.
 	observer func(a event.Action)
 
-	// tel receives the per-rule fire counters; nil when disabled.
-	tel *obs.Telemetry
+	// fires counts, per rule, the actions of the linearization that
+	// triggered it (see RuleFires).
+	fires [obs.NumRules + 1]uint64
 }
 
 // specAccess describes the access that created a tracked lockset: who
@@ -85,11 +86,14 @@ func NewSpecEngineSem(sem event.TxnSemantics) *SpecEngine {
 	}
 }
 
-// SetTelemetry attaches (or detaches, with nil) a telemetry bundle; the
-// spec engine feeds its per-rule fire counters the same event-level way
-// the optimized engine does, so both report identical counts for the
-// same linearization.
-func (s *SpecEngine) SetTelemetry(tel *obs.Telemetry) { s.tel = tel }
+// RuleFires returns the per-rule fire counts, counted the same
+// event-level way the optimized engine counts them, so both report
+// identical counts for the same linearization. Index 0 is always zero.
+func (s *SpecEngine) RuleFires() [obs.NumRules + 1]uint64 {
+	out := s.fires
+	out[0] = 0
+	return out
+}
 
 // Name implements detect.Detector.
 func (s *SpecEngine) Name() string { return "spec" }
@@ -138,14 +142,12 @@ func (s *SpecEngine) Step(a event.Action) []detect.Race {
 		a = na
 	}
 
-	if s.tel != nil {
-		// Event-level rule fires, matching the optimized engine: rule 1
-		// per plain data access, the action's own rule otherwise.
-		if a.Kind.IsData() {
-			s.tel.Fire(obs.RuleAccess)
-		} else {
-			s.tel.FireKind(a.Kind)
-		}
+	// Event-level rule fires, matching the optimized engine: rule 1 per
+	// plain data access, the action's own rule otherwise.
+	if a.Kind.IsData() {
+		s.fires[obs.RuleAccess]++
+	} else {
+		s.fires[obs.RuleOf(a.Kind)]++
 	}
 	if a.Kind.IsSync() {
 		// The log position of an access is the log length at the access;

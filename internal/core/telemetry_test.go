@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -10,13 +11,6 @@ import (
 	"goldilocks/internal/obs"
 	"goldilocks/internal/tracegen"
 )
-
-// runWithTelemetry drives one detector over tr and returns its races and
-// rule-fire counters.
-func runWithTelemetry(det detect.Detector, tel *obs.Telemetry, tr *event.Trace) ([]detect.Race, [obs.NumRules + 1]uint64) {
-	races := detect.RunTrace(det, tr)
-	return races, tel.RuleFires()
-}
 
 // provByKey indexes the provenance string of each race by its
 // (position, variable) identity, the representation-independent race
@@ -34,8 +28,8 @@ func provByKey(t *testing.T, races []detect.Race) map[string]string {
 	return out
 }
 
-// TestMetricsDeterminism is the determinism contract of the telemetry
-// layer: processing one linearization through the spec engine and the
+// TestMetricsDeterminism is the determinism contract of the engines'
+// counters: processing one linearization through the spec engine and the
 // optimized engine yields identical per-rule fire counters and identical
 // provenance output. Rule fires count events of the linearization (not
 // representation-dependent walk work, which WalkRuleHits tracks
@@ -45,17 +39,12 @@ func TestMetricsDeterminism(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		tr := tracegen.FromSeed(seed)
 
-		specTel := obs.NewTelemetry()
 		spec := core.NewSpecEngine()
-		spec.SetTelemetry(specTel)
-		specRaces, specFires := runWithTelemetry(spec, specTel, tr)
+		specRaces := detect.RunTrace(spec, tr)
+		eng := core.New()
+		engRaces := detect.RunTrace(eng, tr)
 
-		engTel := obs.NewTelemetry()
-		opts := core.DefaultOptions()
-		opts.Telemetry = engTel
-		engRaces, engFires := runWithTelemetry(core.NewEngine(opts), engTel, tr)
-
-		if specFires != engFires {
+		if specFires, engFires := spec.RuleFires(), eng.RuleFires(); specFires != engFires {
 			t.Fatalf("seed %d: rule fires diverge\nspec:   %v\nengine: %v", seed, specFires, engFires)
 		}
 		specProv := provByKey(t, specRaces)
@@ -141,14 +130,11 @@ func TestStatsRatioZeroDenominators(t *testing.T) {
 	}
 }
 
-// TestEngineRegisterMetrics: a fresh engine with telemetry binds the
-// rule counters and stats gauges into a registry, and the exports carry
-// every Figure 5 rule plus the three short-circuit counters separately.
+// TestEngineRegisterMetrics: a fresh engine binds the rule counters and
+// stats gauges into a registry, and the exports carry every rule plus
+// the three short-circuit counters separately.
 func TestEngineRegisterMetrics(t *testing.T) {
-	tel := obs.NewTelemetry()
-	opts := core.DefaultOptions()
-	opts.Telemetry = tel
-	e := core.NewEngine(opts)
+	e := core.New()
 	e.Sync(event.Acquire(1, 20))
 	e.Write(1, 10, 0)
 
@@ -163,13 +149,88 @@ func TestEngineRegisterMetrics(t *testing.T) {
 		`goldilocks_rule_fires_total{rule="1"} 1`,
 		`goldilocks_rule_fires_total{rule="3"} 1`,
 		`goldilocks_rule_fires_total{rule="9"} 0`,
+		"# TYPE goldilocks_rule_fires_total counter",
 		"goldilocks_sc1_hits_total",
 		"goldilocks_sc2_hits_total",
 		"goldilocks_sc3_hits_total",
 		"goldilocks_walk_depth_cells_count",
+		"goldilocks_shard_contention_total",
+		"goldilocks_trace_buffered",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Prometheus export lacks %q", want)
 		}
+	}
+}
+
+// TestTraceHookTransitions pins what the engine writes to its lockset
+// trace hook for one traced variable: the access resets (rule 1) and
+// every walk application that grew the lockset, with the lockset after
+// it. T1 writes x under lock m and T2 reads it after taking and
+// dropping m, so the SC3 walk applies rules 2 and 3; T2 then writes x
+// and hands it to T3 over an unbuffered channel, so T3's read walks
+// the channel rules 10 and 11. An untraced variable records nothing.
+func TestTraceHookTransitions(t *testing.T) {
+	const (
+		x = event.Addr(10)
+		m = event.Addr(20)
+		c = event.Addr(30)
+		y = event.Addr(40)
+	)
+	e := core.New()
+	if e.Trace().Enabled() {
+		t.Fatal("a new engine's trace hook is enabled")
+	}
+	e.Trace().Enable("o10.f0")
+	for _, a := range []event.Action{
+		event.Fork(1, 2),
+		event.Fork(1, 3),
+		event.ChanMake(1, c, 0),
+		event.Acquire(1, m),
+		event.Write(1, x, 0),
+		event.Write(1, y, 0),
+		event.Release(1, m),
+		event.Acquire(2, m),
+		event.Release(2, m),
+		event.Read(2, x, 0),
+		event.Write(2, x, 0),
+		event.ChanSend(2, c),
+		event.ChanRecv(3, c),
+		event.Read(3, x, 0),
+	} {
+		if races := e.Step(a); len(races) > 0 {
+			t.Fatalf("%v: unexpected race %v", a, races)
+		}
+	}
+	trs, dropped := e.Trace().Snapshot()
+	if dropped != 0 {
+		t.Fatalf("dropped %d transitions", dropped)
+	}
+	type step struct {
+		rule    int
+		lockset string
+	}
+	got := make([]step, len(trs))
+	for i, tr := range trs {
+		if tr.Var != "o10.f0" {
+			t.Fatalf("transition %d traces %s, want only o10.f0", i, tr.Var)
+		}
+		got[i] = step{tr.Rule, tr.Lockset}
+	}
+	want := []step{
+		{obs.RuleAccess, "{T1}"},
+		{obs.RuleRelease, "{T1, o20.lock}"},
+		{obs.RuleAcquire, "{T1, T2, o20.lock}"},
+		{obs.RuleAccess, "{T2}"},
+		{obs.RuleAccess, "{T2}"},
+		{obs.RuleChanSend, "{T2, o30.ch[0]}"},
+		{obs.RuleChanRecv, "{T2, T3, o30.ch[0]}"},
+		{obs.RuleAccess, "{T3}"},
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("transitions\n got %v\nwant %v", got, want)
+	}
+	if e.Trace().Disable(); e.Trace().Enabled() {
+		t.Fatal("trace hook still enabled after Disable")
 	}
 }

@@ -239,7 +239,8 @@ func sortVarRegions(s []ckptVarRegion) {
 }
 
 // Restore rebuilds a checker from a snapshot written by Checkpoint.
-// attach supplies the non-serializable engine attachments (telemetry).
+// attach supplies the non-serializable engine attachment (the fault
+// injector).
 func Restore(r io.Reader, attach core.RestoreAttach) (*Checker, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {

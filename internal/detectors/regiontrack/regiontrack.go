@@ -178,7 +178,7 @@ func New(opts Options) *Checker {
 // Name implements detect.Detector.
 func (c *Checker) Name() string { return "regiontrack" }
 
-// Engine exposes the embedded race engine (stats, telemetry).
+// Engine exposes the embedded race engine (stats, rule fires).
 func (c *Checker) Engine() *core.Engine { return c.eng }
 
 // Step implements detect.Detector: the action feeds both the race

@@ -13,7 +13,6 @@ import (
 	"goldilocks/internal/detectors/basic"
 	"goldilocks/internal/detectors/eraser"
 	"goldilocks/internal/hb"
-	"goldilocks/internal/obs"
 )
 
 // Precision says what a backend's verdicts are checked against
@@ -31,27 +30,17 @@ const (
 type Entry struct {
 	Name      string
 	Precision Precision
-	// Telemetry reports whether New attaches its tel argument (both
-	// Goldilocks engines count the same event-level rule fires).
-	Telemetry bool
 	// New builds a fresh detector. opts is read only by the goldilocks
-	// engine; tel may be nil.
-	New func(opts core.Options, tel *obs.Telemetry) detect.Detector
+	// engine.
+	New func(opts core.Options) detect.Detector
 }
 
 var registry = []Entry{
-	{"goldilocks", Exact, true, func(opts core.Options, tel *obs.Telemetry) detect.Detector {
-		opts.Telemetry = tel
-		return core.NewEngine(opts)
-	}},
-	{"spec", Reference, true, func(_ core.Options, tel *obs.Telemetry) detect.Detector {
-		s := core.NewSpecEngine()
-		s.SetTelemetry(tel)
-		return s
-	}},
-	{"vectorclock", FirstRace, false, func(core.Options, *obs.Telemetry) detect.Detector { return hb.NewDetector() }},
-	{"eraser", Approximate, false, func(core.Options, *obs.Telemetry) detect.Detector { return eraser.New() }},
-	{"basic", Approximate, false, func(core.Options, *obs.Telemetry) detect.Detector { return basic.New() }},
+	{"goldilocks", Exact, func(opts core.Options) detect.Detector { return core.NewEngine(opts) }},
+	{"spec", Reference, func(core.Options) detect.Detector { return core.NewSpecEngine() }},
+	{"vectorclock", FirstRace, func(core.Options) detect.Detector { return hb.NewDetector() }},
+	{"eraser", Approximate, func(core.Options) detect.Detector { return eraser.New() }},
+	{"basic", Approximate, func(core.Options) detect.Detector { return basic.New() }},
 }
 
 // All returns every backend in table order.

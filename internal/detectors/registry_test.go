@@ -7,7 +7,6 @@ import (
 	"goldilocks/internal/detectors"
 	"goldilocks/internal/jrt"
 	"goldilocks/internal/mj"
-	"goldilocks/internal/obs"
 )
 
 // lockedSrc is race-free under every backend, the basic lockset
@@ -31,7 +30,7 @@ class Main {
 func TestRegistry(t *testing.T) {
 	for _, e := range detectors.All() {
 		t.Run(e.Name, func(t *testing.T) {
-			if got := e.New(core.DefaultOptions(), obs.NewTelemetry()).Name(); got != e.Name {
+			if got := e.New(core.DefaultOptions()).Name(); got != e.Name {
 				t.Errorf("Name() = %q, want %q", got, e.Name)
 			}
 			if got, ok := detectors.Lookup(detectors.All(), e.Name); !ok || got.Name != e.Name {
@@ -45,7 +44,7 @@ func TestRegistry(t *testing.T) {
 				return
 			}
 			races, out, err := mj.RunSource(lockedSrc, jrt.Config{
-				Detector: jrt.Serialize(e.New(core.DefaultOptions(), nil)),
+				Detector: jrt.Serialize(e.New(core.DefaultOptions())),
 				Policy:   jrt.Log,
 				Mode:     jrt.Deterministic,
 				Seed:     1,

@@ -35,7 +35,7 @@ const histBuckets = 22
 // Histogram is a fixed-layout exponential histogram for small
 // non-negative integer observations (walk depths, segment lengths).
 // Observe is a pair of atomic adds — cheap enough for the pair-check
-// path when telemetry is enabled. The zero value is ready for use.
+// path. The zero value is ready for use.
 type Histogram struct {
 	counts [histBuckets]atomic.Uint64
 	sum    atomic.Uint64

@@ -7,18 +7,19 @@
 // The package deliberately sits below every detector package: it
 // imports only internal/event and the standard library, so
 // internal/core, internal/jrt, internal/bench and the commands can all
-// thread telemetry through without cycles.
+// register their metrics without cycles.
 //
 // Design constraints (see docs/OBSERVABILITY.md):
 //
-//   - Disabled telemetry must cost the engine's access hot path at most
-//     a nil-check branch per instrumentation site and zero allocations;
-//     the engine holds a *Telemetry pointer that is nil when telemetry
-//     is off, and every site is gated on it.
-//   - Enabled telemetry uses only atomic counters on hot paths; ring
-//     buffers and string formatting are confined to the trace hook
-//     (opt-in per variable filter) and to race provenance (built only
-//     when a race is detected, which ends checking for that variable).
+//   - The engines own their counters (internal/core): per-rule fires,
+//     walk-rule hits, walk depth and shard contention are always
+//     counted, on the engine's stat stripes or beside the locks the
+//     counted action already holds, so no counter adds a contended
+//     cache line to the access hot path.
+//   - Hot paths use only atomic counters; ring buffers and string
+//     formatting are confined to the trace hook (opt-in per variable
+//     filter) and to race provenance (built only when a race is
+//     detected, which ends checking for that variable).
 //   - Counters must be deterministic: replaying one linearization twice
 //     — or through the spec and optimized engines — yields identical
 //     per-rule fire counts (TestMetricsDeterminism pins this).

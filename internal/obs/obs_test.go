@@ -183,23 +183,20 @@ func TestProvenanceRendering(t *testing.T) {
 
 func TestRegistryExports(t *testing.T) {
 	reg := NewRegistry()
-	tel := NewTelemetry()
-	tel.Register(reg)
-	tel.Fire(RuleRelease)
-	tel.Fire(RuleRelease)
-	tel.FireKind(event.KindAcquire)
-	tel.FireKind(event.KindRead) // no rule; must not count
-	tel.WalkDepth.Observe(5)
-	tel.ShardContention.Inc()
+	fires := [NumRules + 1]uint64{RuleRelease: 2, RuleAcquire: 1}
+	for i := 1; i <= NumRules; i++ {
+		reg.RegisterCounterFunc(fmt.Sprintf("goldilocks_rule_fires_total{rule=%q}", fmt.Sprint(i)), func() uint64 { return fires[i] })
+	}
+	var depth Histogram
+	depth.Observe(5)
+	reg.RegisterHistogram("goldilocks_walk_depth_cells", &depth)
+	var contention Counter
+	contention.Inc()
+	reg.RegisterCounter("goldilocks_shard_contention_total", &contention)
 	reg.RegisterGaugeFunc("goldilocks_list_len", func() float64 { return 42 })
 	sr := NewSeries(4)
 	sr.Add(1)
 	reg.RegisterSeries("goldilocks_list_len_series", sr)
-
-	fires := tel.RuleFires()
-	if fires[RuleRelease] != 2 || fires[RuleAcquire] != 1 || fires[RuleFork] != 0 {
-		t.Fatalf("RuleFires = %v", fires)
-	}
 
 	var js strings.Builder
 	if err := reg.WriteJSON(&js); err != nil {
@@ -239,7 +236,7 @@ func TestRegistryExports(t *testing.T) {
 			t.Errorf("Prometheus output missing %q\n%s", frag, text)
 		}
 	}
-	// The family TYPE line must appear exactly once despite nine members.
+	// The family TYPE line must appear exactly once despite twelve members.
 	if n := strings.Count(text, "# TYPE goldilocks_rule_fires_total counter"); n != 1 {
 		t.Errorf("TYPE line emitted %d times, want 1", n)
 	}

@@ -23,6 +23,7 @@ import (
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
+	cfuncs   map[string]func() uint64
 	gauges   map[string]GaugeFunc
 	hists    map[string]*Histogram
 	series   map[string]*Series
@@ -32,6 +33,7 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
+		cfuncs:   make(map[string]func() uint64),
 		gauges:   make(map[string]GaugeFunc),
 		hists:    make(map[string]*Histogram),
 		series:   make(map[string]*Series),
@@ -60,6 +62,15 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
+// RegisterCounterFunc binds a counter read at scrape time under name,
+// for a count its owner keeps in a form of its own (summed over
+// stripes, say). It exports exactly like a Counter.
+func (r *Registry) RegisterCounterFunc(name string, f func() uint64) {
+	r.mu.Lock()
+	r.cfuncs[name] = f
+	r.mu.Unlock()
+}
+
 // RegisterGaugeFunc binds a scrape-time gauge under name.
 func (r *Registry) RegisterGaugeFunc(name string, f GaugeFunc) {
 	r.mu.Lock()
@@ -74,6 +85,7 @@ func (r *Registry) RegisterGaugeFunc(name string, f GaugeFunc) {
 func (r *Registry) Unregister(name string) {
 	r.mu.Lock()
 	delete(r.counters, name)
+	delete(r.cfuncs, name)
 	delete(r.gauges, name)
 	delete(r.hists, name)
 	delete(r.series, name)
@@ -100,12 +112,15 @@ func (r *Registry) RegisterSeries(name string, s *Series) *Series {
 
 // snapshotMaps copies the binding maps so exports don't hold the lock
 // while formatting.
-func (r *Registry) snapshotMaps() (map[string]*Counter, map[string]GaugeFunc, map[string]*Histogram, map[string]*Series) {
+func (r *Registry) snapshotMaps() (map[string]func() uint64, map[string]GaugeFunc, map[string]*Histogram, map[string]*Series) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	cs := make(map[string]*Counter, len(r.counters))
+	cs := make(map[string]func() uint64, len(r.counters)+len(r.cfuncs))
 	for k, v := range r.counters {
-		cs[k] = v
+		cs[k] = v.Load
+	}
+	for k, f := range r.cfuncs {
+		cs[k] = f
 	}
 	gs := make(map[string]GaugeFunc, len(r.gauges))
 	for k, v := range r.gauges {
@@ -137,7 +152,7 @@ func (r *Registry) Snapshot() map[string]any {
 	cs, gs, hs, ss := r.snapshotMaps()
 	out := make(map[string]any, len(cs)+len(gs)+len(hs)+len(ss))
 	for name, c := range cs {
-		out[name] = c.Load()
+		out[name] = c()
 	}
 	for name, g := range gs {
 		out[name] = g()
@@ -220,7 +235,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	var b strings.Builder
 	for _, name := range sortedKeys(cs) {
 		b.WriteString(emitType(name, "counter"))
-		fmt.Fprintf(&b, "%s %d\n", name, cs[name].Load())
+		fmt.Fprintf(&b, "%s %d\n", name, cs[name]())
 	}
 	for _, name := range sortedKeys(gs) {
 		b.WriteString(emitType(name, "gauge"))

@@ -15,7 +15,7 @@ type LocksetTransition struct {
 	Seq uint64 `json:"seq"`
 	// Var is the variable whose lockset changed, e.g. "o10.f0".
 	Var string `json:"var"`
-	// Rule is the Figure 5 rule that fired (1..9).
+	// Rule is the lockset update rule that fired (1..NumRules).
 	Rule int `json:"rule"`
 	// Action renders the causing action, e.g. "T1:rel(o20)".
 	Action string `json:"action"`
@@ -30,27 +30,24 @@ func (t LocksetTransition) String() string {
 
 // TraceHook is the optional structured trace of lockset transitions:
 // a fixed-capacity ring buffer fed by the engine for a filtered set of
-// variables. It ships disabled; the only cost on the instrumented path
-// while disabled is one atomic bool load (and the engine only reaches
-// that load when telemetry as a whole is enabled).
+// variables. It ships disabled, with no ring allocated; the only cost
+// on the access path while disabled is one atomic bool load.
 type TraceHook struct {
 	enabled atomic.Bool
 
-	mu      sync.Mutex
-	filter  map[string]bool // variable names; empty means every variable
-	buf     []LocksetTransition
-	next    int
-	wrapped bool
-	dropped uint64 // transitions overwritten after wrap
+	mu       sync.Mutex
+	filter   map[string]bool // variable names; empty means every variable
+	capacity int
+	buf      []LocksetTransition // allocated by the first Enable
+	next     int
+	wrapped  bool
+	dropped  uint64 // transitions overwritten after wrap
 }
 
 // NewTraceHook returns a hook with the given ring capacity (minimum 1),
 // disabled until Enable is called.
 func NewTraceHook(capacity int) *TraceHook {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &TraceHook{buf: make([]LocksetTransition, capacity)}
+	return &TraceHook{capacity: max(capacity, 1)}
 }
 
 // Enable turns the hook on for the named variables (e.g. "o10.f0");
@@ -58,6 +55,9 @@ func NewTraceHook(capacity int) *TraceHook {
 // engine is running.
 func (h *TraceHook) Enable(vars ...string) {
 	h.mu.Lock()
+	if h.buf == nil {
+		h.buf = make([]LocksetTransition, h.capacity)
+	}
 	h.filter = make(map[string]bool, len(vars))
 	for _, v := range vars {
 		h.filter[v] = true

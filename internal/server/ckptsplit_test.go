@@ -65,9 +65,7 @@ func (h *hooked) checkFresh(t *testing.T, tr *event.Trace) {
 	t.Helper()
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	opts := core.DefaultOptions()
-	opts.Telemetry = obs.NewTelemetry()
-	ref := core.NewEngine(opts)
+	ref := core.New()
 	stepped := 0
 	at := slices.Clone(h.at)
 	slices.Sort(at)

@@ -20,7 +20,6 @@ import (
 
 	"goldilocks/internal/core"
 	"goldilocks/internal/event"
-	"goldilocks/internal/obs"
 	"goldilocks/internal/tracegen"
 )
 
@@ -395,9 +394,7 @@ func TestCheckpointBufferReuse(t *testing.T) {
 		if err != nil || !bytes.Equal(again, w.data) {
 			t.Fatalf("checkpoint at %d does not re-encode byte for byte (err %v)", w.applied, err)
 		}
-		opts := core.DefaultOptions()
-		opts.Telemetry = obs.NewTelemetry()
-		ref := core.NewEngine(opts)
+		ref := core.New()
 		for i := 0; i < int(w.applied); i++ {
 			ref.Step(tr.At(i))
 		}

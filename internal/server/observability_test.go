@@ -107,7 +107,9 @@ func TestQueueDepthGaugeBackpressure(t *testing.T) {
 func TestStageHistogramsEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
 	serverTracer := obs.NewTracer(1)
-	flight := obs.NewFlightRecorder(128)
+	// Room for every event: the tracer samples all 64 records, and each
+	// logs its rule fire beside the lifecycle and checkpoint events.
+	flight := obs.NewFlightRecorder(256)
 	srv, err := New("127.0.0.1:0", Config{
 		Registry: reg, Tracer: serverTracer, Flight: flight,
 		Batch: 4, CheckpointDir: t.TempDir(), CheckpointEvery: 8,
@@ -167,15 +169,25 @@ func TestStageHistogramsEndToEnd(t *testing.T) {
 		t.Fatalf("scrape missing stage histograms:\n%s", b.String())
 	}
 
-	evs, _ := flight.Snapshot()
+	evs, dropped := flight.Snapshot()
+	if dropped != 0 {
+		t.Fatalf("flight recorder overwrote %d events", dropped)
+	}
 	kinds := map[string]int{}
+	acquires := 0
 	for _, ev := range evs {
 		kinds[ev.Kind]++
+		if ev.Kind == "rule-fire" && strings.HasPrefix(ev.Detail, "acquire x1 at ") {
+			acquires++
+		}
 	}
-	for _, want := range []string{"attach", "close", "checkpoint"} {
+	for _, want := range []string{"attach", "close", "checkpoint", "rule-fire"} {
 		if kinds[want] == 0 {
 			t.Errorf("flight recorder missing %q events (have %v)", want, kinds)
 		}
+	}
+	if acquires != 16 {
+		t.Errorf("%d rule-fire events name one acquire, want 16 (one per sampled acquire)", acquires)
 	}
 }
 

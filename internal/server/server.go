@@ -46,10 +46,9 @@ type sessionHeader struct {
 
 // Config configures a detection server.
 type Config struct {
-	// Engine is the per-session engine configuration. Telemetry and
-	// Injector are ignored: every session gets its own telemetry bundle
-	// so rule-fire counts are per-session. The zero value means
-	// core.DefaultOptions.
+	// Engine is the per-session engine configuration. Injector is
+	// ignored. Every session engine counts its own rule fires, which
+	// the final ack carries. The zero value means core.DefaultOptions.
 	Engine core.Options
 	// Serializability, when set, runs a RegionTrack-style
 	// conflict-serializability checker on top of every session's engine
@@ -171,7 +170,6 @@ type Server struct {
 type session struct {
 	id  string
 	eng *core.Engine
-	tel *obs.Telemetry
 	// rt, when non-nil (Config.Serializability), is the serializability
 	// checker wrapping eng; eng is then rt.Engine() and every action
 	// steps through rt so the conflict graph stays consistent.
@@ -439,11 +437,9 @@ func (s *Server) attach(id string, conn net.Conn) (sess *session, existed bool, 
 // newSessionLocked creates a session and registers its metrics. Caller
 // holds s.mu.
 func (s *Server) newSessionLocked(id string) *session {
-	tel := obs.NewTelemetry()
 	opts := s.cfg.Engine
-	opts.Telemetry = tel
 	opts.Injector = nil
-	sess := &session{id: id, tel: tel}
+	sess := &session{id: id}
 	if s.cfg.Serializability {
 		sess.rt = regiontrack.New(regiontrack.Options{Engine: opts, LockRegions: true})
 		sess.eng = sess.rt.Engine()
@@ -726,7 +722,7 @@ func (s *Server) sessionWorker(sess *session, queue chan item, enc *binWire, don
 			if traced {
 				s.cfg.Tracer.Observe(obs.StageQueueWait, time.Since(it.enq))
 				if s.cfg.Flight != nil {
-					firesBefore = sess.tel.RuleFires()
+					firesBefore = sess.eng.RuleFires()
 				}
 				applyStart = time.Now()
 			}
@@ -738,7 +734,7 @@ func (s *Server) sessionWorker(sess *session, queue chan item, enc *binWire, don
 				if s.cfg.Flight != nil {
 					// Sampled rule fires: log which lockset rules this
 					// traced record triggered.
-					after := sess.tel.RuleFires()
+					after := sess.eng.RuleFires()
 					for i := 1; i <= obs.NumRules; i++ {
 						if after[i] > firesBefore[i] {
 							s.cfg.Flight.Record(obs.FlightEvent{
@@ -791,7 +787,7 @@ func (s *Server) sessionWorker(sess *session, queue chan item, enc *binWire, don
 				"applied", applied, "races", races)
 			s.flight("close", sess.id, fmt.Sprintf("%d applied, %d races", applied, races))
 			stats := sess.eng.Stats()
-			fires := sess.tel.RuleFires()
+			fires := sess.eng.RuleFires()
 			ack := Ack{Applied: applied, Races: races, Durable: sess.durable.Load(), Stats: &stats, RuleFires: fires[:]}
 			if sess.rt != nil {
 				sum := sess.rt.Summarize()
@@ -1238,16 +1234,15 @@ func loadSession(br *bufio.Reader) (*session, error) {
 	if !validSessionID(hdr.Session) {
 		return nil, fmt.Errorf("invalid session id %q", hdr.Session)
 	}
-	tel := obs.NewTelemetry()
-	sess := &session{id: hdr.Session, tel: tel}
+	sess := &session{id: hdr.Session}
 	if hdr.Serial {
-		rt, err := regiontrack.Restore(br, core.RestoreAttach{Telemetry: tel})
+		rt, err := regiontrack.Restore(br, core.RestoreAttach{})
 		if err != nil {
 			return nil, err
 		}
 		sess.rt, sess.eng = rt, rt.Engine()
 	} else {
-		eng, err := core.RestoreEngine(br, core.RestoreAttach{Telemetry: tel})
+		eng, err := core.RestoreEngine(br, core.RestoreAttach{})
 		if err != nil {
 			return nil, err
 		}

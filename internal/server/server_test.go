@@ -143,10 +143,7 @@ func TestRestartConvergence(t *testing.T) {
 	for name, tr := range corpusTraces(t) {
 		t.Run(name, func(t *testing.T) {
 			// Uninterrupted in-process run for ground truth.
-			tel := obs.NewTelemetry()
-			opts := core.DefaultOptions()
-			opts.Telemetry = tel
-			eng := core.NewEngine(opts)
+			eng := core.New()
 			var want []detect.Race
 			for i := 0; i < tr.Len(); i++ {
 				for _, r := range eng.Step(tr.At(i)) {
@@ -155,7 +152,7 @@ func TestRestartConvergence(t *testing.T) {
 				}
 			}
 			wantStats := eng.Stats()
-			wantFires := tel.RuleFires()
+			wantFires := eng.RuleFires()
 
 			srv1, err := server.New("127.0.0.1:0", server.Config{CheckpointDir: dir})
 			if err != nil {
