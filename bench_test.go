@@ -564,7 +564,7 @@ func BenchmarkCheckpointCapture(b *testing.B) {
 		b.Fatal(err)
 	}
 	restore := func() *core.Engine {
-		e, err := core.RestoreEngine(bytes.NewReader(snap.Bytes()), core.RestoreAttach{})
+		e, err := core.RestoreEngine(bytes.NewReader(snap.Bytes()))
 		if err != nil {
 			b.Fatal(err)
 		}

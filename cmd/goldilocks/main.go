@@ -222,6 +222,13 @@ func run(ctx context.Context, path string, c runConfig) (int, error) {
 	if err != nil {
 		return 0, usageErrf("%v", err)
 	}
+	// Only the in-process goldilocks engine has a lockset trace hook.
+	if c.traceVars != "" && c.remote != "" {
+		return 0, usageErrf("-trace-locksets traces the in-process goldilocks engine; it does not apply with -remote")
+	}
+	if c.traceVars != "" && c.detector != "goldilocks" {
+		return 0, usageErrf("-trace-locksets traces the goldilocks engine's locksets; -detector %s has none", c.detector)
+	}
 
 	src, err := os.ReadFile(path)
 	if err != nil {

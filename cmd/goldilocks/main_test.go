@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strings"
 	"testing"
 
 	"goldilocks/internal/core"
@@ -150,6 +151,31 @@ func TestRunRejectsBadFlagsWithUsageExit(t *testing.T) {
 	}
 }
 
+// TestTraceLocksetsNeedsGoldilocks: -trace-locksets reads the goldilocks
+// engine's trace hook, so any other detector, none, or -remote is a
+// usage error that says why, not a run without the trace.
+func TestTraceLocksetsNeedsGoldilocks(t *testing.T) {
+	path := writeProgram(t, racySrc)
+	var cases []runConfig
+	for _, det := range []string{"vectorclock", "none"} {
+		c := cfg()
+		c.policy, c.detector, c.traceVars = "log", det, "all"
+		cases = append(cases, c)
+	}
+	c := cfg()
+	c.policy, c.remote, c.traceVars = "log", "localhost:1", "all"
+	cases = append(cases, c)
+	for _, c := range cases {
+		n, err := run(context.Background(), path, c)
+		if !errors.Is(err, errUsage) || !strings.Contains(err.Error(), "-trace-locksets") {
+			t.Errorf("detector %q remote %q: error %v, want a usage error naming -trace-locksets", c.detector, c.remote, err)
+		}
+		if code := exitFor(n, err); code != resilience.ExitUsage {
+			t.Errorf("detector %q remote %q: exit code %d, want %d", c.detector, c.remote, code, resilience.ExitUsage)
+		}
+	}
+}
+
 func TestRunFrontEndErrorsExitRuntime(t *testing.T) {
 	n, err := run(context.Background(), filepath.Join(t.TempDir(), "missing.mj"), cfg())
 	if err == nil {
@@ -279,7 +305,7 @@ func TestRecordStreamFormat(t *testing.T) {
 		}
 		files[i] = b
 	}
-	if !bytes.HasPrefix(files[1], event.StreamHeaderLine()) {
+	if !bytes.HasPrefix(files[1], event.AppendHeader(nil, event.StreamFormatName, event.StreamFormatVersion)) {
 		t.Errorf(".jsonl recording does not start with the stream header: %.60q", files[1])
 	}
 	if !bytes.Equal(files[0], files[1]) {

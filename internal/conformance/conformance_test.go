@@ -1,6 +1,8 @@
 package conformance
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -229,6 +231,41 @@ func TestSeedCorpusReplays(t *testing.T) {
 		t.Run(e.Name, func(t *testing.T) {
 			if d := Check(e.Trace); d != nil {
 				t.Fatalf("%v\n%s", d, Describe(e.Trace))
+			}
+		})
+	}
+}
+
+// TestSeedCorpusReencodes: re-encoding every checked-in counterexample
+// reproduces its records byte for byte. A current-version file also
+// reproduces its header and so its content-addressed ce-<crc> name; an
+// older-version file differs only in the header line.
+func TestSeedCorpusReencodes(t *testing.T) {
+	entries, err := LoadCorpus("testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	current := event.AppendHeader(nil, event.StreamFormatName, event.StreamFormatVersion)
+	for _, e := range entries {
+		t.Run(e.Name, func(t *testing.T) {
+			disk, err := os.ReadFile(e.Path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc, sum, err := EncodeTrace(e.Trace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, diskRecs, _ := bytes.Cut(disk, []byte("\n"))
+			_, encRecs, _ := bytes.Cut(enc, []byte("\n"))
+			if !bytes.Equal(diskRecs, encRecs) {
+				t.Fatalf("re-encoded records differ from the file")
+			}
+			if !bytes.HasPrefix(disk, current) {
+				return
+			}
+			if name := fmt.Sprintf("ce-%08x.jsonl", sum); name != e.Name {
+				t.Fatalf("re-encoded file is named %s", name)
 			}
 		})
 	}

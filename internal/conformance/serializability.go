@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"reflect"
 
-	"goldilocks/internal/core"
 	"goldilocks/internal/detect"
 	"goldilocks/internal/detectors/regiontrack"
 	"goldilocks/internal/event"
@@ -96,7 +95,7 @@ func CheckSerializability(tr *event.Trace) *Divergence {
 		if err := half.Checkpoint(&snap); err != nil {
 			return fail("%s: checkpoint at %d: %v", mode.name, cut, err)
 		}
-		rest, err := regiontrack.Restore(bytes.NewReader(snap.Bytes()), core.RestoreAttach{})
+		rest, err := regiontrack.Restore(bytes.NewReader(snap.Bytes()))
 		if err != nil {
 			return fail("%s: restore at %d: %v", mode.name, cut, err)
 		}

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"slices"
 	"strconv"
@@ -30,10 +29,10 @@ import (
 // the same verdicts, the same Figure 5 rule-fire counts, and the same
 // Stats as the uninterrupted run (pinned by TestCheckpointEveryPrefix).
 //
-// The format mirrors the streaming trace format's durability story: a
-// header line identifying the format, then one body line whose payload
-// carries a CRC-32 (IEEE), so a torn or bit-rotten snapshot is detected
-// on load instead of silently restoring a corrupt detector.
+// The snapshot is a file of the record format (event/record.go): a
+// header line, then one record holding the payload under "engine", so
+// a torn or bit-rotten snapshot is detected on load instead of
+// silently restoring a corrupt detector.
 //
 //	{"format":"goldilocks-checkpoint","version":1}
 //	{"engine":{...},"crc":"7f1c0d3a"}
@@ -57,18 +56,8 @@ const CheckpointFormatName = "goldilocks-checkpoint"
 // CheckpointFormatVersion is the current snapshot version.
 const CheckpointFormatVersion = 1
 
-type ckptHeader struct {
-	Format  string `json:"format"`
-	Version int    `json:"version"`
-}
-
-type ckptBody struct {
-	Engine json.RawMessage `json:"engine"`
-	CRC    string          `json:"crc"`
-}
-
-// ckptOptions is Options minus the non-serializable Injector, which the
-// restoring process supplies fresh, plus five fields for techniques that
+// ckptOptions is Options minus the non-serializable Injector, which a
+// restored engine does not have, plus five fields for techniques that
 // have no option: SC3MaxSegment, Memoize, HBCache, FastPath and
 // VarShards. Capture writes their constants (sc3MaxSegment, true, true,
 // true, varShardCount), the values every checkpoint written with
@@ -189,12 +178,6 @@ type ckptPayload struct {
 	WalkRuleHits []uint64 `json:"walk_rule_hits,omitempty"`
 }
 
-// RestoreAttach carries the process-local attachment a restored engine
-// cannot read from the snapshot: a fault injector, which may be nil.
-type RestoreAttach struct {
-	Injector *resilience.Injector
-}
-
 // Records is an engine's detector state copied at a quiescent point by
 // CaptureRecords, the worker step of a checkpoint: compact records and
 // no encoding. The small fixed parts (options, lock stacks, channels,
@@ -303,12 +286,6 @@ func (rs *Records) action(ar actionRec) event.Action {
 // errCkptOrder is the writer step's refusal of a capture whose delta
 // does not follow the last encoded one.
 var errCkptOrder = errors.New("core: checkpoint capture encoded out of capture order")
-
-// ckptPrefix is the header line and the opening of the body line.
-var ckptPrefix = fmt.Sprintf("{\"format\":%q,\"version\":%d}\n{\"engine\":", CheckpointFormatName, CheckpointFormatVersion)
-
-// ckptSuffixLen is the length of the body line's `,"crc":"xxxxxxxx"}\n`.
-const ckptSuffixLen = len(`,"crc":"00000000"}`) + 1
 
 // Checkpoint serializes the engine's complete detector state to w, both
 // steps back to back. The engine must be quiescent: no concurrent
@@ -718,11 +695,9 @@ func (rs *Records) AppendTo(dst []byte) (out, spare []byte, err error) {
 	// and the table grew by since: growing by reallocation would leave
 	// several body-sized garbage buffers per checkpoint.
 	prev := r.bodyLen
-	hint := len(ckptPrefix) + prev + prev/32 + 1024 + ckptSuffixLen +
-		64*len(rs.actions) + 256*max(rs.nvars-r.nvars, 0)
-	b := slices.Grow(dst, hint)
-	b = append(b, ckptPrefix...)
-	body := len(b)
+	hint := prev + prev/32 + 1024 + 64*len(rs.actions) + 256*max(rs.nvars-r.nvars, 0)
+	b := event.AppendHeader(slices.Grow(dst, hint), CheckpointFormatName, CheckpointFormatVersion)
+	b, body := event.OpenRecord(b, "engine")
 	var m marshaler
 	b = m.append(append(b, `{"opts":`...), &rs.opts)
 	b, listStart, listEnds := rs.appendList(b)
@@ -750,7 +725,7 @@ func (rs *Records) AppendTo(dst []byte) (out, spare []byte, err error) {
 	r.bodyLen, r.nvars = len(b)-body, rs.nvars
 	r.listSeq, r.listStart = rs.headSeq, listStart
 	r.listEnds, r.listSpare = listEnds, r.listEnds[:0]
-	b = appendCRC(b, crc32.ChecksumIEEE(b[body:]))
+	b = event.CloseRecord(b, body)
 
 	spare, r.buf = r.buf[:0:cap(r.buf)], b
 	r.vars, r.spare = cur, r.vars[:0]
@@ -780,17 +755,6 @@ func appendUints(b []byte, xs []uint64) []byte {
 		b = strconv.AppendUint(b, x, 10)
 	}
 	return append(b, ']')
-}
-
-// appendCRC closes the body line with its checksum, as
-// `,"crc":"%08x"}` and a newline.
-func appendCRC(b []byte, crc uint32) []byte {
-	const hex = "0123456789abcdef"
-	b = append(b, `,"crc":"`...)
-	for shift := 28; shift >= 0; shift -= 4 {
-		b = append(b, hex[crc>>shift&0xf])
-	}
-	return append(b, "\"}\n"...)
 }
 
 // listFollows reports whether the previous encode holds the list cells
@@ -1020,9 +984,9 @@ func compareElems(a, b Elem) int {
 }
 
 // RestoreEngine rebuilds an engine from a checkpoint written by
-// Checkpoint. The snapshot carries the engine's configuration; attach
-// supplies the process-local fault injector. The checkpointed rule
-// counts are added into the restored engine's own.
+// Checkpoint. The snapshot carries the engine's configuration; a
+// restored engine has no fault injector. The checkpointed rule counts
+// are added into the restored engine's own.
 // A corrupt snapshot (torn write, checksum mismatch, unknown version)
 // is an error — never a silently wrong detector.
 //
@@ -1031,58 +995,34 @@ func compareElems(a, b Elem) int {
 // own trailing records from the same stream (composed snapshots rely on
 // this — e.g. a serializability checker appending its graph state after
 // the engine snapshot).
-func RestoreEngine(r io.Reader, attach RestoreAttach) (*Engine, error) {
+func RestoreEngine(r io.Reader) (*Engine, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
 		br = bufio.NewReader(r)
 	}
-	line, err := readCkptLine(br)
+	line, err := event.ReadLine(br)
 	if err != nil {
 		return nil, fmt.Errorf("core: empty checkpoint")
 	}
-	var hdr ckptHeader
-	if err := json.Unmarshal(line, &hdr); err != nil || hdr.Format != CheckpointFormatName {
-		return nil, fmt.Errorf("core: not a %s snapshot", CheckpointFormatName)
+	if err := event.CheckHeader(line, CheckpointFormatName, CheckpointFormatVersion, CheckpointFormatVersion); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	if hdr.Version != CheckpointFormatVersion {
-		return nil, fmt.Errorf("core: unsupported checkpoint version %d", hdr.Version)
-	}
-	line, err = readCkptLine(br)
+	line, err = event.ReadLine(br)
 	if err != nil {
 		return nil, fmt.Errorf("core: checkpoint body missing (torn write?)")
 	}
-	var body ckptBody
-	if err := json.Unmarshal(line, &body); err != nil || len(body.Engine) == 0 {
-		return nil, fmt.Errorf("core: unreadable checkpoint body")
-	}
-	if got := fmt.Sprintf("%08x", crc32.ChecksumIEEE(body.Engine)); got != body.CRC {
-		return nil, fmt.Errorf("core: checkpoint checksum mismatch (got %s, recorded %s)", got, body.CRC)
+	body, err := event.ReadRecord(line, "engine")
+	if err != nil {
+		return nil, fmt.Errorf("core: checkpoint body: %w", err)
 	}
 	var p ckptPayload
-	if err := json.Unmarshal(body.Engine, &p); err != nil {
+	if err := json.Unmarshal(body, &p); err != nil {
 		return nil, fmt.Errorf("core: decoding checkpoint: %w", err)
 	}
-	return restore(&p, attach)
+	return restore(&p)
 }
 
-// readCkptLine reads one newline-terminated record without consuming
-// anything beyond it. A final unterminated line (no trailing newline
-// before EOF) is accepted; an empty read is an error.
-func readCkptLine(br *bufio.Reader) ([]byte, error) {
-	line, err := br.ReadBytes('\n')
-	if len(line) > 0 && line[len(line)-1] == '\n' {
-		return line[:len(line)-1], nil
-	}
-	if err == io.EOF && len(line) > 0 {
-		return line, nil
-	}
-	if err == nil {
-		err = io.ErrUnexpectedEOF
-	}
-	return nil, err
-}
-
-func restore(p *ckptPayload, attach RestoreAttach) (*Engine, error) {
+func restore(p *ckptPayload) (*Engine, error) {
 	co := p.Opts
 	opts := Options{
 		SC1: co.SC1, SC2: co.SC2, SC3: co.SC3, XactSC: co.XactSC,
@@ -1090,7 +1030,7 @@ func restore(p *ckptPayload, attach RestoreAttach) (*Engine, error) {
 		GCThreshold:      co.GCThreshold, GCTrimFraction: co.GCTrimFraction,
 		PartialEager: co.PartialEager, TxnSemantics: co.TxnSemantics,
 		OnError: resilience.ErrorPolicy(co.OnError), MemoryBudget: co.MemoryBudget,
-		BrokenRule: co.BrokenRule, Injector: attach.Injector,
+		BrokenRule: co.BrokenRule,
 	}
 	e := NewEngine(opts)
 

@@ -199,7 +199,7 @@ func TestCheckpointEveryPrefix(t *testing.T) {
 						t.Fatalf("cut %d: checkpoint: %v", cut, err)
 					}
 
-					restored, err := core.RestoreEngine(bytes.NewReader(snap.Bytes()), core.RestoreAttach{})
+					restored, err := core.RestoreEngine(bytes.NewReader(snap.Bytes()))
 					if err != nil {
 						t.Fatalf("cut %d: restore: %v", cut, err)
 					}
@@ -238,7 +238,7 @@ func TestCheckpointDetectsCorruption(t *testing.T) {
 	}
 
 	// Sanity: the pristine snapshot restores.
-	if _, err := core.RestoreEngine(bytes.NewReader(snap.Bytes()), core.RestoreAttach{}); err != nil {
+	if _, err := core.RestoreEngine(bytes.NewReader(snap.Bytes())); err != nil {
 		t.Fatalf("pristine restore: %v", err)
 	}
 
@@ -252,18 +252,18 @@ func TestCheckpointDetectsCorruption(t *testing.T) {
 	} else {
 		corrupt[idx] = 'x'
 	}
-	if _, err := core.RestoreEngine(bytes.NewReader(corrupt), core.RestoreAttach{}); err == nil {
+	if _, err := core.RestoreEngine(bytes.NewReader(corrupt)); err == nil {
 		t.Fatal("corrupted snapshot restored without error")
 	}
 
 	// A torn snapshot (header only) must fail too.
 	torn := raw[:bytes.IndexByte(raw, '\n')+1]
-	if _, err := core.RestoreEngine(bytes.NewReader(torn), core.RestoreAttach{}); err == nil {
+	if _, err := core.RestoreEngine(bytes.NewReader(torn)); err == nil {
 		t.Fatal("torn snapshot restored without error")
 	}
 
 	// Garbage must fail.
-	if _, err := core.RestoreEngine(strings.NewReader("not a checkpoint\n"), core.RestoreAttach{}); err == nil {
+	if _, err := core.RestoreEngine(strings.NewReader("not a checkpoint\n")); err == nil {
 		t.Fatal("garbage restored without error")
 	}
 }
@@ -281,7 +281,7 @@ func TestCheckpointUnencodableOptions(t *testing.T) {
 // reencode restores snap and checkpoints the restored engine again.
 func reencode(t testing.TB, snap []byte) []byte {
 	t.Helper()
-	e, err := core.RestoreEngine(bytes.NewReader(snap), core.RestoreAttach{})
+	e, err := core.RestoreEngine(bytes.NewReader(snap))
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
@@ -390,7 +390,7 @@ func checkRetiredKnobs(t *testing.T, snap, again []byte) {
 	if len(want) == 0 {
 		t.Fatal("no races after the cut: the check is vacuous")
 	}
-	e, err := core.RestoreEngine(bytes.NewReader(snap), core.RestoreAttach{})
+	e, err := core.RestoreEngine(bytes.NewReader(snap))
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sort"
 
@@ -16,7 +15,7 @@ import (
 // through core.Engine.Checkpoint (so the race side round-trips with
 // the same guarantees TestCheckpointEveryPrefix pins), and the region
 // graph — including regions still open mid-flight at the cut — is
-// serialized as one CRC-checked JSON line after it. A restored checker
+// one record after it (event/record.go). A restored checker
 // stepped over a trace suffix yields the same races, the same regions,
 // the same edges, and the same verdict as an uninterrupted run.
 //
@@ -30,16 +29,6 @@ const CheckpointFormatName = "goldilocks-regiontrack"
 
 // CheckpointFormatVersion is the current snapshot version.
 const CheckpointFormatVersion = 1
-
-type ckptHeader struct {
-	Format  string `json:"format"`
-	Version int    `json:"version"`
-}
-
-type ckptGraphBody struct {
-	Graph json.RawMessage `json:"graph"`
-	CRC   string          `json:"crc"`
-}
 
 type ckptThreadRegion struct {
 	Thread event.Tid `json:"t"`
@@ -73,6 +62,8 @@ type ckptSyncRegion struct {
 	Region regionID `json:"r"`
 }
 
+// ckptGraph is the graph record. MaxViolations records the witness cap,
+// maxViolations; restore ignores it.
 type ckptGraph struct {
 	LockRegions   bool                `json:"lock_regions,omitempty"`
 	MaxViolations int                 `json:"max_violations,omitempty"`
@@ -119,16 +110,10 @@ func (c *Checker) Checkpoint(w io.Writer) error {
 }
 
 // AppendTo appends the checker checkpoint to dst, the writer step: the
-// header line, the engine checkpoint, then the graph line assembled
-// around the once-marshalled graph, exactly as
-// json.Marshal(ckptGraphBody{...}) would write it. The records are
-// consumed; out and spare are as for core.Records.AppendTo.
+// header line, the engine checkpoint, then the graph record. The
+// records are consumed; out and spare are as for core.Records.AppendTo.
 func (r *Records) AppendTo(dst []byte) (out, spare []byte, err error) {
-	hdr, err := json.Marshal(ckptHeader{Format: CheckpointFormatName, Version: CheckpointFormatVersion})
-	if err != nil {
-		return dst, nil, err
-	}
-	out, spare, err = r.eng.AppendTo(append(append(dst, hdr...), '\n'))
+	out, spare, err = r.eng.AppendTo(event.AppendHeader(dst, CheckpointFormatName, CheckpointFormatVersion))
 	if err != nil {
 		return dst, spare, err
 	}
@@ -136,10 +121,7 @@ func (r *Records) AppendTo(dst []byte) (out, spare []byte, err error) {
 	if err != nil {
 		return dst, spare, err
 	}
-	out = append(out, `{"graph":`...)
-	out = append(out, raw...)
-	out = fmt.Appendf(out, `,"crc":"%08x"}`+"\n", crc32.ChecksumIEEE(raw))
-	return out, spare, nil
+	return event.AppendRecord(out, "graph", raw), spare, nil
 }
 
 // graphSnapshot flattens the map-shaped graph state into the sorted,
@@ -147,7 +129,7 @@ func (r *Records) AppendTo(dst []byte) (out, spare []byte, err error) {
 func (c *Checker) graphSnapshot() ckptGraph {
 	g := ckptGraph{
 		LockRegions:   c.opts.LockRegions,
-		MaxViolations: c.opts.MaxViolations,
+		MaxViolations: maxViolations,
 		Pos:           c.pos,
 		NextID:        c.nextID,
 		Violations:    c.Violations(),
@@ -239,47 +221,39 @@ func sortVarRegions(s []ckptVarRegion) {
 }
 
 // Restore rebuilds a checker from a snapshot written by Checkpoint.
-// attach supplies the non-serializable engine attachment (the fault
-// injector).
-func Restore(r io.Reader, attach core.RestoreAttach) (*Checker, error) {
+// Like a restored engine, the checker's engine has no fault injector.
+func Restore(r io.Reader) (*Checker, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
 		br = bufio.NewReader(r)
 	}
-	line, err := readLine(br)
+	line, err := event.ReadLine(br)
 	if err != nil {
 		return nil, fmt.Errorf("regiontrack: reading snapshot header: %w", err)
 	}
-	var hdr ckptHeader
-	if err := json.Unmarshal(line, &hdr); err != nil || hdr.Format != CheckpointFormatName {
-		return nil, fmt.Errorf("regiontrack: not a %s snapshot", CheckpointFormatName)
+	if err := event.CheckHeader(line, CheckpointFormatName, CheckpointFormatVersion, CheckpointFormatVersion); err != nil {
+		return nil, fmt.Errorf("regiontrack: %w", err)
 	}
-	if hdr.Version != CheckpointFormatVersion {
-		return nil, fmt.Errorf("regiontrack: unsupported snapshot version %d", hdr.Version)
-	}
-	eng, err := core.RestoreEngine(br, attach)
+	eng, err := core.RestoreEngine(br)
 	if err != nil {
 		return nil, fmt.Errorf("regiontrack: restoring race engine: %w", err)
 	}
-	line, err = readLine(br)
+	line, err = event.ReadLine(br)
 	if err != nil {
 		return nil, fmt.Errorf("regiontrack: reading graph body: %w", err)
 	}
-	var body ckptGraphBody
-	if err := json.Unmarshal(line, &body); err != nil {
-		return nil, fmt.Errorf("regiontrack: decoding graph body: %w", err)
-	}
-	if fmt.Sprintf("%08x", crc32.ChecksumIEEE(body.Graph)) != body.CRC {
-		return nil, fmt.Errorf("regiontrack: graph checksum mismatch")
+	body, err := event.ReadRecord(line, "graph")
+	if err != nil {
+		return nil, fmt.Errorf("regiontrack: graph: %w", err)
 	}
 	var g ckptGraph
-	if err := json.Unmarshal(body.Graph, &g); err != nil {
+	if err := json.Unmarshal(body, &g); err != nil {
 		return nil, fmt.Errorf("regiontrack: decoding graph: %w", err)
 	}
 
 	// The restored engine carries its own options; the throwaway engine
 	// New builds from the zero Options is discarded on the next line.
-	c := New(Options{LockRegions: g.LockRegions, MaxViolations: g.MaxViolations})
+	c := New(Options{LockRegions: g.LockRegions})
 	c.eng = eng
 	c.pos = g.Pos
 	c.nextID = g.NextID
@@ -326,13 +300,4 @@ func Restore(r io.Reader, attach core.RestoreAttach) (*Checker, error) {
 	c.violations = g.Violations
 	c.violationsAll = g.ViolationsAll
 	return c, nil
-}
-
-// readLine reads one newline-terminated line without the terminator.
-func readLine(br *bufio.Reader) ([]byte, error) {
-	line, err := br.ReadBytes('\n')
-	if err != nil {
-		return nil, err
-	}
-	return line[:len(line)-1], nil
 }

@@ -62,13 +62,11 @@ type Options struct {
 	// This is the mode for lock-based programs (MJ sync blocks) that
 	// carry no markers.
 	LockRegions bool
-	// MaxViolations caps the retained violation witnesses (the total
-	// count keeps incrementing past the cap). Zero means DefaultMaxViolations.
-	MaxViolations int
 }
 
-// DefaultMaxViolations is the default witness retention cap.
-const DefaultMaxViolations = 64
+// maxViolations caps the retained violation witnesses; the total count
+// keeps incrementing past the cap.
+const maxViolations = 64
 
 // DefaultOptions returns the default checker configuration.
 func DefaultOptions() Options {
@@ -156,9 +154,6 @@ type Checker struct {
 
 // New returns an empty checker.
 func New(opts Options) *Checker {
-	if opts.MaxViolations <= 0 {
-		opts.MaxViolations = DefaultMaxViolations
-	}
 	return &Checker{
 		opts:      opts,
 		eng:       core.NewEngine(opts.Engine),
@@ -375,7 +370,7 @@ func (c *Checker) addEdge(u, v regionID, pos int) {
 	}
 	if path := c.findPath(v, u); path != nil {
 		c.violationsAll++
-		if len(c.violations) < c.opts.MaxViolations {
+		if len(c.violations) < maxViolations {
 			vi := Violation{Pos: pos, From: u, To: v, Cycle: path}
 			seen := make(map[event.Tid]bool)
 			for _, id := range path {

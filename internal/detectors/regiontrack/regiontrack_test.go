@@ -243,22 +243,21 @@ func TestViolationWitness(t *testing.T) {
 
 func TestMaxViolationsCap(t *testing.T) {
 	b := event.NewBuilder()
-	// Ten independent lost-update cycles between threads 1 and 2.
-	for i := 0; i < 10; i++ {
+	// Independent lost-update cycles between threads 1 and 2, past the cap.
+	const cycles = maxViolations + 6
+	for i := 0; i < cycles; i++ {
 		o := event.Addr(100 + i)
 		b.TxBegin(1).Read(1, o, 0).
 			Write(2, o, 0).
 			Write(1, o, 0).TxEnd(1)
 	}
-	opts := DefaultOptions()
-	opts.MaxViolations = 4
-	ch := New(opts)
+	ch := New(DefaultOptions())
 	detect.RunTrace(ch, b.Trace())
-	if got := len(ch.Violations()); got != 4 {
-		t.Fatalf("retained %d witnesses, want cap 4", got)
+	if got := len(ch.Violations()); got != maxViolations {
+		t.Fatalf("retained %d witnesses, want cap %d", got, maxViolations)
 	}
-	if ch.ViolationCount() < 10 {
-		t.Fatalf("total violations %d, want >= 10", ch.ViolationCount())
+	if ch.ViolationCount() < cycles {
+		t.Fatalf("total violations %d, want >= %d", ch.ViolationCount(), cycles)
 	}
 	if ch.Serializable() {
 		t.Fatalf("capped checker must still report non-serializable")
@@ -299,7 +298,7 @@ func TestCheckpointEveryPrefix(t *testing.T) {
 			if err := orig.Checkpoint(&snap); err != nil {
 				t.Fatalf("%s cut %d: checkpoint: %v", c.name, cut, err)
 			}
-			rest, err := Restore(bytes.NewReader(snap.Bytes()), core.RestoreAttach{})
+			rest, err := Restore(bytes.NewReader(snap.Bytes()))
 			if err != nil {
 				t.Fatalf("%s cut %d: restore: %v", c.name, cut, err)
 			}
@@ -341,14 +340,14 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	if err := ch.Checkpoint(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Restore(bytes.NewReader([]byte("junk\n")), core.RestoreAttach{}); err == nil {
+	if _, err := Restore(bytes.NewReader([]byte("junk\n"))); err == nil {
 		t.Fatal("restore of junk header succeeded")
 	}
 	// Flip a byte inside the trailing graph line.
 	raw := snap.Bytes()
 	mut := append([]byte(nil), raw...)
 	mut[len(mut)-10] ^= 0x01
-	if _, err := Restore(bytes.NewReader(mut), core.RestoreAttach{}); err == nil {
+	if _, err := Restore(bytes.NewReader(mut)); err == nil {
 		t.Fatal("restore of corrupted graph line succeeded")
 	}
 }

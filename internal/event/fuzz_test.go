@@ -55,8 +55,7 @@ func FuzzReadTrace(f *testing.F) {
 	f.Add(bytes.Replace(v1, []byte(`"version":2`), []byte(`"version":1`), 1))
 	// Version skew the other way: an intact record with a kind from the
 	// future must surface the structured report, not a silent drop.
-	withUnknown := append(append([]byte(nil), sample...),
-		[]byte(`{"a":{"kind":"warp","t":1,"o":2},"crc":"`+actionCRC([]byte(`{"kind":"warp","t":1,"o":2}`))+`"}`+"\n")...)
+	withUnknown := AppendRecord(append([]byte(nil), sample...), "a", []byte(`{"kind":"warp","t":1,"o":2}`))
 	f.Add(withUnknown)
 	// Input that is not a trace file at all, including the retired
 	// single-object format: refused without a panic.

@@ -23,8 +23,8 @@ type JSONAction struct {
 // names, omitted zero fields). It is the action body of every trace
 // file record and of goldilocksd race reports; engine checkpoints embed
 // the same bytes through AppendJSON.
-func MarshalAction(a Action) ([]byte, error) {
-	return AppendJSON(nil, a), nil
+func MarshalAction(a Action) []byte {
+	return AppendJSON(nil, a)
 }
 
 // AppendJSON appends to dst the JSON form of a — the bytes json.Marshal

@@ -5,22 +5,18 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"goldilocks/internal/report"
 )
 
 // The trace file format — the only one WriteTrace writes and ReadTrace
-// reads — is line-delimited JSON (JSONL) so that a truncated or
-// partially corrupted file still yields its valid prefix: a header line
-// identifying the format, then one record per action. Each record
-// carries a CRC-32 (IEEE) checksum of the serialized action, so torn
-// writes and bit rot are detected per record instead of poisoning the
-// whole file.
+// reads — is the record file format (record.go) with one record per
+// action under the key "a", so a truncated or partially corrupted file
+// still yields its valid prefix:
 //
 //	{"format":"goldilocks-stream","version":1}
-//	{"a":{"kind":"acquire","t":1,"o":2},"crc":"7f1c0d3a"}
+//	{"a":{"kind":"acq","t":1,"o":2},"crc":"7f1c0d3a"}
 //	...
 //
 // Trace validity is prefix-closed (Validator checks each action against
@@ -39,158 +35,16 @@ const StreamFormatVersion = 2
 // StreamMinVersion is the oldest stream version readers accept.
 const StreamMinVersion = 1
 
-type streamHeader struct {
-	Format  string `json:"format"`
-	Version int    `json:"version"`
-}
-
-// streamRecord is one record line; decoding ignores unknown keys.
-type streamRecord struct {
-	Action json.RawMessage `json:"a"`
-	CRC    string          `json:"crc"`
-}
-
-func actionCRC(serialized []byte) string {
-	return fmt.Sprintf("%08x", crc32.ChecksumIEEE(serialized))
-}
-
-// Auto-flush thresholds for StreamWriter: buffered records reach the
-// underlying writer after at most autoFlushRecords appends or once
-// autoFlushBytes are pending, whichever comes first. Without these, up
-// to a full bufio buffer of records would sit in memory and be lost by
-// a crash, contradicting the durability contract below.
-const (
-	autoFlushRecords = 32
-	autoFlushBytes   = 2048
-)
-
-// StreamWriter writes actions incrementally in the trace file format.
-// Unlike WriteTrace it needs no completed Trace up front, so a recording
-// cut short by a crash (or by fault injection) keeps everything written
-// so far — the header is flushed at creation and records auto-flush
-// every autoFlushRecords appends (or autoFlushBytes pending bytes), so
-// at most that window of records is at risk. Call Flush at commit
-// points that must be durable immediately, and Close when done.
-type StreamWriter struct {
-	w       *bufio.Writer
-	err     error
-	pending int // records appended since the last flush
-}
-
-// NewStreamWriter writes and flushes the header and returns a writer
-// ready for Append calls: a recording that crashes before its first
-// record still salvages as a valid empty trace.
-func NewStreamWriter(w io.Writer) (*StreamWriter, error) {
-	sw := &StreamWriter{w: bufio.NewWriter(w)}
-	if _, err := sw.w.Write(StreamHeaderLine()); err != nil {
-		return nil, fmt.Errorf("event: writing stream header: %w", err)
-	}
-	if err := sw.w.Flush(); err != nil {
-		return nil, fmt.Errorf("event: flushing stream header: %w", err)
-	}
-	return sw, nil
-}
-
-// Append writes one action record. After the first error every
-// subsequent Append is a no-op returning that error.
-func (sw *StreamWriter) Append(a Action) error {
-	if sw.err != nil {
-		return sw.err
-	}
-	rec, err := encodeRecord(a)
-	if err != nil {
-		sw.err = err
-		return err
-	}
-	if _, err := sw.w.Write(rec); err != nil {
-		sw.err = fmt.Errorf("event: writing stream record: %w", err)
-		return sw.err
-	}
-	sw.pending++
-	if sw.pending >= autoFlushRecords || sw.w.Buffered() >= autoFlushBytes {
-		if err := sw.w.Flush(); err != nil {
-			sw.err = fmt.Errorf("event: flushing stream records: %w", err)
-			return sw.err
-		}
-		sw.pending = 0
-	}
-	return nil
-}
-
-// Flush flushes buffered records to the underlying writer.
-func (sw *StreamWriter) Flush() error {
-	if sw.err != nil {
-		return sw.err
-	}
-	if err := sw.w.Flush(); err != nil {
-		sw.err = fmt.Errorf("event: flushing stream records: %w", err)
-		return sw.err
-	}
-	sw.pending = 0
-	return nil
-}
-
-// Close flushes buffered records and marks the writer finished: further
-// Appends fail. It does not close the underlying writer (the caller
-// owns it). Closing after a write error returns that error.
-func (sw *StreamWriter) Close() error {
-	if err := sw.Flush(); err != nil {
-		return err
-	}
-	sw.err = fmt.Errorf("event: stream writer closed")
-	return nil
-}
-
-// StreamHeaderLine returns the header line (newline-terminated) that
-// opens every streaming trace.
-func StreamHeaderLine() []byte {
-	hdr, err := json.Marshal(streamHeader{Format: StreamFormatName, Version: StreamFormatVersion})
-	if err != nil {
-		panic(err) // static struct of two scalar fields; cannot fail
-	}
-	return append(hdr, '\n')
-}
-
-// CheckStreamHeader verifies that line is a usable stream header. Every
-// version in [StreamMinVersion, StreamFormatVersion] is readable.
-func CheckStreamHeader(line []byte) error {
-	var hdr streamHeader
-	if err := json.Unmarshal(line, &hdr); err != nil || hdr.Format != StreamFormatName {
-		return fmt.Errorf("event: not a %s trace", StreamFormatName)
-	}
-	if hdr.Version < StreamMinVersion || hdr.Version > StreamFormatVersion {
-		return fmt.Errorf("event: unsupported stream version %d (reader supports %d..%d)",
-			hdr.Version, StreamMinVersion, StreamFormatVersion)
-	}
-	return nil
-}
-
-// encodeRecord serializes one action as a checksummed record line
-// (newline-terminated), the unit of the trace file format.
-func encodeRecord(a Action) ([]byte, error) {
-	body, err := MarshalAction(a)
-	if err != nil {
-		return nil, err
-	}
-	rec, err := json.Marshal(streamRecord{Action: body, CRC: actionCRC(body)})
-	if err != nil {
-		return nil, err
-	}
-	return append(rec, '\n'), nil
-}
-
-// WriteTrace writes a whole trace in the trace file format.
+// WriteTrace writes a whole trace in the trace file format. The buffered
+// writer keeps the first write error, which Flush returns.
 func WriteTrace(w io.Writer, tr *Trace) error {
-	sw, err := NewStreamWriter(w)
-	if err != nil {
-		return err
-	}
+	bw := bufio.NewWriter(w)
+	bw.Write(AppendHeader(nil, StreamFormatName, StreamFormatVersion))
 	for i := 0; i < tr.Len(); i++ {
-		if err := sw.Append(tr.At(i)); err != nil {
-			return err
-		}
+		rec, start := OpenRecord(bw.AvailableBuffer(), "a")
+		bw.Write(CloseRecord(AppendJSON(rec, tr.At(i)), start))
 	}
-	return sw.Flush()
+	return bw.Flush()
 }
 
 // ReadTrace reads a trace file, salvaging the longest valid prefix. It
@@ -219,8 +73,8 @@ func ReadTrace(r io.Reader) (tr *Trace, dropped int, err error) {
 		}
 		return nil, 0, fmt.Errorf("event: empty stream trace")
 	}
-	if err := CheckStreamHeader(sc.Bytes()); err != nil {
-		return nil, 0, err
+	if err := CheckHeader(sc.Bytes(), StreamFormatName, StreamMinVersion, StreamFormatVersion); err != nil {
+		return nil, 0, fmt.Errorf("event: %w", err)
 	}
 
 	var actions []Action
@@ -292,15 +146,12 @@ const (
 // unknown kind). kindName is the offending name in the unknown-kind
 // case.
 func decodeStreamLine(line []byte) (Action, recDecodeStatus, string) {
-	var rec streamRecord
-	if err := json.Unmarshal(line, &rec); err != nil || len(rec.Action) == 0 {
-		return Action{}, recCorrupt, ""
-	}
-	if actionCRC(rec.Action) != rec.CRC {
+	body, err := ReadRecord(line, "a")
+	if err != nil {
 		return Action{}, recCorrupt, ""
 	}
 	var ja JSONAction
-	if err := json.Unmarshal(rec.Action, &ja); err != nil {
+	if err := json.Unmarshal(body, &ja); err != nil {
 		return Action{}, recCorrupt, ""
 	}
 	a, ok := ja.action()

@@ -122,19 +122,12 @@ func TestStreamCorruptRecord(t *testing.T) {
 // never returns an invalid trace).
 func TestStreamInvalidSuffixRejected(t *testing.T) {
 	var buf bytes.Buffer
-	sw, err := event.NewStreamWriter(&buf)
+	err := event.WriteTrace(&buf, event.NewTrace([]event.Action{
+		event.Acquire(1, 7),
+		event.Release(2, 7), // invalid: release by non-owner
+		event.Read(1, 3, 0),
+	}))
 	if err != nil {
-		t.Fatal(err)
-	}
-	must := func(a event.Action) {
-		if err := sw.Append(a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	must(event.Acquire(1, 7))
-	must(event.Release(2, 7)) // invalid: release by non-owner
-	must(event.Read(1, 3, 0))
-	if err := sw.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	got, dropped, err := event.ReadTrace(&buf)
@@ -146,21 +139,19 @@ func TestStreamInvalidSuffixRejected(t *testing.T) {
 	}
 }
 
-// TestStreamSalvageMatchesValidate: records appended one at a time
-// through a StreamWriter salvage to a prefix that Trace.Validate accepts.
+// TestStreamSalvageMatchesValidate: a written trace whose last action
+// is invalid salvages to a prefix that Trace.Validate accepts.
 func TestStreamSalvageMatchesValidate(t *testing.T) {
-	var buf bytes.Buffer
-	sw, _ := event.NewStreamWriter(&buf)
 	b := event.NewBuilder().
 		Fork(1, 2).
 		Alloc(1, 5).
 		Write(1, 5, 0).
 		Commit(2, []event.Variable{{Obj: 5, Field: 0}}, nil).
 		Alloc(2, 5) // invalid: alloc after access
-	for _, a := range b.Trace().Actions() {
-		sw.Append(a)
+	var buf bytes.Buffer
+	if err := event.WriteTrace(&buf, b.Trace()); err != nil {
+		t.Fatal(err)
 	}
-	sw.Flush()
 	got, dropped, err := event.ReadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -170,6 +161,22 @@ func TestStreamSalvageMatchesValidate(t *testing.T) {
 	}
 	if err := got.Validate(); err != nil {
 		t.Fatalf("salvaged prefix invalid: %v", err)
+	}
+}
+
+// TestStreamRetiredKeyIgnored: a record that carries a key this reader
+// does not know (the span id "sp" an earlier writer added beside the
+// action) still reads, since its action and checksum are intact.
+func TestStreamRetiredKeyIgnored(t *testing.T) {
+	body := `{"kind":"acq","t":1,"o":20}`
+	in := fmt.Sprintf(`{"format":%q,"version":%d}`+"\n"+`{"a":%s,"sp":7,"crc":"%08x"}`+"\n",
+		event.StreamFormatName, event.StreamFormatVersion, body, crc32.ChecksumIEEE([]byte(body)))
+	got, dropped, err := event.ReadTrace(strings.NewReader(in))
+	if err != nil || dropped != 0 || got.Len() != 1 {
+		t.Fatalf("got Len = %d dropped = %d err = %v, want the 1 record", got.Len(), dropped, err)
+	}
+	if a := got.At(0); a.Kind != event.KindAcquire || a.Thread != 1 || a.Obj != 20 {
+		t.Fatalf("read %v, want acquire by thread 1 of o20", a)
 	}
 }
 
@@ -310,121 +317,5 @@ func TestStreamSurvivesInjectedTruncation(t *testing.T) {
 	}
 	if err := got.Validate(); err != nil {
 		t.Fatalf("salvaged prefix invalid: %v", err)
-	}
-}
-
-// severedWriter forwards writes to buf until Sever is called, then
-// fails every write — the write-side view of a cut connection or a
-// crashed process whose kernel buffers were lost.
-type severedWriter struct {
-	buf     bytes.Buffer
-	severed bool
-}
-
-func (w *severedWriter) Write(p []byte) (int, error) {
-	if w.severed {
-		return 0, errSevered
-	}
-	return w.buf.Write(p)
-}
-
-var errSevered = errors.New("underlying writer severed")
-
-// TestStreamWriterSeveredMidStream pins the durability contract of the
-// incremental writer: sever the underlying writer mid-stream, keep
-// appending, and the salvaged prefix is exactly the complete records
-// that reached the underlying writer before the sever — auto-flush
-// bounds the loss window to under autoFlushRecords records.
-func TestStreamWriterSeveredMidStream(t *testing.T) {
-	const total, severAt = 100, 57
-	var actions []event.Action
-	b := event.NewBuilder()
-	for i := 0; i < total/2; i++ {
-		b.Acquire(1, 20).Release(1, 20)
-	}
-	actions = b.Trace().Actions()
-
-	w := &severedWriter{}
-	sw, err := event.NewStreamWriter(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var appendErr error
-	for i, a := range actions {
-		if i == severAt {
-			w.severed = true
-		}
-		if err := sw.Append(a); err != nil && appendErr == nil {
-			appendErr = err
-		}
-	}
-	if err := sw.Flush(); err != nil && appendErr == nil {
-		appendErr = err
-	}
-	if appendErr == nil {
-		t.Fatal("no append/flush error surfaced after the writer was severed")
-	}
-
-	// What reached the underlying writer: count the complete record
-	// lines (header excluded; a torn trailing line is not a record).
-	accepted := w.buf.Bytes()
-	lines := bytes.Split(accepted, []byte("\n"))
-	complete := len(lines) - 2 // header + ("" after final \n or a torn tail)
-	if complete < severAt-40 {
-		t.Fatalf("only %d records flushed before sever at %d; auto-flush window too large", complete, severAt)
-	}
-
-	got, _, err := event.ReadTrace(bytes.NewReader(accepted))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != complete {
-		t.Fatalf("salvaged %d records, want the %d complete flushed records", got.Len(), complete)
-	}
-	for i := 0; i < got.Len(); i++ {
-		a, b := actions[i], got.At(i)
-		if a.Kind != b.Kind || a.Thread != b.Thread || a.Obj != b.Obj {
-			t.Fatalf("salvaged action %d = %v, want %v", i, b, a)
-		}
-	}
-}
-
-// TestStreamWriterHeaderDurable: a recording that crashes before its
-// first record still salvages as a valid empty trace (the header is
-// flushed at creation).
-func TestStreamWriterHeaderDurable(t *testing.T) {
-	w := &severedWriter{}
-	if _, err := event.NewStreamWriter(w); err != nil {
-		t.Fatal(err)
-	}
-	tr, dropped, err := event.ReadTrace(bytes.NewReader(w.buf.Bytes()))
-	if err != nil {
-		t.Fatalf("header-only stream unreadable: %v", err)
-	}
-	if tr.Len() != 0 || dropped != 0 {
-		t.Fatalf("got %d actions, %d dropped; want empty trace", tr.Len(), dropped)
-	}
-}
-
-// TestStreamWriterClose: Close flushes pending records and poisons
-// further appends.
-func TestStreamWriterClose(t *testing.T) {
-	var buf bytes.Buffer
-	sw, err := event.NewStreamWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.Append(event.Acquire(1, 20)); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.Append(event.Release(1, 20)); err == nil {
-		t.Fatal("Append after Close succeeded")
-	}
-	tr, dropped, err := event.ReadTrace(&buf)
-	if err != nil || dropped != 0 || tr.Len() != 1 {
-		t.Fatalf("got tr=%v dropped=%d err=%v; want the 1 closed-over record", tr, dropped, err)
 	}
 }

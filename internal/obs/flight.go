@@ -4,13 +4,14 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"time"
+
+	"goldilocks/internal/event"
 )
 
 // FlightEvent is one entry of the flight recorder: a structured
@@ -125,20 +126,12 @@ type FlightHeader struct {
 	Overwritten uint64 `json:"overwritten"`
 }
 
-// flightLine is one checksummed dump line after the header, mirroring
-// the stream-record shape: the CRC covers the serialized event body, so
-// torn writes and bit rot are detected per line.
-type flightLine struct {
-	Event json.RawMessage `json:"e"`
-	CRC   string          `json:"crc"`
-}
-
-// WriteDump serializes the ring as a checksummed .jsonl dump: a header
-// line, then one CRC-32-guarded line per event, oldest first. The ring
-// keeps recording while (and after) a dump is written.
+// WriteDump serializes the ring as a record file (event/record.go): the
+// header line, then one record per event under "e", oldest first. The
+// ring keeps recording while (and after) a dump is written.
 func (r *FlightRecorder) WriteDump(w io.Writer, node, reason string) error {
 	events, overwritten := r.Snapshot()
-	hdr, err := json.Marshal(FlightHeader{
+	b, err := json.Marshal(FlightHeader{
 		Format: FlightFormatName, Version: FlightFormatVersion,
 		Node: node, Reason: reason, DumpedUnix: time.Now().UnixMilli(),
 		Events: len(events), Overwritten: overwritten,
@@ -146,20 +139,15 @@ func (r *FlightRecorder) WriteDump(w io.Writer, node, reason string) error {
 	if err != nil {
 		return err
 	}
-	bw := bufio.NewWriter(w)
-	bw.Write(append(hdr, '\n'))
+	b = append(b, '\n')
 	for _, ev := range events {
 		body, err := json.Marshal(ev)
 		if err != nil {
 			return err
 		}
-		line, err := json.Marshal(flightLine{Event: body, CRC: fmt.Sprintf("%08x", crc32.ChecksumIEEE(body))})
-		if err != nil {
-			return err
-		}
-		bw.Write(append(line, '\n'))
+		b = event.AppendRecord(b, "e", body)
 	}
-	if err := bw.Flush(); err != nil {
+	if _, err := w.Write(b); err != nil {
 		return err
 	}
 	r.mu.Lock()
@@ -237,27 +225,22 @@ func ReadFlightDump(rd io.Reader) (FlightHeader, []FlightEvent, error) {
 		return FlightHeader{}, nil, fmt.Errorf("obs: empty flight dump")
 	}
 	var hdr FlightHeader
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil || hdr.Format != FlightFormatName {
-		return FlightHeader{}, nil, fmt.Errorf("obs: not a %s dump", FlightFormatName)
+	if err := event.CheckHeader(sc.Bytes(), FlightFormatName, FlightFormatVersion, FlightFormatVersion); err != nil {
+		return hdr, nil, fmt.Errorf("obs: %w", err)
 	}
-	if hdr.Version != FlightFormatVersion {
-		return hdr, nil, fmt.Errorf("obs: unsupported flight dump version %d", hdr.Version)
-	}
+	json.Unmarshal(sc.Bytes(), &hdr) // CheckHeader has parsed the line
 	var events []FlightEvent
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
-		var fl flightLine
-		if err := json.Unmarshal(line, &fl); err != nil || len(fl.Event) == 0 {
-			return hdr, events, fmt.Errorf("obs: corrupt flight dump line after %d events", len(events))
-		}
-		if fmt.Sprintf("%08x", crc32.ChecksumIEEE(fl.Event)) != fl.CRC {
-			return hdr, events, fmt.Errorf("obs: flight dump checksum mismatch after %d events", len(events))
+		body, err := event.ReadRecord(line, "e")
+		if err != nil {
+			return hdr, events, fmt.Errorf("obs: flight dump after %d events: %w", len(events), err)
 		}
 		var ev FlightEvent
-		if err := json.Unmarshal(fl.Event, &ev); err != nil {
+		if err := json.Unmarshal(body, &ev); err != nil {
 			return hdr, events, fmt.Errorf("obs: bad flight event after %d events", len(events))
 		}
 		events = append(events, ev)

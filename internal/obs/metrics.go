@@ -8,19 +8,30 @@ import (
 )
 
 // Counter is a monotonically increasing atomic counter. The zero value
-// is ready for use; a Counter must not be copied after first use.
+// is ready for use; a Counter must not be copied after first use. A nil
+// Counter counts nothing and reads 0, so code that holds one only when
+// a registry exists needs no gating.
 type Counter struct {
 	v atomic.Uint64
 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
+func (c *Counter) Add(n uint64) {
+	if c != nil {
+		c.v.Add(n)
+	}
+}
 
 // Load returns the current value.
-func (c *Counter) Load() uint64 { return c.v.Load() }
+func (c *Counter) Load() uint64 {
+	if c == nil {
+		return 0
+	}
+	return c.v.Load()
+}
 
 // GaugeFunc is a gauge evaluated at scrape time: /metrics and the JSON
 // snapshot call it, so the exported value is always current without the

@@ -10,6 +10,8 @@ import (
 	"io"
 	"net"
 	"time"
+
+	"goldilocks/internal/event"
 )
 
 // The admin protocol is how cluster peers and goldilocksctl talk to a
@@ -245,7 +247,7 @@ func adminCall(ctx context.Context, addr string, req adminReq, body []byte) (adm
 		return adminResp{}, nil, err
 	}
 	br := bufio.NewReaderSize(conn, 64*1024)
-	line, err := readLine(br)
+	line, err := event.ReadLine(br)
 	if err != nil {
 		return adminResp{}, nil, fmt.Errorf("reading admin response: %w", err)
 	}

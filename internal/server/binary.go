@@ -116,8 +116,7 @@ func (w *binWire) ackBody(a Ack, final, solicited bool) []byte {
 	return body
 }
 
-func (w *binWire) errMsg(msg string) { w.frame(frameErr, []byte(msg)) }
-func (w *binWire) flush() error      { return w.bw.Flush() }
+func (w *binWire) flush() error { return w.bw.Flush() }
 
 // decodeAckFrame parses an ack frame body into the client's Ack plus
 // its solicited flag.

@@ -70,7 +70,7 @@ func checkpointApplied(t *testing.T, path string) uint64 {
 		t.Fatalf("opening checkpoint: %v", err)
 	}
 	defer f.Close()
-	line, err := readLine(bufio.NewReader(f))
+	line, err := event.ReadLine(bufio.NewReader(f))
 	if err != nil {
 		t.Fatalf("reading checkpoint header: %v", err)
 	}

@@ -59,9 +59,7 @@ func (s *Server) PutReplica(id string, data []byte) error {
 	if err := s.writeDurable(s.cfg.ReplicaDir, id+".ckpt", data); err != nil {
 		return err
 	}
-	if s.replicasHeld != nil {
-		s.replicasHeld.Inc()
-	}
+	s.replicasHeld.Inc()
 	return nil
 }
 
@@ -91,9 +89,7 @@ func (s *Server) promoteReplicaLocked(id string) *session {
 	sess.durable.Store(sess.applied.Load()) // the replica file is on disk here
 	s.sessions[id] = sess
 	s.registerSessionMetrics(sess)
-	if s.promotions != nil {
-		s.promotions.Inc()
-	}
+	s.promotions.Inc()
 	s.cfg.Logger.Info("session promoted from replica", "component", "server", "session", id,
 		"applied", sess.applied.Load(), "races", sess.races.Load())
 	s.flight("promote", id, fmt.Sprintf("from replica at %d applied, %d races", sess.applied.Load(), sess.races.Load()))
@@ -174,9 +170,7 @@ func (s *Server) AdoptSession(data []byte) (applied uint64, err error) {
 		// on disk after the adopted one.
 		s.ckpt.discard(old)
 	}
-	if s.adoptions != nil {
-		s.adoptions.Inc()
-	}
+	s.adoptions.Inc()
 	if s.cfg.CheckpointDir != "" {
 		if err := s.persistCheckpoint(sess.id, data); err != nil {
 			s.cfg.Logger.Warn("persisting adopted checkpoint failed", "component", "server",

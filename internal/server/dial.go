@@ -143,7 +143,7 @@ func connectOnce(ctx context.Context, addr, session string) (*handshakeResult, e
 		return fail(err)
 	}
 	br := bufio.NewReaderSize(conn, 64*1024)
-	line, err := readLine(br)
+	line, err := event.ReadLine(br)
 	if err != nil {
 		return fail(fmt.Errorf("server: reading welcome: %w", err))
 	}

@@ -71,21 +71,15 @@ type wireRace struct {
 
 // encodeRace converts an engine verdict to its wire form. pos is the
 // global linearization position of the completing access.
-func encodeRace(r detect.Race, pos uint64) (*wireRace, error) {
-	access, err := event.MarshalAction(r.Access)
-	if err != nil {
-		return nil, fmt.Errorf("server: encoding race access: %w", err)
-	}
+func encodeRace(r detect.Race, pos uint64) *wireRace {
 	wr := &wireRace{
 		Pos: pos, Obj: r.Var.Obj, Field: r.Var.Field,
-		Access: access, HasPrev: r.HasPrev, Prov: r.Prov,
+		Access: event.MarshalAction(r.Access), HasPrev: r.HasPrev, Prov: r.Prov,
 	}
 	if r.HasPrev {
-		if wr.Prev, err = event.MarshalAction(r.Prev); err != nil {
-			return nil, fmt.Errorf("server: encoding race prev: %w", err)
-		}
+		wr.Prev = event.MarshalAction(r.Prev)
 	}
-	return wr, nil
+	return wr
 }
 
 // decodeRace rebuilds the detect.Race a local run would have produced.

@@ -367,9 +367,7 @@ func (s *Server) acceptLoop() {
 		}
 		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
-		if s.connsTotal != nil {
-			s.connsTotal.Inc()
-		}
+		s.connsTotal.Inc()
 		s.wg.Add(1)
 		go s.handleConn(conn)
 	}
@@ -448,9 +446,7 @@ func (s *Server) newSessionLocked(id string) *session {
 	}
 	s.sessions[id] = sess
 	s.registerSessionMetrics(sess)
-	if s.sessionsTotal != nil {
-		s.sessionsTotal.Inc()
-	}
+	s.sessionsTotal.Inc()
 	return sess
 }
 
@@ -558,9 +554,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	if err != nil {
 		var noe *notOwnerError
 		if errors.As(err, &noe) {
-			if s.redirects != nil {
-				s.redirects.Inc()
-			}
+			s.redirects.Inc()
 			s.flight("redirect", h.Session, "owner "+noe.owner)
 			writeWelcome(welcome{Error: err.Error(), NotOwner: true, Owner: noe.owner})
 			return
@@ -748,12 +742,7 @@ func (s *Server) sessionWorker(sess *session, queue chan item, enc *binWire, don
 			}
 			for _, r := range races {
 				sess.races.Add(1)
-				wr, err := encodeRace(r, pos)
-				if err != nil {
-					enc.errMsg(err.Error())
-					continue
-				}
-				enc.race(wr)
+				enc.race(encodeRace(r, pos))
 			}
 			n := sess.applied.Add(1)
 			sinceFlush++
@@ -827,17 +816,6 @@ func readHello(br *bufio.Reader) ([]byte, error) {
 		return nil, err
 	}
 	return append([]byte(nil), line[:len(line)-1]...), nil
-}
-
-// readLine reads one newline-terminated line without the terminator.
-// It serves lines from trusted or already-bounded sources: a welcome or
-// admin response read by a client, and a checkpoint header.
-func readLine(br *bufio.Reader) ([]byte, error) {
-	line, err := br.ReadBytes('\n')
-	if err != nil {
-		return nil, err
-	}
-	return line[:len(line)-1], nil
 }
 
 // Close stops accepting connections, severs live ones, waits for every
@@ -934,9 +912,7 @@ func (s *Server) DumpFlight(reason string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if s.flightDumps != nil {
-		s.flightDumps.Inc()
-	}
+	s.flightDumps.Inc()
 	s.cfg.Logger.Info("flight recorder dumped", "component", "server",
 		"reason", reason, "path", path)
 	return path, nil
@@ -1054,9 +1030,7 @@ func (s *Server) persistCheckpoint(id string, data []byte) error {
 	if err := s.writeDurable(s.cfg.CheckpointDir, id+".ckpt", data); err != nil {
 		return err
 	}
-	if s.ckptsWritten != nil {
-		s.ckptsWritten.Inc()
-	}
+	s.ckptsWritten.Inc()
 	return nil
 }
 
@@ -1159,9 +1133,7 @@ func (s *Server) quarantineCheckpoint(path, sessionID string, cause error) {
 	s.mu.Lock()
 	s.quarantined = append(s.quarantined, q)
 	s.mu.Unlock()
-	if s.ckptsQuarant != nil {
-		s.ckptsQuarant.Inc()
-	}
+	s.ckptsQuarant.Inc()
 	s.cfg.Logger.Warn("checkpoint quarantined", "component", "server",
 		"session", sessionID, "path", dest, "err", cause)
 	s.flight("checkpoint-quarantine", sessionID, fmt.Sprintf("%s: %v", dest, cause))
@@ -1196,9 +1168,7 @@ func (s *Server) restoreSessions() error {
 		s.sessions[sess.id] = sess
 		s.registerSessionMetrics(sess)
 		s.mu.Unlock()
-		if s.ckptsRestored != nil {
-			s.ckptsRestored.Inc()
-		}
+		s.ckptsRestored.Inc()
 		s.cfg.Logger.Info("session restored", "component", "server", "session", sess.id,
 			"applied", sess.applied.Load(), "races", sess.races.Load())
 		s.flight("restore", sess.id, fmt.Sprintf("%d applied, %d races", sess.applied.Load(), sess.races.Load()))
@@ -1220,29 +1190,27 @@ func loadSessionFile(path string) (*session, error) {
 // loadSession decodes a session checkpoint (header line + engine
 // snapshot) from r.
 func loadSession(br *bufio.Reader) (*session, error) {
-	line, err := readLine(br)
+	line, err := event.ReadLine(br)
 	if err != nil {
 		return nil, fmt.Errorf("reading session header: %w", err)
 	}
+	if err := event.CheckHeader(line, SessionFormatName, SessionFormatVersion, SessionFormatVersion); err != nil {
+		return nil, err
+	}
 	var hdr sessionHeader
-	if err := json.Unmarshal(line, &hdr); err != nil || hdr.Format != SessionFormatName {
-		return nil, fmt.Errorf("not a %s checkpoint", SessionFormatName)
-	}
-	if hdr.Version != SessionFormatVersion {
-		return nil, fmt.Errorf("unsupported session checkpoint version %d", hdr.Version)
-	}
+	json.Unmarshal(line, &hdr) // CheckHeader has parsed the line
 	if !validSessionID(hdr.Session) {
 		return nil, fmt.Errorf("invalid session id %q", hdr.Session)
 	}
 	sess := &session{id: hdr.Session}
 	if hdr.Serial {
-		rt, err := regiontrack.Restore(br, core.RestoreAttach{})
+		rt, err := regiontrack.Restore(br)
 		if err != nil {
 			return nil, err
 		}
 		sess.rt, sess.eng = rt, rt.Engine()
 	} else {
-		eng, err := core.RestoreEngine(br, core.RestoreAttach{})
+		eng, err := core.RestoreEngine(br)
 		if err != nil {
 			return nil, err
 		}

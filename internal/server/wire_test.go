@@ -101,7 +101,7 @@ func TestCorruptRecordReported(t *testing.T) {
 	h, _ := json.Marshal(hello{Proto: ProtoName, Version: ProtoVersion, Session: "corrupt"})
 	conn.Write(append(h, '\n'))
 	br := bufio.NewReader(conn)
-	if _, err := readLine(br); err != nil {
+	if _, err := event.ReadLine(br); err != nil {
 		t.Fatalf("welcome: %v", err)
 	}
 	frame := event.AppendEventFrame(nil, event.Read(1, 1, 0), 0)
@@ -189,7 +189,7 @@ func FuzzHandshake(f *testing.F) {
 	f.Add(append(append([]byte{}, withHeader...),
 		event.AppendEventFrame(nil, event.Action{Kind: event.KindRead, Thread: 1, Obj: 1}, 0)[:7]...))
 	// The retired line-JSON stream header where the binary one belongs.
-	f.Add(append(append([]byte{}, okHello...), event.StreamHeaderLine()...))
+	f.Add(append(append([]byte{}, okHello...), event.AppendHeader(nil, event.StreamFormatName, event.StreamFormatVersion)...))
 	// A valid handshake followed by an unknown control verb.
 	f.Add(append(append([]byte{}, withHeader...), event.AppendFrame(nil, event.FrameCtl, []byte{9})...))
 	f.Fuzz(func(t *testing.T, data []byte) {
