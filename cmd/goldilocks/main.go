@@ -102,7 +102,7 @@ func main() {
 		budget   = flag.Int("memory-budget", 0, "event-list cell budget; over it the engine degrades gracefully (0: unbounded)")
 		remote   = flag.String("remote", "", "offload detection to the goldilocksd at this address (or comma-separated cluster list, with failover) instead of running an in-process detector (forces -policy log; see docs/SERVICE.md)")
 		session  = flag.String("session", "", "session id for -remote (default: goldilocks-<pid>)")
-		exploreN = flag.Int("explore", 0, "systematically explore up to N schedules and report how many race (implies -sched det)")
+		exploreN = flag.Int("explore", 0, "systematically explore up to N schedules on the goldilocks engine and report how many race; takes only -explore-bound and -explore-timeout, and any other flag is a usage error")
 		exploreP = flag.Int("explore-bound", 0, "preemption bound for -explore (0: unbounded)")
 		exploreT = flag.Duration("explore-timeout", 0, "wall-clock budget for -explore (0: unbounded)")
 
@@ -118,7 +118,11 @@ func main() {
 		os.Exit(resilience.ExitUsage)
 	}
 	if *exploreN > 0 {
-		racy, err := exploreSchedules(flag.Arg(0), *exploreN, *exploreP, *exploreT)
+		err := exploreRefuses(flag.Visit)
+		var racy int
+		if err == nil {
+			racy, err = exploreSchedules(flag.Arg(0), *exploreN, *exploreP, *exploreT)
+		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "goldilocks:", err)
 		}
@@ -154,6 +158,26 @@ func main() {
 		fmt.Fprintln(os.Stderr, "goldilocks:", err)
 	}
 	os.Exit(exitFor(nraces, err))
+}
+
+// exploreFlags are the flags -explore reads. It runs its own
+// deterministic schedules on the goldilocks engine and logs races, so
+// every other run flag would be ignored.
+var exploreFlags = map[string]bool{"explore": true, "explore-bound": true, "explore-timeout": true}
+
+// exploreRefuses returns a usage error naming each flag the user set
+// (visit is flag.Visit) that -explore does not apply.
+func exploreRefuses(visit func(func(*flag.Flag))) error {
+	var set []string
+	visit(func(f *flag.Flag) {
+		if !exploreFlags[f.Name] {
+			set = append(set, "-"+f.Name)
+		}
+	})
+	if len(set) > 0 {
+		return usageErrf("-explore does not apply %s", strings.Join(set, ", "))
+	}
+	return nil
 }
 
 // exploreSchedules runs the program under systematic schedule

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"slices"
@@ -19,6 +21,34 @@ import (
 	"goldilocks/internal/event"
 	"goldilocks/internal/resilience"
 )
+
+// mainArgsEnv, when set in the environment, makes the test binary run
+// main with these newline-separated arguments instead of the tests.
+const mainArgsEnv = "GOLDILOCKS_TEST_MAIN_ARGS"
+
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv(mainArgsEnv); ok {
+		os.Args = append([]string{"goldilocks"}, strings.Split(args, "\n")...)
+		flag.CommandLine = flag.NewFlagSet("goldilocks", flag.ExitOnError)
+		main()
+	}
+	os.Exit(m.Run())
+}
+
+// runMain runs the goldilocks command with args in a child process and
+// returns its exit code and combined output.
+func runMain(t *testing.T, dir string, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), mainArgsEnv+"="+strings.Join(args, "\n"))
+	out, err := cmd.CombinedOutput()
+	var ee *exec.ExitError
+	if err != nil && !errors.As(err, &ee) {
+		t.Fatalf("run %v: %v", args, err)
+	}
+	return cmd.ProcessState.ExitCode(), string(out)
+}
 
 func writeProgram(t *testing.T, src string) string {
 	t.Helper()
@@ -371,6 +401,41 @@ func TestExploreFlag(t *testing.T) {
 	}
 	if n != 0 {
 		t.Errorf("exploration found %d racy schedules of a race-free program", n)
+	}
+}
+
+// TestExploreRefusesRunFlags: -explore runs its own schedules on the
+// goldilocks engine, so a run flag it would ignore is a usage error that
+// names the flag, and nothing is written or explored.
+func TestExploreRefusesRunFlags(t *testing.T) {
+	dir := t.TempDir()
+	racy := writeProgram(t, racySrc)
+	for _, args := range [][]string{
+		{"-explore", "5", "-detector", "bogus", "-trace-locksets", "all", "-record", "x.jsonl"},
+		{"-explore", "5", "-static", "chord"},
+		{"-explore", "5", "-explore-bound", "2", "-stats-json", "s.json"},
+	} {
+		code, out := runMain(t, dir, append(args, racy)...)
+		if code != resilience.ExitUsage {
+			t.Errorf("%v: exit code %d, want %d\n%s", args, code, resilience.ExitUsage, out)
+		}
+		for _, a := range args {
+			if strings.HasPrefix(a, "-") && !strings.HasPrefix(a, "-explore") && !strings.Contains(out, a) {
+				t.Errorf("%v: output does not name %s:\n%s", args, a, out)
+			}
+		}
+		if strings.Contains(out, "explored") {
+			t.Errorf("%v: explored despite the usage error:\n%s", args, out)
+		}
+	}
+	for _, name := range []string{"x.jsonl", "s.json"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+			t.Errorf("%s written by a refused -explore run", name)
+		}
+	}
+	// The explore flags alone are accepted.
+	if code, out := runMain(t, dir, "-explore", "5", "-explore-bound", "2", racy); code != resilience.ExitRace {
+		t.Errorf("-explore -explore-bound: exit code %d, want %d\n%s", code, resilience.ExitRace, out)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Command mjcheck runs the static race analyses on an MJ program and
-// prints their reports: the fields, access sites, and methods each
-// analysis proves race-free — the information the runtime uses to skip
-// dynamic checks.
+// prints their reports: the access sites each analysis proves
+// race-free — the mask the runtime uses to skip dynamic checks — and the
+// variables all of whose sites are race-free.
 //
 // Usage:
 //
@@ -75,11 +75,10 @@ func main() {
 
 // analysisDoc is one analysis entry of the -json report.
 type analysisDoc struct {
-	Analysis    string   `json:"analysis"`
-	SafeSites   int      `json:"safe_sites"`
-	TotalSites  int      `json:"total_sites"`
-	SafeFields  []string `json:"safe_fields"`
-	SafeMethods []string `json:"safe_methods"`
+	Analysis   string   `json:"analysis"`
+	SafeSites  int      `json:"safe_sites"`
+	TotalSites int      `json:"total_sites"`
+	SafeFields []string `json:"safe_fields"`
 }
 
 // report summarizes one analysis result, printing the human-readable
@@ -90,17 +89,11 @@ func report(name string, r *static.Result, prog *mj.Program, jsonOnly bool) anal
 		fields = append(fields, k.String())
 	}
 	sort.Strings(fields)
-	methods := []string{}
-	for m := range r.SafeMethods {
-		methods = append(methods, m.QName())
-	}
-	sort.Strings(methods)
 	doc := analysisDoc{
-		Analysis:    name,
-		SafeSites:   r.SafeSiteCount(),
-		TotalSites:  mj.NumSites(prog),
-		SafeFields:  fields,
-		SafeMethods: methods,
+		Analysis:   name,
+		SafeSites:  r.SafeSiteCount(),
+		TotalSites: mj.NumSites(prog),
+		SafeFields: fields,
 	}
 	if jsonOnly {
 		return doc
@@ -111,10 +104,6 @@ func report(name string, r *static.Result, prog *mj.Program, jsonOnly bool) anal
 	fmt.Printf("race-free variables (%d):\n", len(fields))
 	for _, f := range fields {
 		fmt.Printf("  %s\n", f)
-	}
-	fmt.Printf("race-free methods (%d):\n", len(methods))
-	for _, m := range methods {
-		fmt.Printf("  %s\n", m)
 	}
 	fmt.Println()
 	return doc

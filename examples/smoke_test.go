@@ -132,7 +132,9 @@ func TestGoExamples(t *testing.T) {
 // mjPrograms lists the MJ programs with their expected deterministic-
 // scheduler verdicts: exit 0 for race-free runs, exit 1 when the run
 // reports a race (racy.mj catches its DataRaceException, but the CLI
-// still reports the race in its exit code).
+// still reports the race in its exit code). Static elimination only
+// skips checks that cannot race, so each verdict holds with and without
+// it.
 var mjPrograms = []struct {
 	name     string
 	exitCode int
@@ -149,18 +151,22 @@ func TestMJPrograms(t *testing.T) {
 	for _, p := range mjPrograms {
 		p := p
 		t.Run(p.name, func(t *testing.T) {
-			var out bytes.Buffer
-			cmd := exec.Command(cli, "-sched", "det", "-seed", "4", filepath.Join("mj", p.name+".mj"))
-			cmd.Stdout, cmd.Stderr = &out, &out
-			err := cmd.Run()
-			code := 0
-			if ee, ok := err.(*exec.ExitError); ok {
-				code = ee.ExitCode()
-			} else if err != nil {
-				t.Fatalf("run: %v", err)
-			}
-			if code != p.exitCode {
-				t.Errorf("exit code %d, want %d\n%s", code, p.exitCode, out.String())
+			for _, analysis := range []string{"none", "chord", "rcc"} {
+				t.Run(analysis, func(t *testing.T) {
+					var out bytes.Buffer
+					cmd := exec.Command(cli, "-sched", "det", "-seed", "4", "-static", analysis, filepath.Join("mj", p.name+".mj"))
+					cmd.Stdout, cmd.Stderr = &out, &out
+					err := cmd.Run()
+					code := 0
+					if ee, ok := err.(*exec.ExitError); ok {
+						code = ee.ExitCode()
+					} else if err != nil {
+						t.Fatalf("run: %v", err)
+					}
+					if code != p.exitCode {
+						t.Errorf("exit code %d, want %d\n%s", code, p.exitCode, out.String())
+					}
+				})
 			}
 		})
 	}

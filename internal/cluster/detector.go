@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"time"
 
@@ -127,18 +126,6 @@ func (d *Detector) probe(peer string) {
 	st.Draining = info.Draining
 	st.Sessions = info.Sessions
 	st.LastSeen = time.Now()
-}
-
-// View returns a snapshot of every peer's state, sorted by address.
-func (d *Detector) View() []PeerState {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]PeerState, 0, len(d.peers))
-	for _, p := range d.peers {
-		out = append(out, *d.state[p])
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-	return out
 }
 
 // Routable returns the peers that should be on the routing ring: alive

@@ -45,7 +45,6 @@ type Node struct {
 	repl     chan replJob
 	stop     chan struct{}
 	done     chan struct{}
-	dropped  atomic.Uint64 // replication jobs dropped on queue overflow
 }
 
 type replJob struct {
@@ -139,16 +138,13 @@ func (n *Node) OnCheckpoint(id string, applied uint64, data []byte) {
 		default:
 		}
 		select {
-		case <-n.repl: // evict oldest
-			n.dropped.Add(1)
+		case old := <-n.repl: // evict oldest
+			n.cfg.Logger.Warn("replication job dropped on queue overflow", "component", "cluster",
+				"session", old.id, "applied", old.applied)
 		default:
 		}
 	}
 }
-
-// DroppedReplications reports how many replication jobs were evicted on
-// queue overflow.
-func (n *Node) DroppedReplications() uint64 { return n.dropped.Load() }
 
 // OnDrain implements server.Config.OnDrain: the node stops claiming
 // sessions. Peers learn via ping replies within one probe interval.

@@ -47,10 +47,6 @@ type SpecEngine struct {
 	writesAt map[event.Variable]*specAccess
 	readsAt  map[event.Variable]map[event.Tid]*specAccess
 
-	// observer, if non-nil, is invoked after each action with the
-	// variable locksets it changed; used to print Figure 6/7 traces.
-	observer func(a event.Action)
-
 	// fires counts, per rule, the actions of the linearization that
 	// triggered it (see RuleFires).
 	fires [obs.NumRules + 1]uint64
@@ -98,16 +94,9 @@ func (s *SpecEngine) RuleFires() [obs.NumRules + 1]uint64 {
 // Name implements detect.Detector.
 func (s *SpecEngine) Name() string { return "spec" }
 
-// SetObserver registers f to run after every processed action.
-func (s *SpecEngine) SetObserver(f func(a event.Action)) { s.observer = f }
-
 // WriteLockset returns the current lockset guarding the last write to v,
 // or nil if v has not been written. The caller must not modify it.
 func (s *SpecEngine) WriteLockset(v event.Variable) *Lockset { return s.writes[v] }
-
-// ReadLocksets returns the per-thread locksets guarding reads of v since
-// the last write. The caller must not modify the result.
-func (s *SpecEngine) ReadLocksets(v event.Variable) map[event.Tid]*Lockset { return s.reads[v] }
 
 // forEach applies f to every tracked lockset.
 func (s *SpecEngine) forEach(f func(ls *Lockset)) {
@@ -266,10 +255,6 @@ func (s *SpecEngine) Step(a event.Action) []detect.Race {
 		delete(s.readsAt, v)
 	case event.KindCommit:
 		races = s.commit(a)
-	}
-
-	if s.observer != nil {
-		s.observer(a)
 	}
 	return races
 }

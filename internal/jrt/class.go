@@ -32,10 +32,6 @@ type FieldDecl struct {
 	// Volatile marks the field as a synchronization variable: accesses
 	// are never data races and create happens-before edges.
 	Volatile bool
-	// NoCheck marks the field as statically proven race-free; the
-	// runtime skips dynamic race checks on it. Set by the static
-	// analyses (the analog of the paper's class-file flag bits).
-	NoCheck bool
 }
 
 // Class describes an object layout. Create classes with
@@ -60,15 +56,6 @@ func (c *Class) MustFieldID(name string) event.FieldID {
 		panic(fmt.Sprintf("jrt: class %s has no field %q", c.Name, name))
 	}
 	return id
-}
-
-// NumFields returns the number of declared fields.
-func (c *Class) NumFields() int { return len(c.Fields) }
-
-// SetNoCheck marks the named field as statically race-free.
-func (c *Class) SetNoCheck(name string) {
-	id := c.MustFieldID(name)
-	c.Fields[id].NoCheck = true
 }
 
 // arrayClass is the internal class used for arrays; elements are

@@ -263,27 +263,6 @@ func TestForkJoinOrdering(t *testing.T) {
 	}
 }
 
-func TestNoCheckFieldSkipsDetection(t *testing.T) {
-	rt := newDetRuntime(5)
-	rt.Run(func(th *jrt.Thread) {
-		c := rt.DefineClass("D", jrt.FieldDecl{Name: "v", NoCheck: true})
-		o := th.New(c)
-		u := th.Spawn(func(u *jrt.Thread) { u.SetField(o, "v", 1) })
-		th.SetField(o, "v", 2) // an actual race, but checking is off
-		th.Join(u)
-	})
-	if rs := rt.Races(); len(rs) != 0 {
-		t.Errorf("NoCheck field was checked: %v", rs)
-	}
-	st := rt.Stats()
-	if st.CheckedAccesses != 0 {
-		t.Errorf("CheckedAccesses = %d, want 0", st.CheckedAccesses)
-	}
-	if st.TotalAccesses < 2 {
-		t.Errorf("TotalAccesses = %d", st.TotalAccesses)
-	}
-}
-
 func TestStatsAccounting(t *testing.T) {
 	rt := newDetRuntime(5)
 	rt.Run(func(th *jrt.Thread) {

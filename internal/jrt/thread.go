@@ -202,27 +202,25 @@ func dataFieldCount(c *Class) int {
 	return n
 }
 
-// Get reads data field f of o, race-checking unless the field is marked
-// NoCheck.
+// Get reads data field f of o and race-checks the read; GetUnchecked is
+// the read whose check static analysis eliminated.
 func (t *Thread) Get(o *Object, f event.FieldID) Value {
-	fd := o.class.Fields[f]
-	if fd.Volatile {
+	if o.class.Fields[f].Volatile {
 		return t.GetVolatile(o, f)
 	}
 	t.rt.sched.yield(t)
-	t.access(o, f, false, !fd.NoCheck)
+	t.access(o, f, false)
 	return o.load(f)
 }
 
 // Set writes data field f of o.
 func (t *Thread) Set(o *Object, f event.FieldID, v Value) {
-	fd := o.class.Fields[f]
-	if fd.Volatile {
+	if o.class.Fields[f].Volatile {
 		t.SetVolatile(o, f, v)
 		return
 	}
 	t.rt.sched.yield(t)
-	t.access(o, f, true, !fd.NoCheck)
+	t.access(o, f, true)
 	o.store(f, v)
 }
 
@@ -265,7 +263,7 @@ func (t *Thread) arrayAccess(o *Object, f event.FieldID, isWrite bool) {
 			t.rt.disableArray(o.addr)
 		}
 	}()
-	t.access(o, f, isWrite, true)
+	t.access(o, f, isWrite)
 }
 
 // LoadUnchecked / StoreUnchecked access array elements with race
@@ -303,10 +301,10 @@ func (t *Thread) SetUnchecked(o *Object, f event.FieldID, v Value) {
 }
 
 // access performs the bookkeeping and race check for a data access.
-func (t *Thread) access(o *Object, f event.FieldID, isWrite, check bool) {
+func (t *Thread) access(o *Object, f event.FieldID, isWrite bool) {
 	rt := t.rt
 	rt.totalAccesses.Add(1)
-	if !check || rt.det == nil {
+	if rt.det == nil {
 		return
 	}
 	rt.checkedAccesses.Add(1)

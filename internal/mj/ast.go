@@ -149,9 +149,6 @@ type FieldDeclNode struct {
 	Volatile bool
 	// Index is the field's runtime slot, assigned by the checker.
 	Index int
-	// NoCheck is set by static analysis: dynamic race checks are
-	// skipped for this field.
-	NoCheck bool
 }
 
 // MethodDecl is a method declaration.
@@ -163,9 +160,6 @@ type MethodDecl struct {
 	Params       []*Param
 	Ret          *Type
 	Body         *Block
-	// NoCheck is set by static analysis: accesses lexically inside this
-	// method are race-free and skip dynamic checks.
-	NoCheck bool
 }
 
 // QName returns Class.Method.
@@ -450,8 +444,6 @@ type FieldExpr struct {
 	// SiteID is the unique access-site id assigned by the checker, used
 	// by the static analyses and their per-site check masks.
 	SiteID int
-	// NoCheck is set by static analysis for this site.
-	NoCheck bool
 }
 
 // IndexExpr is arr[idx].
@@ -461,8 +453,6 @@ type IndexExpr struct {
 	Arr    Expr
 	Index  Expr
 	SiteID int
-	// NoCheck is set by static analysis for this site.
-	NoCheck bool
 }
 
 // LenExpr is arr.length (parsed from FieldExpr on arrays).

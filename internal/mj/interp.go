@@ -60,7 +60,7 @@ func NewInterp(prog *Program, cfg InterpConfig) (*Interp, error) {
 	for _, cd := range prog.Classes {
 		fields := make([]jrt.FieldDecl, len(cd.Fields))
 		for i, f := range cd.Fields {
-			fields[i] = jrt.FieldDecl{Name: f.Name, Volatile: f.Volatile, NoCheck: f.NoCheck}
+			fields[i] = jrt.FieldDecl{Name: f.Name, Volatile: f.Volatile}
 		}
 		in.classes[cd] = in.rt.DefineClass("mj."+cd.Name, fields...)
 	}
@@ -131,9 +131,6 @@ type threadState struct {
 	in *Interp
 	jt *jrt.Thread
 	tx *stm.Tx // non-nil inside an atomic block
-	// uncheckedDepth > 0 while executing methods whose accesses static
-	// analysis proved race-free.
-	uncheckedDepth int
 }
 
 // frame is a method activation: a scope stack over local variables.
@@ -210,10 +207,6 @@ func (ts *threadState) invoke(self *jrt.Object, cd *ClassDecl, m *MethodDecl, ar
 	if m.Synchronized {
 		ts.jt.MonitorEnter(self)
 		defer ts.jt.MonitorExit(self)
-	}
-	if m.NoCheck {
-		ts.uncheckedDepth++
-		defer func() { ts.uncheckedDepth-- }()
 	}
 	fr := &frame{this: self, class: cd}
 	fr.push()
@@ -431,7 +424,7 @@ func (ts *threadState) execAssign(fr *frame, st *AssignStmt) {
 		switch {
 		case ts.tx != nil:
 			ts.tx.Set(recv, fid, v)
-		case ts.skipCheck(target.SiteID, target.NoCheck) && !target.Decl.Volatile:
+		case ts.skipCheck(target.SiteID) && !target.Decl.Volatile:
 			ts.jt.SetUnchecked(recv, fid, v)
 		default:
 			ts.jt.Set(recv, fid, v)
@@ -443,7 +436,7 @@ func (ts *threadState) execAssign(fr *frame, st *AssignStmt) {
 		switch {
 		case ts.tx != nil:
 			ts.tx.Store(arr, i, v)
-		case ts.skipCheck(target.SiteID, target.NoCheck):
+		case ts.skipCheck(target.SiteID):
 			ts.jt.StoreUnchecked(arr, i, v)
 		default:
 			ts.jt.Store(arr, i, v)
@@ -454,11 +447,9 @@ func (ts *threadState) execAssign(fr *frame, st *AssignStmt) {
 }
 
 // skipCheck decides whether this access site's dynamic check is
-// statically eliminated.
-func (ts *threadState) skipCheck(site int, noCheck bool) bool {
-	if ts.uncheckedDepth > 0 || noCheck {
-		return true
-	}
+// statically eliminated: the site mask is the only channel from the
+// static analyses to the runtime.
+func (ts *threadState) skipCheck(site int) bool {
 	return site < len(ts.in.sites) && ts.in.sites[site]
 }
 
@@ -485,7 +476,7 @@ func (ts *threadState) eval(fr *frame, e Expr) jrt.Value {
 		switch {
 		case ts.tx != nil:
 			v = ts.tx.Get(recv, fid)
-		case ts.skipCheck(ex.SiteID, ex.NoCheck) && !ex.Decl.Volatile:
+		case ts.skipCheck(ex.SiteID) && !ex.Decl.Volatile:
 			v = ts.jt.GetUnchecked(recv, fid)
 		default:
 			v = ts.jt.Get(recv, fid)
@@ -498,7 +489,7 @@ func (ts *threadState) eval(fr *frame, e Expr) jrt.Value {
 		switch {
 		case ts.tx != nil:
 			v = ts.tx.Load(arr, i)
-		case ts.skipCheck(ex.SiteID, ex.NoCheck):
+		case ts.skipCheck(ex.SiteID):
 			v = ts.jt.LoadUnchecked(arr, i)
 		default:
 			v = ts.jt.Load(arr, i)

@@ -7,18 +7,17 @@ import (
 	"goldilocks/internal/mj"
 )
 
-// Result is the output both analyses share: which sites, fields, and
-// methods are statically guaranteed race-free. Apply installs it into
-// the program's NoCheck flags, the form the runtime consumes (the analog
-// of the paper's class-file access-flag bits).
+// Result is the output both analyses share: which access sites, and
+// which abstract variables, are statically guaranteed race-free. The
+// per-site mask SafeSites is the one form the runtime consumes (the
+// analog of the paper's class-file access-flag bits), passed as
+// mj.InterpConfig.SiteNoCheck.
 type Result struct {
 	Analysis string
 	// SafeSites is indexed by access-site id.
 	SafeSites []bool
-	// SafeFields maps abstract variables proven race-free.
+	// SafeFields maps abstract variables proven race-free, for reports.
 	SafeFields map[FieldKey]bool
-	// SafeMethods lists methods all of whose sites are safe.
-	SafeMethods map[*mj.MethodDecl]bool
 	// Facts retained for reporting.
 	Facts *Facts
 }
@@ -34,42 +33,10 @@ func (r *Result) SafeSiteCount() int {
 	return n
 }
 
-// Apply installs the result into the program AST: field-level NoCheck on
-// declarations, site-level NoCheck on access expressions, and
-// method-level NoCheck. It returns the per-site mask for
-// mj.InterpConfig.SiteNoCheck.
-func (r *Result) Apply(prog *mj.Program) []bool {
-	for key := range r.SafeFields {
-		if key.Class == "[]" {
-			continue // array safety is site-level only
-		}
-		if cd := prog.ClassByName(key.Class); cd != nil {
-			if fd := cd.Field(key.Field); fd != nil {
-				fd.NoCheck = true
-			}
-		}
-	}
-	for m := range r.SafeMethods {
-		m.NoCheck = true
-	}
-	for _, cd := range prog.Classes {
-		for _, m := range cd.Methods {
-			mj.WalkExprs(m.Body, func(e mj.Expr) {
-				switch ex := e.(type) {
-				case *mj.FieldExpr:
-					if ex.SiteID < len(r.SafeSites) && r.SafeSites[ex.SiteID] {
-						ex.NoCheck = true
-					}
-				case *mj.IndexExpr:
-					if ex.SiteID < len(r.SafeSites) && r.SafeSites[ex.SiteID] {
-						ex.NoCheck = true
-					}
-				}
-			})
-		}
-	}
-	return r.SafeSites
-}
+// Apply returns the per-site mask for mj.InterpConfig.SiteNoCheck. It
+// leaves prog unmodified: the mask is the only channel from the
+// analyses to the runtime.
+func (r *Result) Apply(prog *mj.Program) []bool { return r.SafeSites }
 
 // mayRace decides whether two sites on the same abstract variable can
 // form an extended race: they conflict (at least one write, and the
@@ -122,16 +89,15 @@ func (f *Facts) mhp(a, b *Site) bool {
 
 // Chord runs the automatic may-race pair analysis: every pair of sites
 // on the same abstract variable is tested with mayRace; sites in no racy
-// pair are safe, fields none of whose sites are in a racy pair are safe,
-// and methods all of whose sites are safe are safe.
+// pair are safe, and fields none of whose sites are in a racy pair are
+// safe.
 func Chord(prog *mj.Program) *Result {
 	facts := BuildFacts(prog)
 	r := &Result{
-		Analysis:    "chord",
-		SafeSites:   make([]bool, facts.NumSites),
-		SafeFields:  make(map[FieldKey]bool),
-		SafeMethods: make(map[*mj.MethodDecl]bool),
-		Facts:       facts,
+		Analysis:   "chord",
+		SafeSites:  make([]bool, facts.NumSites),
+		SafeFields: make(map[FieldKey]bool),
+		Facts:      facts,
 	}
 	racySite := make(map[int]bool)
 	racyField := make(map[FieldKey]bool)
@@ -156,7 +122,6 @@ func Chord(prog *mj.Program) *Result {
 			r.SafeSites[s.ID] = true
 		}
 	}
-	markSafeMethods(prog, r)
 	return r
 }
 
@@ -177,11 +142,10 @@ func Chord(prog *mj.Program) *Result {
 func Rcc(prog *mj.Program) (*Result, error) {
 	facts := BuildFacts(prog)
 	r := &Result{
-		Analysis:    "rcc",
-		SafeSites:   make([]bool, facts.NumSites),
-		SafeFields:  make(map[FieldKey]bool),
-		SafeMethods: make(map[*mj.MethodDecl]bool),
-		Facts:       facts,
+		Analysis:   "rcc",
+		SafeSites:  make([]bool, facts.NumSites),
+		SafeFields: make(map[FieldKey]bool),
+		Facts:      facts,
 	}
 
 	trusted := make(map[FieldKey]bool)
@@ -225,7 +189,6 @@ func Rcc(prog *mj.Program) (*Result, error) {
 			r.SafeSites[s.ID] = true
 		}
 	}
-	markSafeMethods(prog, r)
 	return r, nil
 }
 
@@ -325,35 +288,4 @@ func fieldSafeByDiscipline(facts *Facts, sites []*Site) bool {
 		}
 	}
 	return true
-}
-
-// markSafeMethods marks methods whose every access site is safe.
-func markSafeMethods(prog *mj.Program, r *Result) {
-	for _, cd := range prog.Classes {
-		for _, m := range cd.Methods {
-			safe := true
-			any := false
-			mj.WalkExprs(m.Body, func(e mj.Expr) {
-				var id int
-				switch ex := e.(type) {
-				case *mj.FieldExpr:
-					if ex.Decl == nil || ex.Decl.Volatile {
-						return
-					}
-					id = ex.SiteID
-				case *mj.IndexExpr:
-					id = ex.SiteID
-				default:
-					return
-				}
-				any = true
-				if id >= len(r.SafeSites) || !r.SafeSites[id] {
-					safe = false
-				}
-			})
-			if any && safe {
-				r.SafeMethods[m] = true
-			}
-		}
-	}
 }

@@ -1,6 +1,7 @@
 package static_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -132,10 +133,6 @@ class Main {
 	_, r := chordOn(t, src)
 	if got, want := r.SafeSiteCount(), len(r.SafeSites); got != want {
 		t.Errorf("thread-local program: %d/%d sites safe", got, want)
-	}
-	workM := r.Facts.Prog.ClassByName("Main").Method("work")
-	if !r.SafeMethods[workM] {
-		t.Error("work method not marked safe")
 	}
 }
 
@@ -290,21 +287,43 @@ class Main {
 	}
 }
 
-func TestApplySetsFlags(t *testing.T) {
-	prog, r := chordOn(t, guardedSrc)
-	mask := r.Apply(prog)
-	fd := prog.ClassByName("Counter").Field("n")
-	if !fd.NoCheck {
-		t.Error("Apply did not set field NoCheck")
+// calleeRaceSrc races on d.v through write(), called from wrapper().
+// wrapper's own site (k = 1) is safe, so a verdict about whole methods
+// would call wrapper safe and hide the racy write in its callee.
+const calleeRaceSrc = `
+class D { int v; }
+class Main {
+	D d;
+	int k;
+	void racer() { d.v = 1; }
+	void write() { d.v = 2; }
+	void wrapper() { k = 1; this.write(); }
+	void main() {
+		d = new D();
+		thread t = spawn this.racer();
+		this.wrapper();
+		join(t);
 	}
-	anySite := false
-	for _, ok := range mask {
-		if ok {
-			anySite = true
+}
+`
+
+// TestApplyReturnsSiteMask: Apply hands the runtime the per-site mask
+// and leaves the program as the checker made it, so running the program
+// afterwards without the mask still checks every access.
+func TestApplyReturnsSiteMask(t *testing.T) {
+	for _, analysis := range []string{"chord", "rcc"} {
+		prog := mj.MustCheck(calleeRaceSrc)
+		r := analyze(t, prog, analysis)
+		mask := r.Apply(prog)
+		if !slices.Equal(mask, r.SafeSites) {
+			t.Errorf("%s: Apply returned %v, want SafeSites %v", analysis, mask, r.SafeSites)
 		}
-	}
-	if !anySite {
-		t.Error("Apply produced an empty site mask")
+		if !slices.Contains(mask, true) {
+			t.Errorf("%s: Apply produced an empty site mask", analysis)
+		}
+		if races := runProg(t, prog, 1, nil); len(races) == 0 {
+			t.Errorf("%s: after Apply, the unmasked run reports no race", analysis)
+		}
 	}
 }
 
@@ -312,6 +331,7 @@ func TestApplySetsFlags(t *testing.T) {
 // property: applying a static result must not suppress the detection of
 // any actual race.
 var corpus = []string{
+	calleeRaceSrc,
 	guardedSrc,
 	racySrc,
 	`
@@ -359,23 +379,36 @@ class Main {
 `,
 }
 
-// runWith executes src with the given site mask applied, using the Log
-// policy so control flow is identical between runs, and returns the set
-// of racy variables.
+// analyze runs the named analysis on prog.
+func analyze(t *testing.T, prog *mj.Program, analysis string) *static.Result {
+	t.Helper()
+	if analysis == "chord" {
+		return static.Chord(prog)
+	}
+	r, err := static.Rcc(prog)
+	if err != nil {
+		t.Fatalf("Rcc: %v", err)
+	}
+	return r
+}
+
+// runWith executes src with the named analysis's site mask applied
+// ("none": no mask) and returns the set of racy variables.
 func runWith(t *testing.T, src string, seed int64, analysis string) map[event.Variable]bool {
 	t.Helper()
 	prog := mj.MustCheck(src)
 	var mask []bool
-	switch analysis {
-	case "chord":
-		mask = static.Chord(prog).Apply(prog)
-	case "rcc":
-		r, err := static.Rcc(prog)
-		if err != nil {
-			t.Fatalf("Rcc: %v", err)
-		}
-		mask = r.Apply(prog)
+	if analysis != "none" {
+		mask = analyze(t, prog, analysis).Apply(prog)
 	}
+	return runProg(t, prog, seed, mask)
+}
+
+// runProg executes prog with the given site mask, using the Log policy
+// so control flow is identical between runs, and returns the set of
+// racy variables.
+func runProg(t *testing.T, prog *mj.Program, seed int64, mask []bool) map[event.Variable]bool {
+	t.Helper()
 	rt := jrt.NewRuntime(jrt.Config{Detector: core.New(), Policy: jrt.Log, Mode: jrt.Deterministic, Seed: seed})
 	in, err := mj.NewInterp(prog, mj.InterpConfig{Runtime: rt, SiteNoCheck: mask})
 	if err != nil {

@@ -3,8 +3,8 @@
 // automatic may-race access-pair analysis and an RccJava-style
 // annotation-checked lock-discipline analysis. Both consume MJ programs
 // and emit the same artifact the paper's runtime consumes: the set of
-// fields, access sites, and methods that are guaranteed race-free, which
-// the interpreter uses to skip dynamic checks.
+// access sites that are guaranteed race-free, a per-site mask the
+// interpreter uses to skip dynamic checks.
 //
 // Substitution note (see DESIGN.md): the real Chord is a context-
 // sensitive whole-program analysis over Java bytecode and the real
