@@ -103,8 +103,8 @@ func main() {
 		remote   = flag.String("remote", "", "offload detection to the goldilocksd at this address (or comma-separated cluster list, with failover) instead of running an in-process detector (forces -policy log; see docs/SERVICE.md)")
 		session  = flag.String("session", "", "session id for -remote (default: goldilocks-<pid>)")
 		exploreN = flag.Int("explore", 0, "systematically explore up to N schedules on the goldilocks engine and report how many race; takes only -explore-bound and -explore-timeout, and any other flag is a usage error")
-		exploreP = flag.Int("explore-bound", 0, "preemption bound for -explore (0: unbounded)")
-		exploreT = flag.Duration("explore-timeout", 0, "wall-clock budget for -explore (0: unbounded)")
+		exploreP = flag.Int("explore-bound", 0, "preemption bound for -explore (0: unbounded); a usage error without -explore")
+		exploreT = flag.Duration("explore-timeout", 0, "wall-clock budget for -explore (0: unbounded); a usage error without -explore")
 
 		statsJSON  = flag.String("stats-json", "", "write the machine-readable stats document (metrics, races with provenance, runtime counters) to this file; - for stdout (a race's pos is its index in the run's detector order, as racereplay reports it on the -record trace; 0 under -sched free with the goldilocks detector, which sees no total order)")
 		metrics    = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address during the run (e.g. localhost:6060; insecure, bind to localhost)")
@@ -117,12 +117,12 @@ func main() {
 		flag.Usage()
 		os.Exit(resilience.ExitUsage)
 	}
+	if err := unappliedFlags(flag.Visit, *exploreN > 0); err != nil {
+		fmt.Fprintln(os.Stderr, "goldilocks:", err)
+		os.Exit(exitFor(0, err))
+	}
 	if *exploreN > 0 {
-		err := exploreRefuses(flag.Visit)
-		var racy int
-		if err == nil {
-			racy, err = exploreSchedules(flag.Arg(0), *exploreN, *exploreP, *exploreT)
-		}
+		racy, err := exploreSchedules(flag.Arg(0), *exploreN, *exploreP, *exploreT)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "goldilocks:", err)
 		}
@@ -165,19 +165,25 @@ func main() {
 // every other run flag would be ignored.
 var exploreFlags = map[string]bool{"explore": true, "explore-bound": true, "explore-timeout": true}
 
-// exploreRefuses returns a usage error naming each flag the user set
-// (visit is flag.Visit) that -explore does not apply.
-func exploreRefuses(visit func(func(*flag.Flag))) error {
+// unappliedFlags returns a usage error naming each flag the user set
+// (visit is flag.Visit) that the chosen mode does not read: -explore
+// reads only exploreFlags, and a run without it reads every flag but
+// -explore-bound and -explore-timeout.
+func unappliedFlags(visit func(func(*flag.Flag)), exploring bool) error {
 	var set []string
 	visit(func(f *flag.Flag) {
-		if !exploreFlags[f.Name] {
+		if f.Name != "explore" && exploreFlags[f.Name] != exploring {
 			set = append(set, "-"+f.Name)
 		}
 	})
-	if len(set) > 0 {
+	switch {
+	case len(set) == 0:
+		return nil
+	case exploring:
 		return usageErrf("-explore does not apply %s", strings.Join(set, ", "))
+	default:
+		return usageErrf("%s: only read with -explore", strings.Join(set, ", "))
 	}
-	return nil
 }
 
 // exploreSchedules runs the program under systematic schedule

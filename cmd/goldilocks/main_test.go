@@ -439,6 +439,33 @@ func TestExploreRefusesRunFlags(t *testing.T) {
 	}
 }
 
+// TestExploreFlagsNeedExplore: -explore-bound and -explore-timeout are
+// read only by -explore, so a run without it refuses them with a usage
+// error that names the flag, instead of running one ordinary schedule.
+func TestExploreFlagsNeedExplore(t *testing.T) {
+	dir := t.TempDir()
+	racy := writeProgram(t, racySrc)
+	for _, args := range [][]string{
+		{"-explore-bound", "2"},
+		{"-explore-timeout", "1s"},
+		{"-sched", "det", "-policy", "log", "-explore-bound", "2", "-explore-timeout", "1s"},
+		{"-explore", "0", "-explore-bound", "2"},
+	} {
+		code, out := runMain(t, dir, append(args, racy)...)
+		if code != resilience.ExitUsage {
+			t.Errorf("%v: exit code %d, want %d\n%s", args, code, resilience.ExitUsage, out)
+		}
+		for _, a := range args {
+			if strings.HasPrefix(a, "-explore-") && !strings.Contains(out, a) {
+				t.Errorf("%v: output does not name %s:\n%s", args, a, out)
+			}
+		}
+		if strings.Contains(out, "race on") {
+			t.Errorf("%v: ran the program despite the usage error:\n%s", args, out)
+		}
+	}
+}
+
 // TestStatsReportVarsFreed: -stats and -stats-json report the engine's
 // VarsFreed next to VarsTracked. Whether any object has been collected
 // by the end of the run depends on the Go collector, so only the

@@ -182,17 +182,20 @@ func TestCheckChanErrors(t *testing.T) {
 	}
 }
 
+// chanAtomicCases are channel programs the atomic-block restrictions
+// refuse, with a substring of the error.
+var chanAtomicCases = []struct{ src, want string }{
+	{`class C { chan<int> c; void m() { atomic { send(c, 1); } } }`, "send inside atomic"},
+	{`class C { chan<int> c; void m() { atomic { int x = recv(c); } } }`, "receive inside atomic"},
+	{`class C { chan<int> c; void m() { atomic { close(c); } } }`, "close inside atomic"},
+	{`class C { chan<int> c; void m() { atomic { select { default { } } } } }`, "select inside atomic"},
+	{`class C { void m() { atomic { chan<int> c = make(chan<int>); } } }`, "make(chan) inside atomic"},
+	{`class C { chan<int> c; void helper() { send(c, 1); } void m() { atomic { helper(); } } }`, "sends on a channel"},
+	{`class C { chan<int> c; int helper() { return recv(c); } void m() { atomic { int x = helper(); } } }`, "receives from a channel"},
+}
+
 func TestCheckChanAtomicRestrictions(t *testing.T) {
-	cases := []struct{ src, want string }{
-		{`class C { chan<int> c; void m() { atomic { send(c, 1); } } }`, "send inside atomic"},
-		{`class C { chan<int> c; void m() { atomic { int x = recv(c); } } }`, "receive inside atomic"},
-		{`class C { chan<int> c; void m() { atomic { close(c); } } }`, "close inside atomic"},
-		{`class C { chan<int> c; void m() { atomic { select { default { } } } } }`, "select inside atomic"},
-		{`class C { void m() { atomic { chan<int> c = make(chan<int>); } } }`, "make(chan) inside atomic"},
-		{`class C { chan<int> c; void helper() { send(c, 1); } void m() { atomic { helper(); } } }`, "sends on a channel"},
-		{`class C { chan<int> c; int helper() { return recv(c); } void m() { atomic { int x = helper(); } } }`, "receives from a channel"},
-	}
-	for _, c := range cases {
+	for _, c := range chanAtomicCases {
 		errContains(t, c.src, c.want)
 	}
 }

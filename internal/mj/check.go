@@ -12,10 +12,12 @@ func (e *CheckError) Error() string { return fmt.Sprintf("%v: %s", e.Pos, e.Msg)
 
 // Check resolves and typechecks a parsed program in place: class, field
 // and method references are resolved, every expression receives its
-// static type, access sites and spawn sites receive unique ids, and the
-// structural restrictions on atomic blocks (no synchronization or
-// thread operations inside a transaction, transitively through calls)
-// are enforced.
+// static type, and access sites and spawn sites receive unique ids.
+// Then the restrictions on atomic blocks are enforced on the resolved
+// program: an atomic block, and every method it reaches through calls,
+// may not synchronize, use threads, channels, volatile fields, try or
+// I/O, or nest a transaction (a return is refused only in the block's
+// own body). The verdict does not depend on declaration order.
 func Check(prog *Program) error {
 	c := &checker{prog: prog}
 	return c.run()
@@ -31,13 +33,17 @@ func MustCheck(src string) *Program {
 }
 
 type checker struct {
-	prog       *Program
-	method     *MethodDecl
-	scopes     []map[string]*Type
-	loopDepth  int
-	atomicNest int
-	nextSite   int
-	nextSpawn  int
+	prog      *Program
+	method    *MethodDecl
+	scopes    []map[string]*Type
+	loopDepth int
+	inAtomic  bool // lexically inside an atomic block of c.method
+	nextSite  int
+	nextSpawn int
+	// atomics are the atomic blocks in resolution order, and entered
+	// the methods atomicUnsafe has entered.
+	atomics []*AtomicStmt
+	entered map[*MethodDecl]bool
 }
 
 func (c *checker) errf(pos Pos, format string, args ...any) error {
@@ -102,7 +108,115 @@ func (c *checker) run() error {
 			}
 		}
 	}
+
+	// The atomic-block restrictions follow calls, so they are checked
+	// once every body is resolved, whatever the declaration order.
+	c.entered = make(map[*MethodDecl]bool)
+	for _, a := range c.atomics {
+		if err := c.checkAtomic(a); err != nil {
+			return err
+		}
+	}
 	return nil
+}
+
+// atomicRule is the one list of what a transaction may not contain. For
+// a statement or expression n it returns msg, the error for n in an
+// atomic block's body, and reason, what n makes of a method that an
+// atomic block calls. Both are "" for anything a transaction may
+// contain. (A return is refused in the block's own body only, by
+// checkStmt, so that a callee may return.)
+func atomicRule(n any) (msg, reason string) {
+	switch n := n.(type) {
+	case *AtomicStmt:
+		return "nested atomic blocks are not supported", "nests atomic"
+	case *SyncStmt:
+		return "synchronized inside atomic block", "uses synchronized"
+	case *TryStmt:
+		return "try inside atomic block", "uses try"
+	case *WaitStmt:
+		return "wait inside atomic block", "uses wait"
+	case *NotifyStmt:
+		return "notify inside atomic block", "uses notify"
+	case *JoinStmt:
+		return "join inside atomic block", "joins a thread"
+	case *PrintStmt:
+		return "print (I/O) inside atomic block", "performs I/O"
+	case *SendStmt:
+		return "channel send inside atomic block", "sends on a channel"
+	case *CloseStmt:
+		return "channel close inside atomic block", "closes a channel"
+	case *SelectStmt:
+		return "select inside atomic block", "uses select"
+	case *SpawnExpr:
+		return "spawn inside atomic block", "spawns a thread"
+	case *MakeChanExpr:
+		return "make(chan) inside atomic block", "makes a channel"
+	case *RecvExpr:
+		return "channel receive inside atomic block", "receives from a channel"
+	case *FieldExpr:
+		if n.Decl.Volatile {
+			return "volatile access inside atomic block", "accesses a volatile field"
+		}
+	}
+	return "", ""
+}
+
+// checkAtomic refuses the first construct in a's body that atomicRule
+// forbids, and the first call to a method that atomicUnsafe refuses.
+func (c *checker) checkAtomic(a *AtomicStmt) error {
+	return walkUntil(a.Body, func(n any, pos Pos) error {
+		if msg, _ := atomicRule(n); msg != "" {
+			return c.errf(pos, "%s", msg)
+		}
+		if call, ok := n.(*CallExpr); ok {
+			if err := c.atomicUnsafe(call.Decl); err != nil {
+				return c.errf(pos, "call to %s inside atomic block: %v", call.Decl.QName(), err)
+			}
+		}
+		return nil
+	})
+}
+
+// atomicUnsafe returns why m may not run inside a transaction: it is
+// synchronized, or it or a method it calls contains something that
+// atomicRule gives a reason for. It enters each method once per program:
+// a search that finds a reason ends the check, and one that finds none
+// has shown every method it entered safe.
+func (c *checker) atomicUnsafe(m *MethodDecl) error {
+	if c.entered[m] {
+		return nil
+	}
+	c.entered[m] = true
+	if m.Synchronized {
+		return fmt.Errorf("%s is synchronized", m.QName())
+	}
+	return walkUntil(m.Body, func(n any, _ Pos) error {
+		if _, reason := atomicRule(n); reason != "" {
+			return fmt.Errorf("%s %s", m.QName(), reason)
+		}
+		if call, ok := n.(*CallExpr); ok {
+			return c.atomicUnsafe(call.Decl)
+		}
+		return nil
+	})
+}
+
+// walkUntil calls f on every statement and expression under body, in
+// source order, until f returns an error, and returns that error.
+func walkUntil(body Stmt, f func(n any, pos Pos) error) error {
+	var err error
+	WalkStmts(body, func(s Stmt) {
+		if err == nil {
+			err = f(s, s.StmtPos())
+		}
+		stmtExprs(s, func(e Expr) {
+			if err == nil {
+				err = f(e, e.ExprPos())
+			}
+		})
+	})
+	return err
 }
 
 func (c *checker) validType(pos Pos, t *Type) error {
@@ -123,7 +237,7 @@ func (c *checker) checkMethod(m *MethodDecl) error {
 	c.method = m
 	c.scopes = []map[string]*Type{{}}
 	c.loopDepth = 0
-	c.atomicNest = 0
+	c.inAtomic = false
 	for _, p := range m.Params {
 		if _, dup := c.scopes[0][p.Name]; dup {
 			return c.errf(p.Pos, "duplicate parameter %s", p.Name)
@@ -156,11 +270,10 @@ func (c *checker) lookup(name string) (*Type, bool) {
 func (c *checker) checkBlock(b *Block) error {
 	c.push()
 	defer c.pop()
-	for i, s := range b.Stmts {
+	for _, s := range b.Stmts {
 		if err := c.checkStmt(s); err != nil {
 			return err
 		}
-		_ = i
 	}
 	return nil
 }
@@ -191,9 +304,6 @@ func (c *checker) checkStmt(s Stmt) error {
 		if err != nil {
 			return err
 		}
-		if fe, ok := st.Target.(*FieldExpr); ok && fe.Decl == nil {
-			return c.errf(st.Pos, "cannot assign to length")
-		}
 		if _, isLen := st.Target.(*LenExpr); isLen {
 			return c.errf(st.Pos, "cannot assign to length")
 		}
@@ -203,11 +313,6 @@ func (c *checker) checkStmt(s Stmt) error {
 		}
 		if !vt.AssignableTo(tt) {
 			return c.errf(st.Pos, "cannot assign %s to %s", vt, tt)
-		}
-		if c.atomicNest > 0 {
-			if fe, ok := st.Target.(*FieldExpr); ok && fe.Decl.Volatile {
-				return c.errf(st.Pos, "volatile access inside atomic block")
-			}
 		}
 		return nil
 	case *IfStmt:
@@ -262,7 +367,7 @@ func (c *checker) checkStmt(s Stmt) error {
 		defer func() { c.loopDepth-- }()
 		return c.checkBlock(st.Body)
 	case *ReturnStmt:
-		if c.atomicNest > 0 {
+		if c.inAtomic {
 			return c.errf(st.Pos, "return inside atomic block is not supported")
 		}
 		if st.Value == nil {
@@ -296,9 +401,6 @@ func (c *checker) checkStmt(s Stmt) error {
 		_, err := c.checkExprP(&st.E)
 		return err
 	case *SyncStmt:
-		if c.atomicNest > 0 {
-			return c.errf(st.Pos, "synchronized inside atomic block")
-		}
 		lt, err := c.checkExprP(&st.Lock)
 		if err != nil {
 			return err
@@ -308,26 +410,19 @@ func (c *checker) checkStmt(s Stmt) error {
 		}
 		return c.checkBlock(st.Body)
 	case *AtomicStmt:
-		if c.atomicNest > 0 {
-			return c.errf(st.Pos, "nested atomic blocks are not supported")
-		}
-		c.atomicNest++
-		savedLoops := c.loopDepth
-		c.loopDepth = 0 // break/continue must not cross the transaction boundary
-		defer func() { c.atomicNest--; c.loopDepth = savedLoops }()
+		// break, continue and return must not cross the transaction
+		// boundary; the other restrictions are checked after resolution.
+		c.atomics = append(c.atomics, st)
+		savedLoops, savedAtomic := c.loopDepth, c.inAtomic
+		c.loopDepth, c.inAtomic = 0, true
+		defer func() { c.loopDepth, c.inAtomic = savedLoops, savedAtomic }()
 		return c.checkBlock(st.Body)
 	case *TryStmt:
-		if c.atomicNest > 0 {
-			return c.errf(st.Pos, "try inside atomic block")
-		}
 		if err := c.checkBlock(st.Body); err != nil {
 			return err
 		}
 		return c.checkBlock(st.Catch)
 	case *SendStmt:
-		if c.atomicNest > 0 {
-			return c.errf(st.Pos, "channel send inside atomic block")
-		}
 		ct, err := c.checkExprP(&st.Chan)
 		if err != nil {
 			return err
@@ -345,9 +440,6 @@ func (c *checker) checkStmt(s Stmt) error {
 		st.Elem = ct.Elem
 		return nil
 	case *CloseStmt:
-		if c.atomicNest > 0 {
-			return c.errf(st.Pos, "channel close inside atomic block")
-		}
 		ct, err := c.checkExprP(&st.Chan)
 		if err != nil {
 			return err
@@ -357,9 +449,6 @@ func (c *checker) checkStmt(s Stmt) error {
 		}
 		return nil
 	case *SelectStmt:
-		if c.atomicNest > 0 {
-			return c.errf(st.Pos, "select inside atomic block")
-		}
 		for _, arm := range st.Arms {
 			ct, err := c.checkExprP(&arm.Chan)
 			if err != nil {
@@ -403,9 +492,6 @@ func (c *checker) checkStmt(s Stmt) error {
 		}
 		return nil
 	case *WaitStmt:
-		if c.atomicNest > 0 {
-			return c.errf(st.Pos, "wait inside atomic block")
-		}
 		ot, err := c.checkExprP(&st.Obj)
 		if err != nil {
 			return err
@@ -415,9 +501,6 @@ func (c *checker) checkStmt(s Stmt) error {
 		}
 		return nil
 	case *NotifyStmt:
-		if c.atomicNest > 0 {
-			return c.errf(st.Pos, "notify inside atomic block")
-		}
 		ot, err := c.checkExprP(&st.Obj)
 		if err != nil {
 			return err
@@ -427,9 +510,6 @@ func (c *checker) checkStmt(s Stmt) error {
 		}
 		return nil
 	case *JoinStmt:
-		if c.atomicNest > 0 {
-			return c.errf(st.Pos, "join inside atomic block")
-		}
 		tt, err := c.checkExprP(&st.Thread)
 		if err != nil {
 			return err
@@ -439,9 +519,6 @@ func (c *checker) checkStmt(s Stmt) error {
 		}
 		return nil
 	case *PrintStmt:
-		if c.atomicNest > 0 {
-			return c.errf(st.Pos, "print (I/O) inside atomic block")
-		}
 		for i := range st.Args {
 			if _, err := c.checkExprP(&st.Args[i]); err != nil {
 				return err
@@ -518,9 +595,6 @@ func (c *checker) checkExpr(e Expr) (Expr, *Type, error) {
 		if f == nil {
 			return nil, nil, c.errf(ex.Pos, "class %s has no field %s", rt.Class, ex.Name)
 		}
-		if c.atomicNest > 0 && f.Volatile {
-			return nil, nil, c.errf(ex.Pos, "volatile access inside atomic block")
-		}
 		ex.Decl = f
 		ex.SiteID = c.nextSite
 		c.nextSite++
@@ -581,9 +655,6 @@ func (c *checker) checkExpr(e Expr) (Expr, *Type, error) {
 		ex.setType(t)
 		return ex, t, nil
 	case *SpawnExpr:
-		if c.atomicNest > 0 {
-			return nil, nil, c.errf(ex.Pos, "spawn inside atomic block")
-		}
 		call, _, err := c.checkCall(ex.Call)
 		if err != nil {
 			return nil, nil, err
@@ -597,9 +668,6 @@ func (c *checker) checkExpr(e Expr) (Expr, *Type, error) {
 		ex.setType(ThreadType)
 		return ex, ThreadType, nil
 	case *MakeChanExpr:
-		if c.atomicNest > 0 {
-			return nil, nil, c.errf(ex.Pos, "make(chan) inside atomic block")
-		}
 		if err := c.validType(ex.Pos, ex.Elem); err != nil {
 			return nil, nil, err
 		}
@@ -617,9 +685,6 @@ func (c *checker) checkExpr(e Expr) (Expr, *Type, error) {
 		ex.setType(t)
 		return ex, t, nil
 	case *RecvExpr:
-		if c.atomicNest > 0 {
-			return nil, nil, c.errf(ex.Pos, "channel receive inside atomic block")
-		}
 		ch, ct, err := c.checkExpr(ex.Chan)
 		if err != nil {
 			return nil, nil, err
@@ -683,11 +748,6 @@ func (c *checker) checkCall(call *CallExpr) (Expr, *Type, error) {
 	if m == nil {
 		return nil, nil, c.errf(call.Pos, "class %s has no method %s", cd.Name, call.Name)
 	}
-	if c.atomicNest > 0 {
-		if err := c.atomicSafe(m, map[*MethodDecl]bool{}); err != nil {
-			return nil, nil, c.errf(call.Pos, "call to %s inside atomic block: %v", m.QName(), err)
-		}
-	}
 	if len(call.Args) != len(m.Params) {
 		return nil, nil, c.errf(call.Pos, "%s takes %d arguments, got %d", m.QName(), len(m.Params), len(call.Args))
 	}
@@ -704,151 +764,6 @@ func (c *checker) checkCall(call *CallExpr) (Expr, *Type, error) {
 	call.Decl = m
 	call.setType(m.Ret)
 	return call, m.Ret, nil
-}
-
-// atomicSafe verifies that a method called from inside a transaction
-// performs no synchronization or thread operations, transitively.
-func (c *checker) atomicSafe(m *MethodDecl, seen map[*MethodDecl]bool) error {
-	if seen[m] {
-		return nil
-	}
-	seen[m] = true
-	if m.Synchronized {
-		return fmt.Errorf("%s is synchronized", m.QName())
-	}
-	var verify func(s Stmt) error
-	var verifyExpr func(e Expr) error
-	verifyExpr = func(e Expr) error {
-		switch ex := e.(type) {
-		case *SpawnExpr:
-			return fmt.Errorf("%s spawns a thread", m.QName())
-		case *MakeChanExpr:
-			return fmt.Errorf("%s makes a channel", m.QName())
-		case *RecvExpr:
-			return fmt.Errorf("%s receives from a channel", m.QName())
-		case *FieldExpr:
-			if ex.Decl != nil && ex.Decl.Volatile {
-				return fmt.Errorf("%s accesses a volatile field", m.QName())
-			}
-			return verifyExpr(ex.Recv)
-		case *IndexExpr:
-			if err := verifyExpr(ex.Arr); err != nil {
-				return err
-			}
-			return verifyExpr(ex.Index)
-		case *LenExpr:
-			return verifyExpr(ex.Arr)
-		case *CallExpr:
-			if ex.Recv != nil {
-				if err := verifyExpr(ex.Recv); err != nil {
-					return err
-				}
-			}
-			for _, a := range ex.Args {
-				if err := verifyExpr(a); err != nil {
-					return err
-				}
-			}
-			if ex.Decl != nil {
-				return c.atomicSafe(ex.Decl, seen)
-			}
-			return nil
-		case *UnaryExpr:
-			return verifyExpr(ex.E)
-		case *BinaryExpr:
-			if err := verifyExpr(ex.L); err != nil {
-				return err
-			}
-			return verifyExpr(ex.R)
-		case *NewArrayExpr:
-			if err := verifyExpr(ex.Len); err != nil {
-				return err
-			}
-			for _, d := range ex.extraDims {
-				if err := verifyExpr(d); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	verify = func(s Stmt) error {
-		switch st := s.(type) {
-		case *Block:
-			for _, sub := range st.Stmts {
-				if err := verify(sub); err != nil {
-					return err
-				}
-			}
-		case *SyncStmt:
-			return fmt.Errorf("%s uses synchronized", m.QName())
-		case *SendStmt:
-			return fmt.Errorf("%s sends on a channel", m.QName())
-		case *CloseStmt:
-			return fmt.Errorf("%s closes a channel", m.QName())
-		case *SelectStmt:
-			return fmt.Errorf("%s uses select", m.QName())
-		case *WaitStmt:
-			return fmt.Errorf("%s uses wait", m.QName())
-		case *NotifyStmt:
-			return fmt.Errorf("%s uses notify", m.QName())
-		case *JoinStmt:
-			return fmt.Errorf("%s joins a thread", m.QName())
-		case *PrintStmt:
-			return fmt.Errorf("%s performs I/O", m.QName())
-		case *AtomicStmt:
-			return fmt.Errorf("%s nests atomic", m.QName())
-		case *VarDeclStmt:
-			if st.Init != nil {
-				return verifyExpr(st.Init)
-			}
-		case *AssignStmt:
-			if err := verifyExpr(st.Target); err != nil {
-				return err
-			}
-			return verifyExpr(st.Value)
-		case *IfStmt:
-			if err := verifyExpr(st.Cond); err != nil {
-				return err
-			}
-			if err := verify(st.Then); err != nil {
-				return err
-			}
-			if st.Else != nil {
-				return verify(st.Else)
-			}
-		case *WhileStmt:
-			if err := verifyExpr(st.Cond); err != nil {
-				return err
-			}
-			return verify(st.Body)
-		case *ForStmt:
-			if st.Init != nil {
-				if err := verify(st.Init); err != nil {
-					return err
-				}
-			}
-			if st.Cond != nil {
-				if err := verifyExpr(st.Cond); err != nil {
-					return err
-				}
-			}
-			if st.Post != nil {
-				if err := verify(st.Post); err != nil {
-					return err
-				}
-			}
-			return verify(st.Body)
-		case *ReturnStmt:
-			if st.Value != nil {
-				return verifyExpr(st.Value)
-			}
-		case *ExprStmt:
-			return verifyExpr(st.E)
-		}
-		return nil
-	}
-	return verify(m.Body)
 }
 
 func (c *checker) checkBinary(ex *BinaryExpr) (Expr, *Type, error) {

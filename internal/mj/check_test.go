@@ -1,6 +1,7 @@
 package mj
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -125,22 +126,25 @@ func TestCheckErrors(t *testing.T) {
 	}
 }
 
+// atomicCases are programs the atomic-block restrictions refuse, with a
+// substring of the error.
+var atomicCases = []struct{ src, want string }{
+	{`class C { void m() { atomic { synchronized (this) {} } } }`, "synchronized inside atomic"},
+	{`class C { void m() { atomic { wait(this); } } }`, "wait inside atomic"},
+	{`class C { void m() { atomic { notify(this); } } }`, "notify inside atomic"},
+	{`class C { void m() { atomic { atomic { } } } }`, "nested atomic"},
+	{`class C { void m() { atomic { print(1); } } }`, "I/O"},
+	{`class C { void w() {} void m() { atomic { thread t = spawn this.w(); } } }`, "spawn inside atomic"},
+	{`class C { volatile int v; void m() { atomic { v = 1; } } }`, "volatile access inside atomic"},
+	{`class C { volatile int v; void m() { atomic { int x = v; } } }`, "volatile access inside atomic"},
+	{`class C { int m2() { return 1; } void m() { while(true) { atomic { break; } } } }`, "break outside loop"},
+	{`class C { synchronized void s() {} void m() { atomic { s(); } } }`, "synchronized"},
+	{`class C { void deep() { print(1); } void mid() { deep(); } void m() { atomic { mid(); } } }`, "I/O"},
+	{`class C { int m() { atomic { return; } } }`, "return inside atomic"},
+}
+
 func TestCheckAtomicRestrictions(t *testing.T) {
-	cases := []struct{ src, want string }{
-		{`class C { void m() { atomic { synchronized (this) {} } } }`, "synchronized inside atomic"},
-		{`class C { void m() { atomic { wait(this); } } }`, "wait inside atomic"},
-		{`class C { void m() { atomic { notify(this); } } }`, "notify inside atomic"},
-		{`class C { void m() { atomic { atomic { } } } }`, "nested atomic"},
-		{`class C { void m() { atomic { print(1); } } }`, "I/O"},
-		{`class C { void w() {} void m() { atomic { thread t = spawn this.w(); } } }`, "spawn inside atomic"},
-		{`class C { volatile int v; void m() { atomic { v = 1; } } }`, "volatile access inside atomic"},
-		{`class C { volatile int v; void m() { atomic { int x = v; } } }`, "volatile access inside atomic"},
-		{`class C { int m2() { return 1; } void m() { while(true) { atomic { break; } } } }`, "break outside loop"},
-		{`class C { synchronized void s() {} void m() { atomic { s(); } } }`, "synchronized"},
-		{`class C { void deep() { print(1); } void mid() { deep(); } void m() { atomic { mid(); } } }`, "I/O"},
-		{`class C { int m() { atomic { return; } } }`, "return inside atomic"},
-	}
-	for _, c := range cases {
+	for _, c := range atomicCases {
 		errContains(t, c.src, c.want)
 	}
 
@@ -152,4 +156,51 @@ class C {
 	void m() { atomic { n = bump(n); } }
 }
 `)
+}
+
+// TestCheckAtomicAnyOrder: the atomic-block restrictions follow calls
+// into methods declared after the caller. Every refused program is
+// checked with each class's methods as written and reversed, and so are
+// programs whose violation hides behind a later-declared callee: a
+// volatile write, a chain that synchronizes, and a try around a lock.
+func TestCheckAtomicAnyOrder(t *testing.T) {
+	refused := slices.Concat(atomicCases, chanAtomicCases, []struct{ src, want string }{
+		{`class C { volatile int v; void m() { atomic { this.inner(); } } void inner() { v = 1; } }`,
+			"call to C.inner inside atomic block: C.inner accesses a volatile field"},
+		{`class C { void dep() { atomic { this.mid(); } } void mid() { this.inner(); } void inner() { synchronized (this) { } } }`,
+			"call to C.mid inside atomic block: C.inner uses synchronized"},
+		{`class C { void m() { atomic { this.inner(); } } void inner() { try { synchronized (this) { } } catch { } } }`,
+			"call to C.inner inside atomic block: C.inner uses try"},
+		// A cycle whose violation follows the recursive call.
+		{`class C { void m() { atomic { b(1); } } void b(int k) { a(k); } void a(int k) { if (k > 0) { b(k - 1); } print(1); } }`,
+			"C.a performs I/O"},
+	})
+	accepted := []string{
+		`class C { int n; int bump(int x) { return x + 1; } void m() { atomic { n = bump(n); } } }`,
+		`class C { int n; void m() { atomic { n = f(3) + f(2); } } int f(int x) { if (x < 2) { return 1; } return x * f(x - 1); } }`,
+	}
+	for _, reverse := range []bool{false, true} {
+		check := func(src string) error {
+			prog, err := Parse(src)
+			if err != nil {
+				t.Fatalf("parse failed: %v", err)
+			}
+			if reverse {
+				for _, cd := range prog.Classes {
+					slices.Reverse(cd.Methods)
+				}
+			}
+			return Check(prog)
+		}
+		for _, c := range refused {
+			if err := check(c.src); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("reversed=%v: %s\nerror = %v, want substring %q", reverse, c.src, err, c.want)
+			}
+		}
+		for _, src := range accepted {
+			if err := check(src); err != nil {
+				t.Errorf("reversed=%v: %s\nrefused: %v", reverse, src, err)
+			}
+		}
+	}
 }

@@ -47,47 +47,51 @@ func WalkStmts(s Stmt, f func(Stmt)) {
 // WalkExprs calls f on every expression in the tree rooted at s, in
 // source order, descending into subexpressions.
 func WalkExprs(s Stmt, f func(Expr)) {
-	WalkStmts(s, func(st Stmt) {
-		switch n := st.(type) {
-		case *VarDeclStmt:
-			walkExpr(n.Init, f)
-		case *AssignStmt:
-			walkExpr(n.Target, f)
-			walkExpr(n.Value, f)
-		case *IfStmt:
-			walkExpr(n.Cond, f)
-		case *WhileStmt:
-			walkExpr(n.Cond, f)
-		case *ForStmt:
-			walkExpr(n.Cond, f)
-		case *ReturnStmt:
-			walkExpr(n.Value, f)
-		case *ExprStmt:
-			walkExpr(n.E, f)
-		case *SyncStmt:
-			walkExpr(n.Lock, f)
-		case *WaitStmt:
-			walkExpr(n.Obj, f)
-		case *NotifyStmt:
-			walkExpr(n.Obj, f)
-		case *JoinStmt:
-			walkExpr(n.Thread, f)
-		case *PrintStmt:
-			for _, a := range n.Args {
-				walkExpr(a, f)
-			}
-		case *SendStmt:
-			walkExpr(n.Chan, f)
-			walkExpr(n.Value, f)
-		case *CloseStmt:
-			walkExpr(n.Chan, f)
-		case *SelectStmt:
-			for _, arm := range n.Arms {
-				walkExpr(arm.Chan, f)
-				walkExpr(arm.Value, f)
-			}
+	WalkStmts(s, func(st Stmt) { stmtExprs(st, f) })
+}
+
+// stmtExprs calls f on the expressions that st holds itself, not those
+// of its nested statements, descending into subexpressions.
+func stmtExprs(st Stmt, f func(Expr)) {
+	switch n := st.(type) {
+	case *VarDeclStmt:
+		walkExpr(n.Init, f)
+	case *AssignStmt:
+		walkExpr(n.Target, f)
+		walkExpr(n.Value, f)
+	case *IfStmt:
+		walkExpr(n.Cond, f)
+	case *WhileStmt:
+		walkExpr(n.Cond, f)
+	case *ForStmt:
+		walkExpr(n.Cond, f)
+	case *ReturnStmt:
+		walkExpr(n.Value, f)
+	case *ExprStmt:
+		walkExpr(n.E, f)
+	case *SyncStmt:
+		walkExpr(n.Lock, f)
+	case *WaitStmt:
+		walkExpr(n.Obj, f)
+	case *NotifyStmt:
+		walkExpr(n.Obj, f)
+	case *JoinStmt:
+		walkExpr(n.Thread, f)
+	case *PrintStmt:
+		for _, a := range n.Args {
+			walkExpr(a, f)
 		}
-	})
+	case *SendStmt:
+		walkExpr(n.Chan, f)
+		walkExpr(n.Value, f)
+	case *CloseStmt:
+		walkExpr(n.Chan, f)
+	case *SelectStmt:
+		for _, arm := range n.Arms {
+			walkExpr(arm.Chan, f)
+			walkExpr(arm.Value, f)
+		}
+	}
 }
 
 func walkExpr(e Expr, f func(Expr)) {

@@ -377,6 +377,46 @@ class Main {
 	}
 }
 `,
+	// Spawns outside statement bodies: a for init, a call argument in an
+	// if condition and a call argument in a while condition each start a
+	// thread that races with main.
+	`
+class B { int v; }
+class Main {
+	B b;
+	void w() { b.v = 1; }
+	void main() {
+		b = new B();
+		int i = 0;
+		for (thread t = spawn this.w(); i < 1; i = i + 1) { b.v = 2; }
+	}
+}
+`,
+	`
+class B { int v; }
+class Main {
+	B b;
+	void w() { b.v = 1; }
+	boolean go(thread t) { return true; }
+	void main() {
+		b = new B();
+		if (this.go(spawn this.w())) { b.v = 2; }
+	}
+}
+`,
+	`
+class B { int v; }
+class Main {
+	B b;
+	int n;
+	void w() { b.v = 1; }
+	boolean more(thread t) { n = n + 1; return n < 3; }
+	void main() {
+		b = new B();
+		while (this.more(spawn this.w())) { b.v = 2; }
+	}
+}
+`,
 }
 
 // analyze runs the named analysis on prog.

@@ -18,6 +18,8 @@
 package static
 
 import (
+	"slices"
+
 	"goldilocks/internal/mj"
 )
 
@@ -111,42 +113,47 @@ func (f *Facts) computeRoots() {
 		return true
 	}
 
-	// Iterate to a fixpoint: propagate roots through calls, and create
-	// new roots at spawns.
+	// One walk per method finds its spawns and the methods it calls. A
+	// spawn's own call, which the walk visits right after the spawn, is
+	// not a call edge: it begins the spawn's root.
 	var spawns []spawnSite
+	calls := make(map[*mj.MethodDecl][]*mj.MethodDecl)
+	spawned := make(map[*mj.CallExpr]bool)
 	for _, cd := range f.Prog.Classes {
 		for _, m := range cd.Methods {
-			m := m
-			collectSpawns(m.Body, false, func(sp *mj.SpawnExpr, inLoop bool) {
-				spawns = append(spawns, spawnSite{site: sp, method: m, inLoop: inLoop})
+			var inLoop map[*mj.SpawnExpr]bool
+			mj.WalkExprs(m.Body, func(e mj.Expr) {
+				switch ex := e.(type) {
+				case *mj.SpawnExpr:
+					if inLoop == nil {
+						inLoop = loopSpawns(m.Body)
+					}
+					spawns = append(spawns, spawnSite{site: ex, method: m, inLoop: inLoop[ex]})
+					spawned[ex.Call] = true
+				case *mj.CallExpr:
+					if !spawned[ex] {
+						calls[m] = append(calls[m], ex.Decl)
+					}
+				}
 			})
 		}
 	}
 
+	// Iterate to a fixpoint: propagate roots through calls, and create
+	// new roots at spawns.
 	addRoot(mainM, 0)
 	for changed := true; changed; {
 		changed = false
 		// Call edges propagate the caller's roots.
 		for _, cd := range f.Prog.Classes {
 			for _, m := range cd.Methods {
-				roots := f.MethodRoots[m]
-				if len(roots) == 0 {
-					continue
-				}
-				mj.WalkExprs(m.Body, func(e mj.Expr) {
-					call, ok := e.(*mj.CallExpr)
-					if !ok || call.Decl == nil {
-						return
-					}
-					if _, isSpawn := spawnTarget(m, call, spawns); isSpawn {
-						return // handled through the spawn's own root
-					}
-					for r := range roots {
-						if addRoot(call.Decl, r) {
+				for _, callee := range calls[m] {
+					for r := range f.MethodRoots[m] {
+						if addRoot(callee, r) {
 							changed = true
 						}
 					}
-				})
+				}
 			}
 		}
 		// Spawn edges begin fresh roots.
@@ -169,10 +176,6 @@ func (f *Facts) computeRoots() {
 				if f.RootMulti[pr] {
 					multi = true
 				}
-				// A spawn inside a spawned method body (not main) is
-				// conservatively multi: the parent root itself may
-				// denote several threads only if multi, handled above.
-				_ = pr
 			}
 			if multi && !f.RootMulti[r] {
 				f.RootMulti[r] = true
@@ -189,85 +192,31 @@ type spawnSite struct {
 	inLoop bool
 }
 
-// spawnTarget reports whether call is the call expression of a spawn in
-// method m.
-func spawnTarget(m *mj.MethodDecl, call *mj.CallExpr, spawns []spawnSite) (*mj.SpawnExpr, bool) {
-	for _, sp := range spawns {
-		if sp.method == m && sp.site.Call == call {
-			return sp.site, true
+// loopSpawns returns the spawns in body that may run more than once
+// per call: those in a while or for condition, a for post statement or
+// a loop body. A for init runs once.
+func loopSpawns(body mj.Stmt) map[*mj.SpawnExpr]bool {
+	in := make(map[*mj.SpawnExpr]bool)
+	mj.WalkStmts(body, func(s mj.Stmt) {
+		var init mj.Stmt
+		switch st := s.(type) {
+		case *mj.WhileStmt:
+		case *mj.ForStmt:
+			init = st.Init
+		default:
+			return
 		}
-	}
-	return nil, false
-}
-
-// collectSpawns visits spawn expressions with loop context.
-func collectSpawns(s mj.Stmt, inLoop bool, visit func(*mj.SpawnExpr, bool)) {
-	switch st := s.(type) {
-	case *mj.Block:
-		for _, sub := range st.Stmts {
-			collectSpawns(sub, inLoop, visit)
-		}
-	case *mj.IfStmt:
-		collectSpawns(st.Then, inLoop, visit)
-		if st.Else != nil {
-			collectSpawns(st.Else, inLoop, visit)
-		}
-	case *mj.WhileStmt:
-		collectSpawns(st.Body, true, visit)
-	case *mj.ForStmt:
-		collectSpawns(st.Body, true, visit)
-	case *mj.SyncStmt:
-		collectSpawns(st.Body, inLoop, visit)
-	case *mj.AtomicStmt:
-		collectSpawns(st.Body, inLoop, visit)
-	case *mj.TryStmt:
-		collectSpawns(st.Body, inLoop, visit)
-		collectSpawns(st.Catch, inLoop, visit)
-	case *mj.SelectStmt:
-		for _, arm := range st.Arms {
-			visitSpawnsExpr(arm.Chan, inLoop, visit)
-			visitSpawnsExpr(arm.Value, inLoop, visit)
-			collectSpawns(arm.Body, inLoop, visit)
-		}
-		if st.Default != nil {
-			collectSpawns(st.Default, inLoop, visit)
-		}
-	case *mj.SendStmt:
-		visitSpawnsExpr(st.Chan, inLoop, visit)
-		visitSpawnsExpr(st.Value, inLoop, visit)
-	case *mj.CloseStmt:
-		visitSpawnsExpr(st.Chan, inLoop, visit)
-	case *mj.VarDeclStmt:
-		visitSpawnsExpr(st.Init, inLoop, visit)
-	case *mj.AssignStmt:
-		visitSpawnsExpr(st.Value, inLoop, visit)
-	case *mj.ExprStmt:
-		visitSpawnsExpr(st.E, inLoop, visit)
-	case *mj.ReturnStmt:
-		visitSpawnsExpr(st.Value, inLoop, visit)
-	}
-}
-
-func visitSpawnsExpr(e mj.Expr, inLoop bool, visit func(*mj.SpawnExpr, bool)) {
-	if e == nil {
-		return
-	}
-	if sp, ok := e.(*mj.SpawnExpr); ok {
-		visit(sp, inLoop)
-	}
-	switch ex := e.(type) {
-	case *mj.CallExpr:
-		for _, a := range ex.Args {
-			visitSpawnsExpr(a, inLoop, visit)
-		}
-	case *mj.BinaryExpr:
-		visitSpawnsExpr(ex.L, inLoop, visit)
-		visitSpawnsExpr(ex.R, inLoop, visit)
-	case *mj.UnaryExpr:
-		visitSpawnsExpr(ex.E, inLoop, visit)
-	case *mj.RecvExpr:
-		visitSpawnsExpr(ex.Chan, inLoop, visit)
-	case *mj.MakeChanExpr:
-		visitSpawnsExpr(ex.Cap, inLoop, visit)
-	}
+		var once []mj.Expr
+		mj.WalkExprs(init, func(e mj.Expr) {
+			if _, ok := e.(*mj.SpawnExpr); ok {
+				once = append(once, e)
+			}
+		})
+		mj.WalkExprs(s, func(e mj.Expr) {
+			if sp, ok := e.(*mj.SpawnExpr); ok && !slices.Contains(once, e) {
+				in[sp] = true
+			}
+		})
+	})
+	return in
 }

@@ -85,6 +85,41 @@ class Main {
 	}
 }
 
+// TestSpawnLoopPositions: a spawn in a loop condition, a for post
+// statement or a loop body may run many times, and one in a for init
+// runs once.
+func TestSpawnLoopPositions(t *testing.T) {
+	f := facts(t, `
+class Main {
+	int n;
+	void init() { }
+	void cond() { }
+	void post() { }
+	void body() { }
+	void wcond() { }
+	boolean go(thread t) { n = n + 1; return n < 3; }
+	void main() {
+		for (thread t = spawn this.init(); this.go(spawn this.cond()); t = spawn this.post()) {
+			thread u = spawn this.body();
+		}
+		while (this.go(spawn this.wcond())) { }
+	}
+}
+`)
+	main := f.Prog.ClassByName("Main")
+	for name, want := range map[string]bool{"init": false, "cond": true, "post": true, "body": true, "wcond": true} {
+		roots := f.MethodRoots[main.Method(name)]
+		if len(roots) != 1 || roots[0] {
+			t.Errorf("%s: roots %v, want one, its spawn's", name, roots)
+		}
+		for r := range roots {
+			if f.RootMulti[r] != want {
+				t.Errorf("%s: multi-instance %v, want %v", name, f.RootMulti[r], want)
+			}
+		}
+	}
+}
+
 func TestSpawnInsideBranchesAndTry(t *testing.T) {
 	f := facts(t, `
 class Main {
