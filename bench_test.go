@@ -290,6 +290,66 @@ func BenchmarkEngineHotPaths(b *testing.B) {
 			e.Sync(event.VolatileRead(u, 1, 0))
 		}
 	})
+	// commit20: a 20-variable transaction (10 reads, 10 writes) on an
+	// engine already warmed by commits of the same shape, so every
+	// access replaces an existing record: one list slot plus 20
+	// per-variable checks (Section 5.3's price).
+	b.Run("commit20", func(b *testing.B) {
+		e := core.New()
+		for u := event.Tid(2); u <= 4; u++ {
+			e.Sync(event.Fork(1, u))
+		}
+		reads, writes := txnSets(0, 20)
+		for i := 0; i < 64; i++ {
+			e.Commit(event.Tid(1+i%4), reads, writes)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.Commit(event.Tid(1+i%4), reads, writes)
+		}
+	})
+	// walkCommits: the lazy lockset of a plain write evaluated over N
+	// commit cells by eight threads over a pool of 64 variables. The
+	// walked lockset passes 64 elements (eight threads plus the pool),
+	// and each cell probes its 20 variables.
+	for _, n := range []int{64, 512} {
+		b.Run(fmt.Sprintf("walkCommits/cells=%d", n), func(b *testing.B) {
+			e := core.New()
+			for u := event.Tid(2); u <= 8; u++ {
+				e.Sync(event.Fork(1, u))
+			}
+			e.Write(1, 10, 0)
+			for i := 0; i < n; i++ {
+				reads, writes := txnSets(i*7%64, 20)
+				e.Sync(event.Commit(event.Tid(1+i%8), reads, writes))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if e.WriteLockset(10, 0).Len() <= 64 {
+					b.Fatal("walked lockset stayed small")
+				}
+			}
+		})
+	}
+}
+
+// txnSets returns the read and write sets of a transaction over n
+// consecutive variables of a 64-variable pool (fields of objects
+// 100-107), starting at index from: the first half read, the second
+// half written.
+func txnSets(from, n int) (reads, writes []event.Variable) {
+	for i := 0; i < n; i++ {
+		k := (from + i) % 64
+		v := event.Variable{Obj: event.Addr(100 + k/8), Field: event.FieldID(k % 8)}
+		if i < n/2 {
+			reads = append(reads, v)
+		} else {
+			writes = append(writes, v)
+		}
+	}
+	return reads, writes
 }
 
 // BenchmarkParallelAccess measures whether disjoint-variable accesses

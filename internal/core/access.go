@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"goldilocks/internal/detect"
@@ -21,24 +23,35 @@ type walkObserver func(c *cell, rule int, after *Lockset)
 // records it. It returns the race the read causes, or nil.
 func (e *Engine) Read(t event.Tid, o event.Addr, d event.FieldID) *detect.Race {
 	a := event.Read(t, o, d)
-	return e.access(t, o, d, a, false, false, nil)
+	return e.access(t, o, d, a, false, nil)
 }
 
 // Write checks a plain (non-transactional) write of (o, d) by thread t
 // and records it. It returns the race the write causes, or nil.
 func (e *Engine) Write(t event.Tid, o event.Addr, d event.FieldID) *detect.Race {
 	a := event.Write(t, o, d)
-	return e.access(t, o, d, a, true, false, nil)
+	return e.access(t, o, d, a, true, nil)
 }
 
 // Commit records a transaction commit with read set reads and write set
 // writes: the commit action enters the synchronization event list, and
 // every variable in the sets is then checked as a transactional access
 // (lines 24–28 of Figure 8). It returns the races found, one per racy
-// variable.
+// variable: the written variables in write-set order, then the variables
+// only read in read-set order.
+//
+// Section 5.3 prices a commit at one list slot plus |R ∪ W| checks, and
+// the per-commit work here is linear in |R ∪ W| apart from one sort: the
+// sets are deduplicated by sorting reused working storage, not through
+// maps, and rule 9's lockset and the committer's held lock are computed
+// once and shared by every access.
 func (e *Engine) Commit(t event.Tid, reads, writes []event.Variable) []detect.Race {
 	a := event.Commit(t, reads, writes)
 	e.Sync(a)
+
+	bufs := commitBufPool.Get().(*commitBufs)
+	defer commitBufPool.Put(bufs)
+	vars, nw := bufs.dedupe(reads, writes)
 
 	// The lockset of a variable just after a transactional access is
 	// {t, TL} plus the outgoing-edge witnesses of the configured
@@ -46,56 +59,103 @@ func (e *Engine) Commit(t event.Tid, reads, writes []event.Variable) []detect.Ra
 	// shared-variable interpretation); starting each Info's lazy lockset
 	// there lets later traversals pick up commit-to-commit
 	// synchronizes-with edges.
-	base := NewLockset(ThreadElem(t), TL)
+	var witnesses []event.Variable
 	switch e.opts.TxnSemantics {
 	case event.TxnAtomicOrder:
 		// TL itself is the witness.
 	case event.TxnWriteToRead:
-		base.AddVars(writes)
+		witnesses = vars[:nw]
 	default:
-		base.AddVars(reads)
-		base.AddVars(writes)
+		witnesses = vars
 	}
+	tx := &txnAccess{base: txnLockset(t, witnesses), alock: e.heldLock(t)}
 
 	var races []detect.Race
-	written := make(map[event.Variable]bool, len(writes))
-	for _, v := range writes {
-		written[v] = true
-	}
-	seen := make(map[event.Variable]bool, len(reads)+len(writes))
-	for _, v := range writes {
-		if seen[v] {
-			continue
-		}
-		seen[v] = true
-		if r := e.access(t, v.Obj, v.Field, a, true, true, base.Clone()); r != nil {
-			races = append(races, *r)
-		}
-	}
-	for _, v := range reads {
-		if seen[v] || written[v] {
-			continue
-		}
-		seen[v] = true
-		if r := e.access(t, v.Obj, v.Field, a, false, true, base.Clone()); r != nil {
+	for i, v := range vars {
+		if r := e.access(t, v.Obj, v.Field, a, i < nw, tx); r != nil {
 			races = append(races, *r)
 		}
 	}
 	return races
 }
 
+// txnAccess is what the accesses of one commit share: rule 9's lockset,
+// cloned into each access's Info, and the lock the committer holds.
+type txnAccess struct {
+	base  *Lockset
+	alock event.Addr
+}
+
+// commitBufs is one commit's working storage, reused across commits
+// through commitBufPool.
+type commitBufs struct {
+	sorted []txnVar
+	keep   []bool
+	vars   []event.Variable
+}
+
+// txnVar is a variable of a commit's sets with its position in writes
+// followed by reads.
+type txnVar struct {
+	v   event.Variable
+	pos int
+}
+
+var commitBufPool = sync.Pool{New: func() any { return new(commitBufs) }}
+
+// dedupe returns the distinct variables of a commit's sets: the
+// written ones in write-set order, then those only read in read-set
+// order, and how many were written. The result is reused storage,
+// valid until the next dedupe.
+func (b *commitBufs) dedupe(reads, writes []event.Variable) (vars []event.Variable, nw int) {
+	n := len(writes) + len(reads)
+	b.sorted = b.sorted[:0]
+	for i, v := range writes {
+		b.sorted = append(b.sorted, txnVar{v, i})
+	}
+	for i, v := range reads {
+		b.sorted = append(b.sorted, txnVar{v, len(writes) + i})
+	}
+	slices.SortFunc(b.sorted, func(x, y txnVar) int {
+		if c := compareVars(x.v, y.v); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.pos, y.pos)
+	})
+	// keep marks each variable's first position in writes ++ reads.
+	b.keep = slices.Grow(b.keep[:0], n)[:n]
+	for i, x := range b.sorted {
+		b.keep[x.pos] = i == 0 || x.v != b.sorted[i-1].v
+	}
+	b.vars = b.vars[:0]
+	for i, v := range writes {
+		if b.keep[i] {
+			b.vars = append(b.vars, v)
+		}
+	}
+	nw = len(b.vars)
+	for i, v := range reads {
+		if b.keep[len(writes)+i] {
+			b.vars = append(b.vars, v)
+		}
+	}
+	return b.vars, nw
+}
+
 // access is the common entry point for all data accesses: it performs
 // the happens-before checks required by the read/write distinction and
-// installs the resulting Info record. ls is the post-access lockset for
-// a transactional access; nil means the plain-access lockset {t}, built
-// in place (recycling the superseded record's storage when possible).
+// installs the resulting Info record. tx is the commit a transactional
+// access belongs to; nil means a plain access, whose lockset {t} is
+// built in place (recycling the superseded record's storage when
+// possible).
 //
 // The whole check runs behind a recover barrier: under the Quarantine
 // policy a panicking check (a detector bug, or an injected fault)
 // quarantines the variable — its state is dropped, it is never checked
 // again — and the access proceeds race-free from the monitored
 // program's point of view. Under Abort the panic propagates unchanged.
-func (e *Engine) access(t event.Tid, o event.Addr, d event.FieldID, a event.Action, isWrite, xact bool, ls *Lockset) (race *detect.Race) {
+func (e *Engine) access(t event.Tid, o event.Addr, d event.FieldID, a event.Action, isWrite bool, tx *txnAccess) (race *detect.Race) {
+	xact := tx != nil
 	h := varHash(o, d)
 	st := &e.stats[h&shardIndex]
 	vs := e.stateOfHash(o, d, h)
@@ -209,7 +269,7 @@ func (e *Engine) access(t event.Tid, o event.Addr, d event.FieldID, a event.Acti
 	// when the position is unchanged, so between synchronization events
 	// the install phase allocates nothing and touches no shared atomics.
 	if isWrite {
-		vs.write = e.installInfo(vs.write, pos, t, a, xact, ls)
+		vs.write = e.installInfo(vs.write, pos, t, a, tx)
 		for _, prev := range vs.reads {
 			prev.release()
 		}
@@ -220,7 +280,7 @@ func (e *Engine) access(t event.Tid, o event.Addr, d event.FieldID, a event.Acti
 			vs.reads = make(map[event.Tid]*info)
 			vs.readsAllXact = true
 		}
-		vs.reads[t] = e.installInfo(vs.reads[t], pos, t, a, xact, ls)
+		vs.reads[t] = e.installInfo(vs.reads[t], pos, t, a, tx)
 		vs.readsAllXact = vs.readsAllXact && xact
 	}
 	if traced {
@@ -252,10 +312,12 @@ func (e *Engine) access(t event.Tid, o event.Addr, d event.FieldID, a event.Acti
 // installInfo builds the Info record for the access just checked,
 // recycling the superseded record old (nil if the slot was empty). The
 // returned record owns a list reference on pos: stolen from old when
-// the position is unchanged, freshly acquired otherwise. When ls is nil
-// (a plain access) the lockset {t} is built in place, reusing old's
-// lockset storage unless a clone still shares it.
-func (e *Engine) installInfo(old *info, pos *cell, t event.Tid, a event.Action, xact bool, ls *Lockset) *info {
+// the position is unchanged, freshly acquired otherwise. A
+// transactional access (tx non-nil) takes a clone of its commit's
+// lockset, written into the superseded lockset's header. A plain one
+// has the lockset {t} built in place, reusing old's lockset storage
+// unless a clone still shares it.
+func (e *Engine) installInfo(old *info, pos *cell, t event.Tid, a event.Action, tx *txnAccess) *info {
 	in := old
 	if in == nil {
 		in = &info{}
@@ -264,19 +326,23 @@ func (e *Engine) installInfo(old *info, pos *cell, t event.Tid, a event.Action, 
 		pos.refs.Add(1)
 		in.release()
 	}
-	if ls == nil {
+	if tx != nil {
+		if in.ls == nil {
+			in.ls = new(Lockset)
+		}
+		tx.base.cloneInto(in.ls)
+		in.alock = tx.alock
+	} else {
 		if in.ls != nil && !in.ls.shared {
 			in.ls.Reset(ThreadElem(t))
-			ls = in.ls
 		} else {
-			ls = NewLockset(ThreadElem(t))
+			in.ls = NewLockset(ThreadElem(t))
 		}
+		in.alock = e.heldLock(t)
 	}
 	in.pos = pos
 	in.owner = t
-	in.ls = ls
-	in.alock = e.heldLock(t)
-	in.xact = xact
+	in.xact = tx != nil
 	in.action = a
 	in.origSeq = pos.seq
 	in.hbAfter = nil
@@ -518,26 +584,23 @@ func applyRuleCell(ls *Lockset, a event.Action, rs ruleSet, filtered bool, t1, t
 				ls.Add(VolatileElem(a.Volatile()))
 			}
 		case event.KindCommit:
+			// Each semantics acquires (adds u when a witness is in the
+			// set) and then releases (adds its witnesses when u is). A
+			// set already holding u skips the acquire's probes.
 			switch sem {
 			case event.TxnAtomicOrder:
-				if ls.Has(TL) {
+				if ls.Has(u) || ls.Has(TL) {
 					ls.Add(u)
-				}
-				if ls.Has(u) {
 					ls.Add(TL)
 				}
 			case event.TxnWriteToRead:
-				if ls.IntersectsVars(a.Reads) {
+				if ls.Has(u) || ls.IntersectsVars(a.Reads) {
 					ls.Add(u)
-				}
-				if ls.Has(u) {
 					ls.AddVars(a.Writes)
 				}
 			default:
-				if ls.IntersectsVars(a.Reads) || ls.IntersectsVars(a.Writes) {
+				if ls.Has(u) || ls.IntersectsVars(a.Reads) || ls.IntersectsVars(a.Writes) {
 					ls.Add(u)
-				}
-				if ls.Has(u) {
 					ls.AddVars(a.Reads)
 					ls.AddVars(a.Writes)
 				}

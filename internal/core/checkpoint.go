@@ -1106,6 +1106,7 @@ func restore(p *ckptPayload) (*Engine, error) {
 				vs.reads[ci.Owner] = in
 			}
 		}
+		e.raiseStateMark(cv.Obj)
 		sh := &e.varShards[varHash(cv.Obj, cv.Field)&shardIndex]
 		fields, ok := sh.vars[cv.Obj]
 		if !ok {
@@ -1172,7 +1173,11 @@ func restoreInfo(ci ckptInfo, cells map[uint64]*cell) (*info, error) {
 	}
 	ls := NewLockset()
 	for _, el := range ci.Lockset {
-		ls.Add(Elem{Kind: ElemKind(el.K), Tid: el.T, Obj: el.O, Field: el.F})
+		e := Elem{Kind: ElemKind(el.K), Tid: el.T, Obj: el.O, Field: el.F}
+		if !e.canonical() {
+			return nil, fmt.Errorf("core: checkpoint info at seq %d: malformed lockset element %+v", ci.Pos, el)
+		}
+		ls.Add(e)
 	}
 	in := &info{
 		pos: pos, owner: ci.Owner, ls: ls, alock: ci.ALock,

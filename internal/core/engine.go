@@ -397,6 +397,10 @@ type Engine struct {
 	// dead holds the objects reported dead by Free, not yet dropped. It
 	// is a pointer so that Freer can hand it out without the engine.
 	dead *deadQueue
+
+	// stateMark is the largest object address that has ever had a
+	// variable state: an Alloc above it has no state to drop.
+	stateMark atomic.Int64
 }
 
 // NewEngine returns an Engine with the given options.
@@ -632,15 +636,19 @@ func (e *Engine) holds(t event.Tid, o event.Addr) bool {
 }
 
 // Alloc records the allocation of object o: rule 8 resets the locksets
-// of all of o's fields by dropping their state. The fields of one
-// object hash to different shards, so every shard is visited. The same
-// pass drops the variables of the objects reported dead since the
-// previous Alloc (Free). A shard is checked under its read lock and
-// write-locked only when it holds state of o or of a dead object: an
-// address the runtime has never handed out has no state, so most
-// allocations take no write lock and stall no reader.
+// of all of o's fields by dropping their state. An address above every
+// address that has had state, with no dead object queued, has nothing
+// to drop, and the runtime hands out rising addresses, so most
+// allocations return there. Otherwise the fields of one object hash to
+// different shards, so every shard is visited. The same pass drops the
+// variables of the objects reported dead since the previous Alloc
+// (Free). A shard is checked under its read lock and write-locked only
+// when it holds state of o or of a dead object.
 func (e *Engine) Alloc(_ event.Tid, o event.Addr) {
 	e.list.fire(obs.RuleAlloc)
+	if int64(o) > e.stateMark.Load() && e.dead.n.Load() == 0 {
+		return
+	}
 	dead := e.dead.take()
 	type deadObj struct {
 		o      event.Addr
@@ -727,15 +735,17 @@ func (e *Engine) Free(o event.Addr) { e.dead.push(o) }
 func (e *Engine) Freer() func(event.Addr) { return e.dead.push }
 
 // deadQueue collects the addresses passed to Free until the next Alloc
-// takes them.
+// takes them. n mirrors len(addrs) for Alloc's lock-free emptiness test.
 type deadQueue struct {
 	mu    sync.Mutex
 	addrs []event.Addr
+	n     atomic.Int64
 }
 
 func (q *deadQueue) push(o event.Addr) {
 	q.mu.Lock()
 	q.addrs = append(q.addrs, o)
+	q.n.Store(int64(len(q.addrs)))
 	q.mu.Unlock()
 }
 
@@ -744,8 +754,19 @@ func (q *deadQueue) take() []event.Addr {
 	q.mu.Lock()
 	addrs := q.addrs
 	q.addrs = nil
+	q.n.Store(0)
 	q.mu.Unlock()
 	return addrs
+}
+
+// raiseStateMark raises stateMark to o, for a state about to be created.
+func (e *Engine) raiseStateMark(o event.Addr) {
+	for {
+		m := e.stateMark.Load()
+		if int64(o) <= m || e.stateMark.CompareAndSwap(m, int64(o)) {
+			return
+		}
+	}
 }
 
 // stateOf returns (creating if needed) the state for variable (o, d).
@@ -781,6 +802,7 @@ func (e *Engine) stateOfHash(o event.Addr, d event.FieldID, h uint64) *varState 
 	}
 	vs, ok := fields[d]
 	if !ok {
+		e.raiseStateMark(o)
 		vs = &varState{}
 		fields[d] = vs
 		e.varsTracked.Add(1)

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
@@ -116,4 +117,50 @@ func TestVarsFreedZeroAfterReplay(t *testing.T) {
 	if s := e.Stats(); s.VarsFreed != 0 || s.VarsTracked != 20 {
 		t.Errorf("VarsTracked = %d, VarsFreed = %d after replay, want 20 and 0", s.VarsTracked, s.VarsFreed)
 	}
+}
+
+// TestAllocDropsPriorState: rule 8 holds for an address that already
+// has state (an invalid trace: the object was accessed before its
+// allocation). Alloc returns early only above the highest address that
+// has had state, so an Alloc below that mark or at it, also after a
+// restore, still drops the state, and thread 2's unsynchronized write
+// after the Alloc does not race with thread 1's write before it.
+func TestAllocDropsPriorState(t *testing.T) {
+	setup := func(t *testing.T) *core.Engine {
+		e := core.New()
+		e.Sync(event.Fork(1, 2))
+		e.Write(1, 50, 0)
+		e.Write(1, 70, 0)
+		e.Alloc(1, 100) // a fresh address: the early return
+		if r := e.Write(2, 50, 1); r != nil {
+			t.Fatalf("fresh field raced: %v", r)
+		}
+		return e
+	}
+	allocThenWrite := func(t *testing.T, e *core.Engine, o event.Addr) {
+		t.Helper()
+		e.Alloc(2, o)
+		if r := e.Write(2, o, 0); r != nil {
+			t.Errorf("Alloc(%d) kept the object's state: %v", o, r)
+		}
+	}
+
+	t.Run("control", func(t *testing.T) {
+		if r := setup(t).Write(2, 70, 0); r == nil {
+			t.Fatal("no race without the Alloc: the test cannot see a kept state")
+		}
+	})
+	t.Run("belowMark", func(t *testing.T) { allocThenWrite(t, setup(t), 50) })
+	t.Run("atMark", func(t *testing.T) { allocThenWrite(t, setup(t), 70) })
+	t.Run("restored", func(t *testing.T) {
+		var buf bytes.Buffer
+		if err := setup(t).Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		e, err := core.RestoreEngine(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocThenWrite(t, e, 70)
+	})
 }

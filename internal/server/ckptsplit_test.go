@@ -122,6 +122,11 @@ func TestCheckpointWriterEncodesWhileWorkerSteps(t *testing.T) {
 	waitUntil(t, "the writer holds the capture at 16", func() bool { return writing(srv, "w") })
 	st.sendTo(200) // the engine moves on under the held capture
 	release()
+	// The capture at 32 queued behind the held one, and every capture
+	// falling due while it waits is skipped. Let the writer drain both
+	// first, or a worker that outruns it streams the rest of the trace
+	// with no capture taken.
+	srv.ckpt.wait(lockedSession(srv, "w"))
 	for ; st.sent < tr.Len(); st.sent++ {
 		if err := st.c.Send(tr.At(st.sent)); err != nil {
 			t.Fatalf("send %d: %v", st.sent, err)

@@ -417,6 +417,33 @@ class Main {
 	}
 }
 `,
+	// A spawn in a method that runs more than once per instance of its
+	// root: start() is called twice from main, and from a loop in main.
+	`
+class B { int v; }
+class Main {
+	B b;
+	void w() { b.v = b.v + 1; }
+	void start() { thread t = spawn this.w(); }
+	void main() {
+		b = new B();
+		this.start();
+		this.start();
+	}
+}
+`,
+	`
+class B { int v; }
+class Main {
+	B b;
+	void w() { b.v = b.v + 1; }
+	void start() { thread t = spawn this.w(); }
+	void main() {
+		b = new B();
+		for (int i = 0; i < 2; i = i + 1) { this.start(); }
+	}
+}
+`,
 }
 
 // analyze runs the named analysis on prog.

@@ -87,9 +87,10 @@ func BuildFacts(prog *mj.Program) *Facts {
 
 // computeRoots propagates thread roots through the (exact) call graph.
 // Main.main carries root 0; each spawn site begins a new root at the
-// spawned method. A root is multi-instance when its spawn site sits in
-// a loop, in a method reachable from a multi root, or in a method
-// reachable from two or more roots.
+// spawned method. A root is multi-instance when its spawn site may run
+// more than once: the site sits in a loop, or in a method reachable
+// from a multi root or from two or more roots, or in a method that may
+// run more than once per instance of the root executing it (runsOnce).
 func (f *Facts) computeRoots() {
 	mainClass := f.Prog.ClassByName("Main")
 	if mainClass == nil {
@@ -113,38 +114,43 @@ func (f *Facts) computeRoots() {
 		return true
 	}
 
-	// One walk per method finds its spawns and the methods it calls. A
-	// spawn's own call, which the walk visits right after the spawn, is
-	// not a call edge: it begins the spawn's root.
+	// One walk per method finds its spawns and its call sites. A spawn's
+	// own call, which the walk visits right after the spawn, is not a
+	// call site: it begins the spawn's root.
 	var spawns []spawnSite
 	calls := make(map[*mj.MethodDecl][]*mj.MethodDecl)
+	sites := make(map[*mj.MethodDecl][]callSite) // by callee
 	spawned := make(map[*mj.CallExpr]bool)
+	loops := make(map[*mj.MethodDecl]map[mj.Expr]bool) // loopExprs, by method, on demand
+	inLoop := func(m *mj.MethodDecl, e mj.Expr) bool {
+		if loops[m] == nil {
+			loops[m] = loopExprs(m.Body)
+		}
+		return loops[m][e]
+	}
 	for _, cd := range f.Prog.Classes {
 		for _, m := range cd.Methods {
-			var inLoop map[*mj.SpawnExpr]bool
 			mj.WalkExprs(m.Body, func(e mj.Expr) {
 				switch ex := e.(type) {
 				case *mj.SpawnExpr:
-					if inLoop == nil {
-						inLoop = loopSpawns(m.Body)
-					}
-					spawns = append(spawns, spawnSite{site: ex, method: m, inLoop: inLoop[ex]})
+					spawns = append(spawns, spawnSite{site: ex, method: m, inLoop: inLoop(m, ex)})
 					spawned[ex.Call] = true
 				case *mj.CallExpr:
 					if !spawned[ex] {
 						calls[m] = append(calls[m], ex.Decl)
+						sites[ex.Decl] = append(sites[ex.Decl], callSite{caller: m, call: ex})
 					}
 				}
 			})
 		}
 	}
 
-	// Iterate to a fixpoint: propagate roots through calls, and create
-	// new roots at spawns.
+	// Propagate roots to a fixpoint: call edges carry the caller's
+	// roots, and spawns begin fresh roots.
+	entry := map[RootID]*mj.MethodDecl{0: mainM}
 	addRoot(mainM, 0)
 	for changed := true; changed; {
 		changed = false
-		// Call edges propagate the caller's roots.
 		for _, cd := range f.Prog.Classes {
 			for _, m := range cd.Methods {
 				for _, callee := range calls[m] {
@@ -156,28 +162,61 @@ func (f *Facts) computeRoots() {
 				}
 			}
 		}
-		// Spawn edges begin fresh roots.
 		for _, sp := range spawns {
 			if len(f.MethodRoots[sp.method]) == 0 {
 				continue // spawn site unreachable
 			}
 			r := RootID(1 + sp.site.SpawnID)
+			entry[r] = sp.site.Call.Decl
 			if addRoot(sp.site.Call.Decl, r) {
 				changed = true
 			}
-			multi := sp.inLoop
-			// A spawn in a method reachable from a multi root, or from
-			// more than one root, may execute many times.
+		}
+	}
+
+	// runsOnce reports whether m runs at most once per instance of root
+	// r: m is r's entry, or m has exactly one call site, outside any
+	// loop, in a method that itself runs at most once per instance of r;
+	// and in either case no recursion reaches m.
+	once := make(map[*mj.MethodDecl]map[RootID]bool)
+	var runsOnce func(m *mj.MethodDecl, r RootID) bool
+	runsOnce = func(m *mj.MethodDecl, r RootID) bool {
+		if v, ok := once[m][r]; ok {
+			return v
+		}
+		v := false
+		switch {
+		case recursive(calls, m):
+		case m == entry[r]:
+			v = true
+		case len(sites[m]) == 1:
+			s := sites[m][0]
+			v = !inLoop(s.caller, s.call) && f.MethodRoots[s.caller][r] && runsOnce(s.caller, r)
+		}
+		if once[m] == nil {
+			once[m] = make(map[RootID]bool)
+		}
+		once[m][r] = v
+		return v
+	}
+
+	// Multi-instance roots, to a fixpoint: a spawn site makes its root
+	// multi when it may run more than once.
+	for changed := true; changed; {
+		changed = false
+		for _, sp := range spawns {
 			parents := f.MethodRoots[sp.method]
-			if len(parents) > 1 {
-				multi = true
+			r := RootID(1 + sp.site.SpawnID)
+			if len(parents) == 0 || f.RootMulti[r] {
+				continue
 			}
+			multi := sp.inLoop || len(parents) > 1
 			for pr := range parents {
-				if f.RootMulti[pr] {
+				if f.RootMulti[pr] || !runsOnce(sp.method, pr) {
 					multi = true
 				}
 			}
-			if multi && !f.RootMulti[r] {
+			if multi {
 				f.RootMulti[r] = true
 				changed = true
 			}
@@ -192,11 +231,35 @@ type spawnSite struct {
 	inLoop bool
 }
 
-// loopSpawns returns the spawns in body that may run more than once
-// per call: those in a while or for condition, a for post statement or
-// a loop body. A for init runs once.
-func loopSpawns(body mj.Stmt) map[*mj.SpawnExpr]bool {
-	in := make(map[*mj.SpawnExpr]bool)
+// callSite is a call expression (not a spawn's) and its method.
+type callSite struct {
+	caller *mj.MethodDecl
+	call   *mj.CallExpr
+}
+
+// recursive reports whether m lies on a cycle of the call graph calls.
+func recursive(calls map[*mj.MethodDecl][]*mj.MethodDecl, m *mj.MethodDecl) bool {
+	seen := make(map[*mj.MethodDecl]bool)
+	stack := slices.Clone(calls[m])
+	for len(stack) > 0 {
+		c := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if c == m {
+			return true
+		}
+		if !seen[c] {
+			seen[c] = true
+			stack = append(stack, calls[c]...)
+		}
+	}
+	return false
+}
+
+// loopExprs returns the expressions in body that may run more than
+// once per call: those in a while or for condition, a for post
+// statement or a loop body. A for init runs once.
+func loopExprs(body mj.Stmt) map[mj.Expr]bool {
+	in := make(map[mj.Expr]bool)
 	mj.WalkStmts(body, func(s mj.Stmt) {
 		var init mj.Stmt
 		switch st := s.(type) {
@@ -206,15 +269,11 @@ func loopSpawns(body mj.Stmt) map[*mj.SpawnExpr]bool {
 		default:
 			return
 		}
-		var once []mj.Expr
-		mj.WalkExprs(init, func(e mj.Expr) {
-			if _, ok := e.(*mj.SpawnExpr); ok {
-				once = append(once, e)
-			}
-		})
+		once := make(map[mj.Expr]bool)
+		mj.WalkExprs(init, func(e mj.Expr) { once[e] = true })
 		mj.WalkExprs(s, func(e mj.Expr) {
-			if sp, ok := e.(*mj.SpawnExpr); ok && !slices.Contains(once, e) {
-				in[sp] = true
+			if !once[e] {
+				in[e] = true
 			}
 		})
 	})

@@ -120,6 +120,57 @@ class Main {
 	}
 }
 
+// TestSpawnInRepeatedMethod: a spawn site's root is single-instance
+// only when the method holding it runs at most once per instance of
+// each root executing it: that root's entry, or a method with one call
+// site, outside any loop, in such a method, with no recursion reaching
+// it.
+func TestSpawnInRepeatedMethod(t *testing.T) {
+	f := facts(t, `
+class Main {
+	int n;
+	void w1() { }
+	void w2() { }
+	void w3() { }
+	void w4() { }
+	void w5() { }
+	void w6() { }
+	void w7() { }
+	void twice() { thread t = spawn this.w1(); }
+	void looped() { thread t = spawn this.w2(); }
+	void single() { thread t = spawn this.w3(); }
+	void chained() { thread t = spawn this.w4(); }
+	void mid() { this.chained(); }
+	void rec() { thread t = spawn this.w5(); if (n < 3) { n = n + 1; this.rec(); } }
+	void worker() { thread t = spawn this.w6(); this.inner(); }
+	void inner() { thread t = spawn this.w7(); }
+	void main() {
+		this.twice();
+		this.twice();
+		for (int i = 0; i < 2; i = i + 1) { this.looped(); }
+		this.single();
+		this.mid();
+		this.rec();
+		thread t = spawn this.worker();
+	}
+}
+`)
+	main := f.Prog.ClassByName("Main")
+	for name, want := range map[string]bool{
+		"w1": true, "w2": true, "w3": false, "w4": false, "w5": true, "w6": false, "w7": false,
+	} {
+		roots := f.MethodRoots[main.Method(name)]
+		if len(roots) != 1 || roots[0] {
+			t.Errorf("%s: roots %v, want one, its spawn's", name, roots)
+		}
+		for r := range roots {
+			if f.RootMulti[r] != want {
+				t.Errorf("%s: multi-instance %v, want %v", name, f.RootMulti[r], want)
+			}
+		}
+	}
+}
+
 func TestSpawnInsideBranchesAndTry(t *testing.T) {
 	f := facts(t, `
 class Main {
